@@ -33,6 +33,8 @@ __all__ = [
     "log_gamma",
 ]
 
+TWO_PI = 2.0 * math.pi
+
 
 @dataclass(frozen=True)
 class QuadConfig:

@@ -2,15 +2,26 @@
 
 For a profile weight p the Bergman kernel is the quadrature formula
 
-    K_tau(z, w) = (tau / 2 pi) int_R exp(tau eta (z + conj w)) / I(eta, tau) deta,
-    I(eta, tau) = int_R exp(2 tau (r eta - p(r))) dr,
+    K_tau(z, w) = (tau / 2 pi) int_R exp(tau eta u) / I(eta, tau) deta,
+    I(eta, tau) = int_R exp(2 tau (r eta - p(r))) dr,   u = z + conj w,
 
-and integrating K_tau e^{-tau(p(z)+p(w))} e^{-i tau (s-t)} over tau gives
-the boundary kernel as a triple integral.  The inner integral I is the
-exponential of twice tau times a smoothed conjugate of p; its growth is
-squeezed between scaled copies of the Young conjugate p*, which is what
-`sandwich_bounds_check` verifies on a grid, and for large tau it follows
-the classical Laplace-method asymptotic
+which `bergman_profile` evaluates for one tau by nested quadrature.
+Integrating K_tau e^{-tau(p(z)+p(w))} e^{-i tau (s-t)} over tau gives the
+boundary kernel.  The profiles p = |x|^a / a are homogeneous, and the
+substitution x = tau^(1-1/a) eta reduces every tau to tau = 1:
+
+    I(eta, tau) = tau^(-1/a) J(tau^(1-1/a) eta),   J = I(., 1),
+    K_tau(u) = tau^(2/a) K_1(tau^(1/a) u).
+
+So `szego_profile` evaluates its tau integrand for all tau nodes of a
+quadrature step at once (`_kernel_tau_batch`): one table of log J on one
+shared Gauss-Legendre rule in x, and one tau x x matrix product per rule
+level, in place of a nested quadrature per node.
+
+The inner integral I is the exponential of twice tau times a smoothed
+conjugate of p; its growth is squeezed between scaled copies of the Young
+conjugate p*, which is what `sandwich_bounds_check` verifies on a grid,
+and for large tau it follows the classical Laplace-method asymptotic
 
     I(eta, tau) ~ (pi / (tau p''(mu(eta))))^{1/2} exp(2 tau p*(eta)),
 
@@ -25,6 +36,7 @@ plus an epsilon extrapolation; see `bergman_from_szego_gaussian`.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,6 +47,7 @@ from .boundary import BoundaryPoint
 from .errors import ConvergenceError, DomainError, NearSingular, SingularPoint, TruncationError
 from .numerics import (
     DEFAULT_CONFIG,
+    TWO_PI,
     EvalResult,
     QuadConfig,
     integrate_interval,
@@ -50,16 +63,14 @@ from .weights import (
     _require_profile,
 )
 
-TWO_PI = 2.0 * math.pi
-
 # decay (in the shifted exponent) required before a quadrature window is cut
 _EXP_CUTOFF = 45.0
 
 
 def _check_tau(tau):
     tau = float(tau)
-    if tau <= 0.0:
-        raise DomainError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise DomainError("tau must be positive and finite")
     return tau
 
 
@@ -196,6 +207,8 @@ def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFI
     _require_profile(spec)
     tau = _check_tau(tau)
     u = complex(z) + complex(w).conjugate()
+    if not cmath.isfinite(u):
+        raise DomainError("bergman_profile requires finite z and w")
     ux = u.real
     eta_star = _profile_slope(spec, ux / 2.0)
     inner_rtol = max(1e-13, 0.05 * cfg.rel_tol)
@@ -220,6 +233,93 @@ def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFI
     err = scale * (res.abs_err_estimate + inner_rtol * abs(res.value))
     return EvalResult(scale * res.value, err, "profile-quadrature",
                       counter["n"] + res.n_evals)
+
+
+# Gauss-Legendre orders of the batched kernel's shared x rule, and the
+# most tau one rule serves: larger batches are split, which bounds the
+# tau x x matrices (4 MB at the top order) and the inner call at x*.  The
+# size is a multiple of the 15 nodes of a GK15 panel, so no panel of the
+# tau quadrature mixes two rules.
+_X_ORDERS = (32, 64, 128, 256, 512, 1024)
+_TAU_CHUNK = 240
+
+
+def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
+    """K_tau(u) exp(log_factor) for a vector of tau, on one shared x rule.
+
+    For p = |x|^a / a the kernel is homogeneous, K_tau(u) = tau^(2/a)
+    K_1(tau^(1/a) u), so with v = tau^(1/a) u and J = I(., 1)
+
+        K_tau(u) = tau^(2/a) / (2 pi) int_R exp(x v - log J(x)) dx,
+
+    and every tau shares one table of log J on one Gauss-Legendre rule.
+    Row k is shifted by its peak x* Re v - log J(x*), x* = p'(Re v / 2),
+    and the shift is folded into log_factor before the final exponential,
+    so no row overflows.  The x window is pushed out until every row has
+    decayed by _EXP_CUTOFF at both ends (the exponent is concave in x, so
+    end decay bounds the tails); the rule order is doubled until every
+    row agrees with the previous level to rtol, and the finer level is
+    returned.  n_evals counts the inner evaluations plus the tau x x cells.
+    """
+    taus = np.asarray(taus, dtype=float)
+    if taus.size > _TAU_CHUNK:
+        parts = [_kernel_tau_batch(spec, taus[i:i + _TAU_CHUNK], u,
+                                   log_factor[i:i + _TAU_CHUNK], rtol)
+                 for i in range(0, taus.size, _TAU_CHUNK)]
+        return np.concatenate([p[0] for p in parts]), sum(p[1] for p in parts)
+    a = spec.alpha
+    v = taus ** (1.0 / a) * u
+    vr = v.real
+    x_star = np.sign(vr) * np.abs(0.5 * vr) ** (a - 1.0)
+    log_star, n_evals = _log_inner_batch(spec, 1.0, x_star, rtol)
+    peak = x_star * vr - log_star
+
+    # both window ends at once: start from the decay length of
+    # exp(-2 p*(x)) about x = 0, expand an end that has not decayed for
+    # every row, then halve an end while the half-way point has
+    ends = np.array([x_star.min(), x_star.max()])
+    side = np.array([-1.0, 1.0])
+    b = spec.conjugate_alpha
+    L = np.full(2, (_EXP_CUTOFF * b / 2.0) ** (1.0 / b) + 1.0)
+
+    def decayed(xs):
+        log_j, ne = _log_inner_batch(spec, 1.0, xs, rtol)
+        expo = np.multiply.outer(vr, xs) - log_j - peak[:, None]
+        return np.all(expo <= -_EXP_CUTOFF, axis=0), ne
+
+    for _ in range(200):
+        ok, ne = decayed(ends + side * L)
+        n_evals += ne
+        if ok.all():
+            break
+        L = np.where(ok, L, 1.4 * L)
+    else:
+        raise ConvergenceError("tau-batched window failed to close")
+    for _ in range(80):
+        ok, ne = decayed(ends + side * 0.5 * L)
+        n_evals += ne
+        wide = ok & (L > 1e-4)
+        if not wide.any():
+            break
+        L = np.where(wide, 0.5 * L, L)
+
+    lo, hi = ends[0] - L[0], ends[1] + L[1]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    prev = None
+    for n in _X_ORDERS:
+        x, wq = _leggauss(n)
+        xs = mid + half * x
+        log_j, ne = _log_inner_batch(spec, 1.0, xs, rtol)
+        n_evals += ne + taus.size * n
+        expo = np.multiply.outer(v, xs)
+        expo -= log_j
+        expo -= peak[:, None]
+        vals = (np.exp(expo, out=expo) @ wq) * half
+        if prev is not None and np.all(np.abs(vals - prev) <= rtol * np.abs(vals)):
+            log_scale = peak + log_factor + (2.0 / a) * np.log(taus) - math.log(TWO_PI)
+            return np.exp(log_scale) * vals, n_evals
+        prev = vals
+    raise ConvergenceError("tau-batched kernel rule did not stabilise")
 
 
 def bergman_gaussian_closed(tau, z, w) -> complex:
@@ -254,15 +354,21 @@ def _extrapolate_to_zero(xs, ys, powers):
 
 def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
                   cfg: QuadConfig = DEFAULT_CONFIG) -> EvalResult:
-    """Boundary kernel as the tau-outermost triple integral.
+    """Boundary kernel as the tau integral of the batched profile kernel.
 
-    The tau integrand is K_tau(z, w) e^{-tau(p(z)+p(w))} e^{-i tau (s-t)}
-    with K_tau from `bergman_profile`.  Its decay rate is probed adaptively:
-    if the magnitude decays, the integral is truncated a priori and summed
-    directly; if it does not decay but the phase rotates (off the boundary
-    diagonal with matching times), an Abel-damped evaluation e^{-eps tau}
-    is extrapolated to eps = 0; with neither damping nor rotation the
+    The tau integrand is K_tau(z, w) e^{-tau(p(z)+p(w))} e^{-i tau (s-t)}.
+    Each call of it takes every tau node of a quadrature step at once:
+    through the homogeneity K_tau(u) = tau^(2/a) K_1(tau^(1/a) u) all
+    nodes share one table of log I(., 1) and one matrix product per rule
+    level (`_kernel_tau_batch`), so no node runs a quadrature of its own.
+    The decay rate is probed at tau = 2, 4, 8, 16: if the magnitude
+    decays, the integral is truncated a priori and summed directly; if it
+    does not decay but the phase rotates (off the boundary diagonal with
+    matching times), an Abel-damped evaluation e^{-eps tau} is
+    extrapolated to eps = 0; with neither damping nor rotation the
     configuration is the boundary diagonal and NearSingular is raised.
+    The error estimate adds the inner relative tolerance times |S| to the
+    tau quadrature's own estimate.
     """
     _require_profile(spec)
     z, w = p1.z, p2.z
@@ -278,19 +384,17 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
         max_subdivisions=cfg.max_subdivisions,
         truncation_decay_threshold=cfg.truncation_decay_threshold,
     )
+    u = z + w.conjugate()
+    rtol = max(1e-13, 0.05 * inner_cfg.rel_tol)
     counter = {"n": 0}
 
-    def f_scalar(tau):
-        kern = bergman_profile(spec, tau, z, w, inner_cfg)
-        counter["n"] += kern.n_evals
-        phase = -tau * (pz + pw) - 1j * tau * s_minus_t
-        return kern.value * np.exp(phase)
+    def f(taus):
+        vals, n = _kernel_tau_batch(spec, taus, u, -taus * (pz + pw + 1j * s_minus_t), rtol)
+        counter["n"] += n
+        return vals
 
-    def f_vec(taus):
-        return np.array([f_scalar(float(t)) for t in np.atleast_1d(taus)])
-
-    probes = (2.0, 4.0, 8.0, 16.0)
-    mags = [abs(f_scalar(t)) for t in probes]
+    probes = np.array([2.0, 4.0, 8.0, 16.0])
+    mags = np.abs(f(probes))
     if mags[-1] == 0.0:
         slope = -math.inf
     elif mags[-2] > 0.0:
@@ -303,7 +407,7 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
         reach = (math.log(max(mags[-1], floor)) - math.log(floor)) / -slope
         tau_max = probes[-1] + min(reach * 1.3, 400.0 / -slope) + 5.0
         seeds = max(8, min(400, int(abs(osc) * tau_max / 3.0) + 8))
-        res = integrate_interval(f_vec, 0.0, tau_max, cfg,
+        res = integrate_interval(f, 0.0, tau_max, cfg,
                                  breakpoints=np.linspace(0.0, tau_max, seeds + 1)[1:-1])
         err = res.abs_err_estimate + inner_cfg.rel_tol * abs(res.value)
         return EvalResult(res.value, err, "triple-quadrature",
@@ -314,8 +418,7 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
                            "diagonal configuration")
 
     # Abel regularisation: damp with e^{-eps tau}, extrapolate eps -> 0.
-    # All three integrals share one window and one memoised set of kernel
-    # evaluations; only the damper differs.
+    # All three integrals share one window; only the damper differs.
     abel_cfg = QuadConfig(
         abs_tol=max(cfg.abs_tol, 1e-8),
         rel_tol=max(cfg.rel_tol, 1e-6),
@@ -327,20 +430,12 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     for _ in range(3):
         tau_max = (math.log(1.0 / abel_cfg.abs_tol) + math.log(1.0 + tau_max)) / eps_seq[-1]
     seeds = max(16, min(800, int(abs(osc) * tau_max / 3.0) + 16))
-    cache = {}
-
-    def f_cached(t):
-        if t not in cache:
-            cache[t] = f_scalar(t)
-        return cache[t]
 
     vals = []
     errs = []
     for eps in eps_seq:
         def damped(taus, _e=eps):
-            ts = np.atleast_1d(taus)
-            return np.array([f_cached(float(t)) * math.exp(-_e * float(t))
-                             for t in ts])
+            return f(taus) * np.exp(-_e * taus)
 
         res = integrate_interval(damped, 0.0, tau_max, abel_cfg,
                                  breakpoints=np.linspace(0.0, tau_max, seeds + 1)[1:-1])

@@ -31,9 +31,15 @@ import numpy as np
 
 from .boundary import BoundaryPoint
 from .errors import DomainError, NearSingular, SingularPoint
-from .numerics import DEFAULT_CONFIG, EvalResult, QuadConfig, integrate_half_line, log_gamma, sum_series
-
-TWO_PI = 2.0 * math.pi
+from .numerics import (
+    DEFAULT_CONFIG,
+    TWO_PI,
+    EvalResult,
+    QuadConfig,
+    integrate_half_line,
+    log_gamma,
+    sum_series,
+)
 
 # kernel genuinely blows up on the boundary diagonal; these are the
 # float-level guards around it
@@ -75,9 +81,12 @@ def bergman_radial_series(alpha, tau, z, w, cfg: QuadConfig = DEFAULT_CONFIG) ->
     """Sum the kernel series; Hermitian in (z, w), real positive on the diagonal."""
     alpha = float(alpha)
     tau = float(tau)
-    if alpha <= 0.0 or tau <= 0.0:
-        raise DomainError("bergman_radial_series requires alpha > 0 and tau > 0")
-    zw = complex(z) * complex(w).conjugate()
+    if alpha <= 0.0 or not 0.0 < tau < math.inf:
+        raise DomainError("bergman_radial_series requires alpha > 0 and finite tau > 0")
+    z, w = complex(z), complex(w)
+    if not (cmath.isfinite(z) and cmath.isfinite(w)):
+        raise DomainError("bergman_radial_series requires finite z and w")
+    zw = z * w.conjugate()
 
     def term(k):
         return series_coefficient(alpha, tau, k) * zw ** k

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import BoundaryPoint
-from .numerics import DEFAULT_CONFIG, QuadConfig, integrate_plane_polar, log_gamma
+from .numerics import DEFAULT_CONFIG, TWO_PI, QuadConfig, integrate_plane_polar, log_gamma
 from .profile import (
     bergman_gaussian_closed,
     bergman_profile,
@@ -26,8 +26,6 @@ from .profile import (
 )
 from .radial import series_coefficient, szego_radial_closed, szego_radial_via_laplace
 from .weights import gaussian, profile_power
-
-TWO_PI = 2.0 * math.pi
 
 SUITE_NAMES = ("normalization", "reproducing", "crosscheck", "bounds",
                "asymptotics", "all")

@@ -7,6 +7,7 @@ from szegofock import (
     BoundaryPoint,
     DomainError,
     NearSingular,
+    QuadConfig,
     SingularPoint,
     TruncationError,
     bergman_from_szego_gaussian,
@@ -16,9 +17,12 @@ from szegofock import (
     duality_finiteness_criterion,
     duality_marginal_integral,
     effective_conjugate,
+    eval_weight,
     gaussian,
     inner_integral,
+    integrate_interval,
     laplace_asymptotic,
+    parse_weight,
     profile_power,
     sandwich_bounds_check,
     shifted_maximizer_gap,
@@ -26,7 +30,7 @@ from szegofock import (
     szego_profile,
     young_conjugate_closed,
 )
-from szegofock.profile import _log_inner_batch
+from szegofock.profile import _kernel_tau_batch, _log_inner_batch
 
 PI = math.pi
 SQRT_PI = math.sqrt(PI)
@@ -100,6 +104,43 @@ def test_bergman_profile_matches_closed_nongaussian_exponent(cfg):
     assert abs(val.imag) < 1e-10 * val.real
 
 
+@pytest.mark.parametrize("tau, z, w", [
+    (math.nan, 0.5, 0.5), (math.inf, 0.5, 0.5),
+    (1.0, complex(math.nan, 0.0), 0.5), (1.0, 0.5, complex(0.0, math.inf)),
+])
+def test_bergman_profile_rejects_nonfinite(tau, z, w):
+    with pytest.raises(DomainError):
+        bergman_profile(gaussian(), tau, z, w)
+
+
+KERNEL_TAUS = np.array([0.05, 0.3, 1.0, 2.5, 7.0, 20.0, 60.0])
+
+
+@pytest.mark.parametrize("weight", ["gaussian", "profile:alpha=1.5",
+                                    "profile:alpha=3", "profile:alpha=4"])
+def test_tau_batch_kernel_matches_bergman_profile(weight, cfg):
+    spec = parse_weight(weight)
+    rtol = max(1e-13, 0.05 * cfg.rel_tol)
+    for u in (0.6 + 0.05j, -0.9 + 0.02j, 1.4 - 0.03j):
+        got, n_evals = _kernel_tau_batch(spec, KERNEL_TAUS, u, np.zeros(KERNEL_TAUS.size), rtol)
+        assert n_evals > 0
+        for tau, value in zip(KERNEL_TAUS, got):
+            ref = bergman_profile(spec, tau, u, 0.0, cfg).value
+            assert abs(value - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 4.0])
+def test_bergman_profile_homogeneity(alpha, cfg):
+    # K_tau(z, w) = tau^(2/a) K_1(tau^(1/a) z, tau^(1/a) w)
+    spec = profile_power(alpha)
+    z, w = 0.4 + 0.1j, -0.3 + 0.2j
+    for tau in (0.3, 2.5, 7.0):
+        s = tau ** (1.0 / alpha)
+        lhs = bergman_profile(spec, tau, z, w, cfg).value
+        rhs = tau ** (2.0 / alpha) * bergman_profile(spec, 1.0, s * z, s * w, cfg).value
+        assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
+
+
 def test_bergman_gaussian_closed_examples():
     assert bergman_gaussian_closed(1.0, 0.0, 0.0) == pytest.approx(1.0 / (2.0 * PI))
     assert bergman_gaussian_closed(2.0, 1.0, -1.0) == pytest.approx(1.0 / PI)
@@ -144,6 +185,39 @@ def test_szego_profile_hermitian(loose):
     ab = szego_profile(g, p1, p2, loose)
     ba = szego_profile(g, p2, p1, loose)
     assert ab.value == pytest.approx(ba.value.conjugate(), rel=1e-4)
+
+
+def _szego_per_tau_route(spec, p1, p2, cfg, tau_max):
+    """The boundary kernel as the tau integral of one adaptive
+    bergman_profile call per tau node: the reference for the batched path.
+    Integrates in s = tau^(1/a), where the integrand is smooth at 0."""
+    z, w = p1.z, p2.z
+    a = spec.alpha
+    rate = eval_weight(spec, z) + eval_weight(spec, w) + 1j * (p2.t - p1.t)
+    inner = QuadConfig(abs_tol=1e-30, rel_tol=max(min(cfg.rel_tol * 0.1, 1e-6), 1e-12))
+
+    def f(taus):
+        return np.array([bergman_profile(spec, t, z, w, inner).value * np.exp(-t * rate)
+                         for t in taus])
+
+    def g(s):
+        return f(s ** a) * a * s ** (a - 1.0)
+
+    assert abs(f([tau_max])[0]) <= 1e-15 * abs(f([1.0])[0])
+    return integrate_interval(g, 0.0, tau_max ** (1.0 / a), cfg).value
+
+
+def test_szego_profile_nongaussian_decaying_point():
+    spec = profile_power(3.0)
+    cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-9)
+    p1 = BoundaryPoint(-1.0 + 0.15j, -0.45)
+    p2 = BoundaryPoint(0.6 - 0.1j, -0.55)
+    ab = szego_profile(spec, p1, p2, cfg)
+    assert ab.method == "triple-quadrature"
+    ref = _szego_per_tau_route(spec, p1, p2, cfg, 100.0)
+    assert abs(ab.value - ref) <= 1e-8 * abs(ref)
+    ba = szego_profile(spec, p2, p1, cfg)
+    assert abs(ab.value - ba.value.conjugate()) <= 1e-8 * abs(ab.value)
 
 
 def test_sandwich_bounds_examples(cfg):

@@ -34,6 +34,15 @@ def test_series_coefficient_oracle_values():
         series_coefficient(2.0, 1.0, -1)
 
 
+@pytest.mark.parametrize("tau, z, w", [
+    (math.nan, 0.5, 0.5), (math.inf, 0.5, 0.5),
+    (1.0, complex(math.nan, 0.0), 0.5), (1.0, 0.5, complex(0.0, math.inf)),
+])
+def test_bergman_series_rejects_nonfinite(tau, z, w):
+    with pytest.raises(DomainError):
+        bergman_radial_series(2.0, tau, z, w)
+
+
 def test_bergman_series_examples(tight):
     res = bergman_radial_series(2, 1, 0, 0, tight)
     assert res.value == pytest.approx(2.0 / PI, rel=1e-12)
