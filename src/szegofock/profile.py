@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -58,6 +58,8 @@ from .weights import (
     conjugate_spec,
     eval_weight,
     inverse_derivative,
+    profile_dp,
+    profile_p,
     weight_derivatives,
     young_conjugate_closed,
     _require_profile,
@@ -74,18 +76,9 @@ def _check_tau(tau):
     return tau
 
 
-def _profile_values(spec: WeightSpec, r):
-    """Vectorised p on the real profile variable."""
-    a = spec.alpha
-    return np.abs(r) ** a / a
-
-
-def _profile_slope(spec: WeightSpec, x: float) -> float:
-    """p'(x) without the p'' singularity guard (sign-carrying)."""
-    a = spec.alpha
-    if x == 0.0:
-        return 0.0
-    return math.copysign(abs(x) ** (a - 1.0), x)
+def _decay_length(a, tau):
+    """Distance from 0 at which exp(-2 tau |x|^a / a) falls to exp(-_EXP_CUTOFF)."""
+    return (_EXP_CUTOFF * a / (2.0 * tau)) ** (1.0 / a)
 
 
 @lru_cache(maxsize=16)
@@ -111,14 +104,13 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
     peak = 2.0 * tau * np.abs(etas) ** ap / ap
 
     def shifted_exponent(r):
-        return 2.0 * tau * (r * etas - _profile_values(spec, r)) - peak
+        return 2.0 * tau * (r * etas - profile_p(spec, r)) - peak
 
     # covering overestimate: peak location plus the eta = 0 decay length,
     # then expand where the endpoints have not decayed and contract where
     # the half-window already has (the exponent is concave, so endpoint
     # decay bounds the discarded tails)
-    decay_len = (_EXP_CUTOFF * a / (2.0 * tau)) ** (1.0 / a)
-    L = np.full_like(etas, mu.max(initial=0.0) + decay_len + 1.0)
+    L = np.full_like(etas, mu.max(initial=0.0) + _decay_length(a, tau) + 1.0)
     for _ in range(200):
         bad = (shifted_exponent(c + L) > -_EXP_CUTOFF) | (shifted_exponent(c - L) > -_EXP_CUTOFF)
         if not bad.any():
@@ -150,7 +142,7 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
         for lft, rgt in ((lo, mid), (mid, hi)):
             half = 0.5 * (rgt - lft)
             R = 0.5 * (lft + rgt)[:, None] + half[:, None] * x[None, :]
-            expo = 2.0 * tau * (R * etas[:, None] - _profile_values(spec, R)) - peak[:, None]
+            expo = 2.0 * tau * (R * etas[:, None] - profile_p(spec, R)) - peak[:, None]
             vals = vals + (np.exp(expo) @ wq) * half
             n_evals += R.size
         logI = peak + np.log(vals)
@@ -161,14 +153,23 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
 
 
 def _inner_shifted(spec, tau, eta, cfg):
+    """Adaptive log-shifted I: returns (2 tau p*(eta), I exp(-2 tau p*(eta))).
+
+    The window starts at the eta = 0 decay length about the peak at
+    sign(eta) mu(eta); a start much wider than the peak lets the first
+    panels step over it, which shows as a zero value and raises.
+    """
     mu = inverse_derivative(spec, eta)
     center = math.copysign(mu, eta) if eta else 0.0
     shift = 2.0 * tau * young_conjugate_closed(spec, eta)
 
     def f(r):
-        return np.exp(2.0 * tau * (r * eta - _profile_values(spec, r)) - shift)
+        return np.exp(2.0 * tau * (r * eta - profile_p(spec, r)) - shift)
 
-    res = integrate_real_line(f, cfg, center=center, initial_halfwidth=max(1.0, 2.0 * mu))
+    res = integrate_real_line(f, cfg, center=center,
+                              initial_halfwidth=_decay_length(spec.alpha, tau))
+    if not res.value.real > 0.0:
+        raise ConvergenceError("inner-integral quadrature missed the peak at r = %.6g" % center)
     return shift, res
 
 
@@ -181,8 +182,11 @@ def inner_integral(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CONFIG)
         scale = math.exp(shift)
     except OverflowError:
         scale = math.inf
-    return EvalResult(scale * res.value.real, scale * res.abs_err_estimate,
-                      res.method, res.n_evals)
+    value = scale * res.value.real
+    if value == math.inf:
+        raise DomainError("I(eta, tau) overflows the float range: log I = %.6g"
+                          % (shift + math.log(res.value.real)))
+    return EvalResult(value, scale * res.abs_err_estimate, res.method, res.n_evals)
 
 
 def effective_conjugate(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
@@ -210,7 +214,7 @@ def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFI
     if not cmath.isfinite(u):
         raise DomainError("bergman_profile requires finite z and w")
     ux = u.real
-    eta_star = _profile_slope(spec, ux / 2.0)
+    eta_star = float(profile_dp(spec, ux / 2.0))
     inner_rtol = max(1e-13, 0.05 * cfg.rel_tol)
 
     log_star, n0 = _log_inner_batch(spec, tau, [eta_star], inner_rtol)
@@ -270,7 +274,7 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     a = spec.alpha
     v = taus ** (1.0 / a) * u
     vr = v.real
-    x_star = np.sign(vr) * np.abs(0.5 * vr) ** (a - 1.0)
+    x_star = profile_dp(spec, 0.5 * vr)
     log_star, n_evals = _log_inner_batch(spec, 1.0, x_star, rtol)
     peak = x_star * vr - log_star
 
@@ -279,8 +283,7 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     # every row, then halve an end while the half-way point has
     ends = np.array([x_star.min(), x_star.max()])
     side = np.array([-1.0, 1.0])
-    b = spec.conjugate_alpha
-    L = np.full(2, (_EXP_CUTOFF * b / 2.0) ** (1.0 / b) + 1.0)
+    L = np.full(2, _decay_length(spec.conjugate_alpha, 1.0) + 1.0)
 
     def decayed(xs):
         log_j, ne = _log_inner_batch(spec, 1.0, xs, rtol)
@@ -326,7 +329,14 @@ def bergman_gaussian_closed(tau, z, w) -> complex:
     """(tau / 2 pi) exp((tau/4)(z + conj w)^2), the Gaussian-profile kernel."""
     tau = _check_tau(tau)
     u = complex(z) + complex(w).conjugate()
-    return (tau / TWO_PI) * np.exp(0.25 * tau * u * u)
+    if not cmath.isfinite(u):
+        raise DomainError("bergman_gaussian_closed requires finite z and w")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (tau / TWO_PI) * np.exp(0.25 * tau * u * u)
+    if not cmath.isfinite(value):
+        raise DomainError("the Gaussian kernel overflows the float range: "
+                          "Re log K = %.6g" % (math.log(tau / TWO_PI) + (0.25 * tau * u * u).real))
+    return value
 
 
 def _gaussian_boundary_expression(p1: BoundaryPoint, p2: BoundaryPoint) -> complex:
@@ -375,17 +385,12 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     s_minus_t = p2.t - p1.t
     pz = eval_weight(spec, z)
     pw = eval_weight(spec, w)
-    eta_star = _profile_slope(spec, (z.real + w.real) / 2.0)
+    eta_star = float(profile_dp(spec, (z.real + w.real) / 2.0))
     osc = s_minus_t - eta_star * (z.imag - w.imag)
 
-    inner_cfg = QuadConfig(
-        abs_tol=1e-30,
-        rel_tol=max(min(cfg.rel_tol * 0.1, 1e-6), 1e-12),
-        max_subdivisions=cfg.max_subdivisions,
-        truncation_decay_threshold=cfg.truncation_decay_threshold,
-    )
+    inner_rel_tol = max(min(cfg.rel_tol * 0.1, 1e-6), 1e-12)
     u = z + w.conjugate()
-    rtol = max(1e-13, 0.05 * inner_cfg.rel_tol)
+    rtol = max(1e-13, 0.05 * inner_rel_tol)
     counter = {"n": 0}
 
     def f(taus):
@@ -409,7 +414,7 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
         seeds = max(8, min(400, int(abs(osc) * tau_max / 3.0) + 8))
         res = integrate_interval(f, 0.0, tau_max, cfg,
                                  breakpoints=np.linspace(0.0, tau_max, seeds + 1)[1:-1])
-        err = res.abs_err_estimate + inner_cfg.rel_tol * abs(res.value)
+        err = res.abs_err_estimate + inner_rel_tol * abs(res.value)
         return EvalResult(res.value, err, "triple-quadrature",
                           counter["n"] + res.n_evals)
 
@@ -419,12 +424,9 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
 
     # Abel regularisation: damp with e^{-eps tau}, extrapolate eps -> 0.
     # All three integrals share one window; only the damper differs.
-    abel_cfg = QuadConfig(
-        abs_tol=max(cfg.abs_tol, 1e-8),
-        rel_tol=max(cfg.rel_tol, 1e-6),
-        max_subdivisions=max(cfg.max_subdivisions, 4000),
-        truncation_decay_threshold=cfg.truncation_decay_threshold,
-    )
+    abel_cfg = replace(cfg, abs_tol=max(cfg.abs_tol, 1e-8),
+                       rel_tol=max(cfg.rel_tol, 1e-6),
+                       max_subdivisions=max(cfg.max_subdivisions, 4000))
     eps_seq = (0.2, 0.1, 0.05)
     tau_max = 20.0 / eps_seq[-1]
     for _ in range(3):
@@ -512,8 +514,8 @@ def sandwich_bounds_check(spec: WeightSpec, tau, lam, eta_grid,
     def gaps(s: WeightSpec):
         logI, _ = _log_inner_batch(s, tau, etas, rtol)
         d = conjugate_spec(s)
-        up = logI - 2.0 * tau * _profile_values(d, lam * etas)
-        lo = logI - 2.0 * tau * _profile_values(d, etas / lam)
+        up = logI - 2.0 * tau * profile_p(d, lam * etas)
+        lo = logI - 2.0 * tau * profile_p(d, etas / lam)
         return up, lo
 
     up, lo = gaps(spec)
@@ -675,9 +677,8 @@ def bergman_from_szego_gaussian(tau, z, w, epsilon,
     scale0 = max(a, delta)
     obp = sorted({sgn * scale0 * 10.0 ** j for sgn in (-1.0, 1.0) for j in range(8)}
                  | {0.0, -1.0, 1.0})
-    outer_cfg = QuadConfig(abs_tol=1e-9, rel_tol=1e-9,
-                           max_subdivisions=max(cfg.max_subdivisions, 4000),
-                           truncation_decay_threshold=cfg.truncation_decay_threshold)
+    outer_cfg = replace(cfg, abs_tol=1e-9, rel_tol=1e-9,
+                        max_subdivisions=max(cfg.max_subdivisions, 4000))
     res = integrate_interval(outer, -L, L, outer_cfg,
                              breakpoints=[p for p in obp if -L < p < L])
     n_evals += res.n_evals * rule[0].size
@@ -783,5 +784,5 @@ def shifted_maximizer_gap(spec: WeightSpec, tau, lam, eta) -> float:
     eta = float(eta)
     mu = inverse_derivative(spec, eta)
     x = mu + 1.0
-    return 2.0 * tau * (eta * x - float(_profile_values(spec, x))
+    return 2.0 * tau * (eta * x - float(profile_p(spec, x))
                         - young_conjugate_closed(spec, lam * eta))

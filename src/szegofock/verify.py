@@ -9,7 +9,7 @@ recorded in the report, never thrown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,10 +69,9 @@ def _case(name, expected, actual, tol) -> CaseResult:
 
 
 def _tighten(cfg: QuadConfig) -> QuadConfig:
-    return QuadConfig(abs_tol=min(cfg.abs_tol, 1e-12),
-                      rel_tol=min(cfg.rel_tol, 1e-9),
-                      max_subdivisions=max(cfg.max_subdivisions, 4000),
-                      truncation_decay_threshold=cfg.truncation_decay_threshold)
+    return replace(cfg, abs_tol=min(cfg.abs_tol, 1e-12),
+                   rel_tol=min(cfg.rel_tol, 1e-9),
+                   max_subdivisions=max(cfg.max_subdivisions, 4000))
 
 
 def moment_oracle(alpha, tau, k, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
@@ -199,9 +198,7 @@ def _crosscheck_suite(cfg):
             "bergman-quadrature-vs-closed[tau=%g z=%s w=%s]" % (tau, z, w),
             closed, quad, 1e-8 * abs(closed)))
 
-    loose = QuadConfig(abs_tol=1e-9, rel_tol=1e-6,
-                       max_subdivisions=cfg.max_subdivisions,
-                       truncation_decay_threshold=cfg.truncation_decay_threshold)
+    loose = replace(cfg, abs_tol=1e-9, rel_tol=1e-6)
     for (z, w, t, s) in ((1.0 + 0.0j, 0.0j, 0.0, 0.0),
                          (-0.5 + 0.0j, 0.75 + 0.0j, 0.0, 0.4)):
         p1 = BoundaryPoint(z, t)

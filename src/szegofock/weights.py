@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError, UnsupportedWeight
 
 # alpha' -> infinity as alpha -> 1+, which destabilises every conjugate
@@ -84,22 +86,27 @@ def _require_profile(spec: WeightSpec):
         raise UnsupportedWeight("operation requires a profile weight family")
 
 
+def profile_p(spec: WeightSpec, x):
+    """p(x) = |x|^alpha / alpha of a profile family, on scalars or arrays.
+
+    No family check: this runs inside the inner-integral loops, and the
+    Gaussian's alpha is pinned to 2 by WeightSpec.
+    """
+    a = spec.alpha
+    return np.abs(x) ** a / a
+
+
+def profile_dp(spec: WeightSpec, x):
+    """p'(x) = sign(x) |x|^(alpha-1) of a profile family, on scalars or arrays."""
+    return np.sign(x) * np.abs(x) ** (spec.alpha - 1.0)
+
+
 def eval_weight(spec: WeightSpec, z) -> float:
     """Evaluate p(z).  Profile families depend on Re z only."""
     z = complex(z)
     if spec.family is WeightFamily.RADIAL_POWER:
         return abs(z) ** spec.alpha
-    if spec.family is WeightFamily.GAUSSIAN_PROFILE:
-        return z.real * z.real / 2.0
-    return abs(z.real) ** spec.alpha / spec.alpha
-
-
-def profile_value(spec: WeightSpec, x: float) -> float:
-    """p as a function of the real profile variable."""
-    _require_profile(spec)
-    if spec.family is WeightFamily.GAUSSIAN_PROFILE:
-        return x * x / 2.0
-    return abs(x) ** spec.alpha / spec.alpha
+    return float(profile_p(spec, z.real))
 
 
 def weight_derivatives(spec: WeightSpec, x: float) -> tuple[float, float]:
@@ -111,17 +118,13 @@ def weight_derivatives(spec: WeightSpec, x: float) -> tuple[float, float]:
     """
     _require_profile(spec)
     a = spec.alpha
-    if spec.family is WeightFamily.GAUSSIAN_PROFILE:
-        return float(x), 1.0
     ax = abs(x)
     if ax == 0.0:
         if a < 2.0:
             raise DomainError("p'' is singular at x = 0 for alpha < 2")
         p2 = 1.0 if a == 2.0 else 0.0
         return 0.0, p2
-    p1 = math.copysign(ax ** (a - 1.0), x)
-    p2 = (a - 1.0) * ax ** (a - 2.0)
-    return p1, p2
+    return float(profile_dp(spec, x)), (a - 1.0) * ax ** (a - 2.0)
 
 
 def young_conjugate_closed(spec: WeightSpec, eta: float) -> float:
@@ -157,7 +160,7 @@ def young_conjugate_numeric(spec: WeightSpec, eta: float, tol: float) -> float:
     mu = inverse_derivative(spec, e)
 
     def g(x):
-        return x * e - profile_value(spec, x)
+        return x * e - float(profile_p(spec, x))
 
     lo, hi = 0.0, max(1.0, 2.0 * mu)
     # value error ~ |g''| * width^2 / 8; g'' = -p'' is bounded on the bracket

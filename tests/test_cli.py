@@ -140,6 +140,13 @@ def test_inner_integral_command():
     assert json.loads(out)[0]["value_re"] == pytest.approx(math.sqrt(PI), rel=1e-8)
 
 
+def test_inner_integral_overflow_exits_1():
+    code, out, err = _run(["inner-integral", "--weight", "profile:alpha=1.5", "--tau", "1",
+                           "--eta", "1000"])
+    assert code == 1
+    assert "DomainError" in err and "overflows" in err
+
+
 def test_verify_command_and_report(tmp_path):
     report = tmp_path / "report.csv"
     code, out, err = _run(["verify", "--suite", "bounds", "--format", "csv",

@@ -36,6 +36,31 @@ PI = math.pi
 SQRT_PI = math.sqrt(PI)
 
 
+def _mpmath_log_inner(mpmath, alpha, tau, eta):
+    """log I(eta, tau) for p = |x|^alpha / alpha by mpmath.quad at 30 digits.
+
+    The shifted integrand is log-concave with its peak 1 at mu, so once it
+    is below 1e-40 at mu -+ H the tails beyond hold less than 1e-40 H; H
+    doubles from the eta = 0 decay length until that holds.
+    """
+    with mpmath.workdps(30):
+        a, tau, eta = mpmath.mpf(alpha), mpmath.mpf(tau), mpmath.mpf(eta)
+        ap = a / (a - 1)
+        shift = 2 * tau * abs(eta) ** ap / ap
+        mu = mpmath.sign(eta) * abs(eta) ** (1 / (a - 1))
+
+        def f(r):
+            return mpmath.exp(2 * tau * (r * eta - abs(r) ** a / a) - shift)
+
+        H = (45 * a / (2 * tau)) ** (1 / a)
+        while f(mu - H) > 1e-40 or f(mu + H) > 1e-40:
+            H *= 2
+        pts = {mu - H, mu - H / 8, mu, mu + H / 8, mu + H}
+        if abs(mu) < H:
+            pts.add(mpmath.mpf(0))
+        return float(shift + mpmath.log(mpmath.quad(f, sorted(pts))))
+
+
 def test_inner_integral_gaussian_closed_form(cfg):
     g = gaussian()
     assert inner_integral(g, 1.0, 0.0, cfg).value.real == pytest.approx(SQRT_PI, rel=1e-9)
@@ -59,6 +84,30 @@ def test_effective_conjugate_tightens_with_tau(cfg):
     gap_small_tau = abs(effective_conjugate(spec, 1.0, 1.0, cfg) - pstar)
     gap_large_tau = abs(effective_conjugate(spec, 10.0, 1.0, cfg) - pstar)
     assert gap_large_tau <= gap_small_tau
+
+
+def test_effective_conjugate_gaussian_far_peak(cfg):
+    # log I = tau eta^2 + log(pi / tau) / 2; a first window of half-width
+    # 2 mu = 2e3 about a peak of width ~1 used to miss it by 7e-5 relative
+    eta = 1e3
+    for tau in (1.0, 60.0):
+        exact = eta * eta / 2.0 + math.log(PI / tau) / (4.0 * tau)
+        assert effective_conjugate(gaussian(), tau, eta, cfg) == pytest.approx(exact, rel=1e-12)
+
+
+def test_effective_conjugate_against_mpmath(cfg):
+    mpmath = pytest.importorskip("mpmath")
+    tau, eta = 60.0, 30.0
+    ref = _mpmath_log_inner(mpmath, 1.5, tau, eta) / (2.0 * tau)
+    assert effective_conjugate(profile_power(1.5), tau, eta, cfg) == pytest.approx(ref, rel=1e-12)
+
+
+def test_inner_integral_overflow_raises(cfg):
+    # log I = 1e6 at eta = 1e3: not representable, so no inf is returned
+    with pytest.raises(DomainError, match="overflows"):
+        inner_integral(gaussian(), 1.0, 1e3, cfg)
+    with pytest.raises(DomainError, match="overflows"):
+        inner_integral(profile_power(1.5), 1.0, 1e3, cfg)
 
 
 def test_log_inner_is_convex_in_eta(rng):
@@ -146,6 +195,12 @@ def test_bergman_gaussian_closed_examples():
     assert bergman_gaussian_closed(2.0, 1.0, -1.0) == pytest.approx(1.0 / PI)
     expected = (1.0 / (2.0 * PI)) * np.exp(2.0j)
     assert bergman_gaussian_closed(1.0, 1.0 + 1.0j, 1.0 - 1.0j) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("z", [30.0, 30.0 + 1.0j])
+def test_bergman_gaussian_closed_overflow_raises(z):
+    with pytest.raises(DomainError, match="overflows"):
+        bergman_gaussian_closed(1.0, z, 30.0)
 
 
 def test_szego_gaussian_closed_examples():
@@ -253,6 +308,17 @@ def test_sandwich_squeeze_constants(cfg):
     expected = 2.0 * tau * (effective_conjugate(spec, tau, eta, cfg)
                             - young_conjugate_closed(spec, lam * eta))
     assert rep.upper_log_gap[mid + 3] == pytest.approx(expected, abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("tau", [0.05, 1.0, 60.0])
+def test_log_inner_batch_against_mpmath(alpha, tau):
+    mpmath = pytest.importorskip("mpmath")
+    etas = np.array([0.0, 0.3, -1.0, 2.5, 8.0])
+    logI, _ = _log_inner_batch(profile_power(alpha), tau, etas)
+    for eta, got in zip(etas, logI):
+        ref = _mpmath_log_inner(mpmath, alpha, tau, eta)
+        assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref)), (eta, got, ref)
 
 
 def test_laplace_asymptotic_gaussian(cfg):
