@@ -16,7 +16,10 @@ substitution x = tau^(1-1/a) eta reduces every tau to tau = 1:
 So `szego_profile` evaluates its tau integrand for all tau nodes of a
 quadrature step at once (`_kernel_tau_batch`): one table of log J on one
 shared Gauss-Legendre rule in x, and one tau x x matrix product per rule
-level, in place of a nested quadrature per node.
+level, in place of a nested quadrature per node.  It integrates in
+s = tau^(1/a): with tau = s^a the kernel factor becomes a s^(a+1) K_1(s u),
+smooth at s = 0, where tau^(2/a) K_1(tau^(1/a) u) is only algebraically
+smooth at tau = 0 for a != 2.
 
 The inner integral I is the exponential of twice tau times a smoothed
 conjugate of p; its growth is squeezed between scaled copies of the Young
@@ -152,19 +155,45 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
     raise ConvergenceError("inner-integral rule did not stabilise")
 
 
+def _bregman(spec, r, c):
+    """D(r, c) = p(r) - p(c) - p'(c)(r - c) >= 0 for p = |x|^a / a.
+
+    Its three terms are ~|c|^a while D near r = c is ~|c|^(a-2) (r - c)^2,
+    so for |t| < 1/4, t = (r - c) / c, D is summed as the binomial series
+    |c|^a / a sum_{k>=2} binom(a, k) t^k of (1 + t)^a - 1 - a t, which
+    cancels nothing; past k = a the terms shrink by at least 4 per step,
+    and the 30 terms kept past it leave 4^-30 of the largest.
+    """
+    r = np.asarray(r, dtype=float)
+    direct = profile_p(spec, r) - profile_p(spec, c) - profile_dp(spec, c) * (r - c)
+    if c == 0.0:
+        return direct
+    a = spec.alpha
+    coef = [0.5 * a * (a - 1.0)]
+    for k in range(2, 30 + int(a)):
+        coef.append(coef[-1] * (a - k) / (k + 1))
+    near = np.abs(r - c) < 0.25 * abs(c)
+    t = np.where(near, r - c, 0.0) / c
+    series = profile_p(spec, c) * t * t * np.polynomial.polynomial.polyval(t, coef)
+    return np.where(near, series, direct)
+
+
 def _inner_shifted(spec, tau, eta, cfg):
     """Adaptive log-shifted I: returns (2 tau p*(eta), I exp(-2 tau p*(eta))).
 
-    The window starts at the eta = 0 decay length about the peak at
-    sign(eta) mu(eta); a start much wider than the peak lets the first
-    panels step over it, which shows as a zero value and raises.
+    The shifted exponent 2 tau (r eta - p(r)) - 2 tau p*(eta) is
+    -2 tau D(r, c), the Bregman divergence of p about the peak c =
+    sign(eta) mu(eta), evaluated without cancellation (`_bregman`).  The
+    window starts at the eta = 0 decay length about c; a start much wider
+    than the peak lets the first panels step over it, which shows as a
+    zero value and raises.
     """
     mu = inverse_derivative(spec, eta)
     center = math.copysign(mu, eta) if eta else 0.0
     shift = 2.0 * tau * young_conjugate_closed(spec, eta)
 
     def f(r):
-        return np.exp(2.0 * tau * (r * eta - profile_p(spec, r)) - shift)
+        return np.exp(-2.0 * tau * _bregman(spec, r, center))
 
     res = integrate_real_line(f, cfg, center=center,
                               initial_halfwidth=_decay_length(spec.alpha, tau))
@@ -377,6 +406,9 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     matching times), an Abel-damped evaluation e^{-eps tau} is
     extrapolated to eps = 0; with neither damping nor rotation the
     configuration is the boundary diagonal and NearSingular is raised.
+    Both branches integrate in s = tau^(1/a), dtau = a s^(a-1) ds, where
+    the integrand is smooth at 0; the panel seeds, evenly spaced in tau
+    up to the truncation point tau_max, are mapped to s.
     The error estimate adds the inner relative tolerance times |S| to the
     tau quadrature's own estimate.
     """
@@ -391,12 +423,25 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     inner_rel_tol = max(min(cfg.rel_tol * 0.1, 1e-6), 1e-12)
     u = z + w.conjugate()
     rtol = max(1e-13, 0.05 * inner_rel_tol)
+    a = spec.alpha
+    rate = pz + pw + 1j * s_minus_t
     counter = {"n": 0}
 
-    def f(taus):
-        vals, n = _kernel_tau_batch(spec, taus, u, -taus * (pz + pw + 1j * s_minus_t), rtol)
+    def f(taus, log_weight=0.0):
+        vals, n = _kernel_tau_batch(spec, taus, u, log_weight - taus * rate, rtol)
         counter["n"] += n
         return vals
+
+    def integrate_s(cfg_, tau_max, seeds, damp=0.0):
+        """int_0^tau_max f(tau) e^{-damp tau} dtau in s = tau^(1/a): the
+        seeds split [0, tau_max] evenly in tau, so each panel still holds
+        the same number of oscillations."""
+        def g(s):
+            taus = s ** a
+            return f(taus, math.log(a) + (a - 1.0) * np.log(s) - damp * taus)
+
+        edges = np.linspace(0.0, tau_max, seeds + 1)[1:-1] ** (1.0 / a)
+        return integrate_interval(g, 0.0, tau_max ** (1.0 / a), cfg_, breakpoints=edges)
 
     probes = np.array([2.0, 4.0, 8.0, 16.0])
     mags = np.abs(f(probes))
@@ -412,8 +457,7 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
         reach = (math.log(max(mags[-1], floor)) - math.log(floor)) / -slope
         tau_max = probes[-1] + min(reach * 1.3, 400.0 / -slope) + 5.0
         seeds = max(8, min(400, int(abs(osc) * tau_max / 3.0) + 8))
-        res = integrate_interval(f, 0.0, tau_max, cfg,
-                                 breakpoints=np.linspace(0.0, tau_max, seeds + 1)[1:-1])
+        res = integrate_s(cfg, tau_max, seeds)
         err = res.abs_err_estimate + inner_rel_tol * abs(res.value)
         return EvalResult(res.value, err, "triple-quadrature",
                           counter["n"] + res.n_evals)
@@ -436,11 +480,7 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     vals = []
     errs = []
     for eps in eps_seq:
-        def damped(taus, _e=eps):
-            return f(taus) * np.exp(-_e * taus)
-
-        res = integrate_interval(damped, 0.0, tau_max, abel_cfg,
-                                 breakpoints=np.linspace(0.0, tau_max, seeds + 1)[1:-1])
+        res = integrate_s(abel_cfg, tau_max, seeds, eps)
         vals.append(res.value)
         errs.append(res.abs_err_estimate)
         counter["n"] += res.n_evals

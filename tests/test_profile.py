@@ -30,6 +30,7 @@ from szegofock import (
     szego_profile,
     young_conjugate_closed,
 )
+import szegofock.profile as profile_module
 from szegofock.profile import _kernel_tau_batch, _log_inner_batch
 
 PI = math.pi
@@ -100,6 +101,16 @@ def test_effective_conjugate_against_mpmath(cfg):
     tau, eta = 60.0, 30.0
     ref = _mpmath_log_inner(mpmath, 1.5, tau, eta) / (2.0 * tau)
     assert effective_conjugate(profile_power(1.5), tau, eta, cfg) == pytest.approx(ref, rel=1e-12)
+
+
+def test_effective_conjugate_far_peak_against_mpmath(cfg):
+    # mu = 1e6: the unshifted exponent terms are ~1e11 and cancel to O(1)
+    # at the peak unless the exponent is formed as a Bregman divergence
+    mpmath = pytest.importorskip("mpmath")
+    tau, eta = 60.0, 1e3
+    ref = _mpmath_log_inner(mpmath, 1.5, tau, eta)
+    got = 2.0 * tau * effective_conjugate(profile_power(1.5), tau, eta, cfg)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_inner_integral_overflow_raises(cfg):
@@ -270,9 +281,57 @@ def test_szego_profile_nongaussian_decaying_point():
     ab = szego_profile(spec, p1, p2, cfg)
     assert ab.method == "triple-quadrature"
     ref = _szego_per_tau_route(spec, p1, p2, cfg, 100.0)
-    assert abs(ab.value - ref) <= 1e-8 * abs(ref)
+    assert abs(ab.value - ref) <= 1e-12 * abs(ref)
     ba = szego_profile(spec, p2, p1, cfg)
     assert abs(ab.value - ba.value.conjugate()) <= 1e-8 * abs(ab.value)
+
+
+@pytest.mark.parametrize("alpha, rel_tol, tau_max", [(1.5, 1e-8, 100.0),
+                                                     (2.5, 1e-9, 100.0),
+                                                     (4.0, 1e-9, 300.0)])
+def test_szego_profile_decaying_point_against_per_tau_route(alpha, rel_tol, tau_max):
+    # alpha = 1.5 at rel_tol 1e-9 asks the inner rule for 5e-12 and raises
+    spec = profile_power(alpha)
+    cfg = QuadConfig(abs_tol=1e-12, rel_tol=rel_tol)
+    p1 = BoundaryPoint(-1.0 + 0.15j, -0.45)
+    p2 = BoundaryPoint(0.6 - 0.1j, -0.55)
+    res = szego_profile(spec, p1, p2, cfg)
+    assert res.method == "triple-quadrature"
+    ref = _szego_per_tau_route(spec, p1, p2, cfg, tau_max)
+    assert abs(res.value - ref) <= 1e-11 * abs(ref)
+
+
+def test_szego_profile_decaying_work_count(loose, monkeypatch):
+    # in tau the adaptive rule bisected toward the tau^(2/3) behaviour at
+    # 0: 8 batched kernel calls and 1.51M evaluations on this point
+    calls = []
+    batch = profile_module._kernel_tau_batch
+
+    def counted(spec, taus, *args):
+        calls.append(np.size(taus))
+        return batch(spec, taus, *args)
+
+    monkeypatch.setattr(profile_module, "_kernel_tau_batch", counted)
+    p1 = BoundaryPoint(-1.0 + 0.15j, -0.45)
+    p2 = BoundaryPoint(0.6 - 0.1j, -0.55)
+    res = szego_profile(profile_power(3.0), p1, p2, loose)
+    assert res.method == "triple-quadrature"
+    assert len(calls) <= 4
+    assert res.n_evals < 1_000_000
+
+
+def test_szego_profile_gaussian_estimate_is_honest(loose):
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        dmag = rng.uniform(0.8, 2.0)
+        dim = rng.uniform(-0.3, 0.3)
+        d = complex(math.copysign(math.sqrt(dmag * dmag - dim * dim), rng.uniform(-1, 1)), dim)
+        mid = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
+        p1 = BoundaryPoint(mid + d / 2, rng.uniform(-0.5, 0.5))
+        p2 = BoundaryPoint(mid - d / 2, rng.uniform(-0.5, 0.5))
+        res = szego_profile(gaussian(), p1, p2, loose)
+        assert res.method == "triple-quadrature"
+        assert res.abs_err_estimate >= abs(res.value - szego_gaussian_closed(p1, p2))
 
 
 def test_sandwich_bounds_examples(cfg):
