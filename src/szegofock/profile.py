@@ -21,10 +21,11 @@ s = tau^(1/a): with tau = s^a the kernel factor becomes a s^(a+1) K_1(s u),
 smooth at s = 0, where tau^(2/a) K_1(tau^(1/a) u) is only algebraically
 smooth at tau = 0 for a != 2.
 
-The inner integral I is the exponential of twice tau times a smoothed
-conjugate of p; its growth is squeezed between scaled copies of the Young
-conjugate p*, which is what `sandwich_bounds_check` verifies on a grid,
-and for large tau it follows the classical Laplace-method asymptotic
+Every caller takes the inner integral I from one batched Gauss-Legendre
+engine, `_log_inner_batch`.  I is the exponential of twice tau times a
+smoothed conjugate of p; its growth is squeezed between scaled copies of
+the Young conjugate p*, which is what `sandwich_bounds_check` verifies on
+a grid, and for large tau it follows the classical Laplace-method asymptotic
 
     I(eta, tau) ~ (pi / (tau p''(mu(eta))))^{1/2} exp(2 tau p*(eta)),
 
@@ -70,6 +71,11 @@ from .weights import (
 
 # decay (in the shifted exponent) required before a quadrature window is cut
 _EXP_CUTOFF = 45.0
+_SIDES = np.array([-1.0, 1.0])
+# the inner rule's retry at non-integer alpha: panels graded toward r = 0
+# by this ratio, this many on each side
+_GRADE_RATIO = 0.15
+_GRADE_PANELS = 12
 
 
 def _check_tau(tau):
@@ -86,148 +92,155 @@ def _decay_length(a, tau):
 
 @lru_cache(maxsize=16)
 def _leggauss(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _fit_window(decayed, L):
+    """Half-widths L grown by 1.4 where decayed(L) fails, then halved while
+    decayed(L / 2) holds; concave exponents make end decay bound the tails."""
+    for _ in range(200):
+        ok = decayed(L)
+        if ok.all():
+            break
+        L = np.where(ok, L, 1.4 * L)
+    else:
+        raise ConvergenceError("quadrature window failed to close")
+    for _ in range(80):
+        half = 0.5 * L
+        wide = decayed(half)
+        if not wide.any():
+            break
+        L = np.where(wide, half, L)
+    return L
 
 
 def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
     """log I(eta, tau) for an array of eta, on one shared Gauss rule.
 
     The exponent 2 tau (r eta - p(r)) is concave in r with peak value
-    2 tau p*(eta) at r = sign(eta) mu(eta), so a per-eta affine window
-    [c - L, c + L] with the shifted integrand bounded by 1 captures the
-    integral once the endpoint exponents drop below -45; the rule order
-    is doubled until two levels agree to rtol.
+    2 tau p*(eta) at r = c = sign(eta) mu(eta); shifted by the peak it is
+    -2 tau D(r, c), D the Bregman divergence of p.  Rows whose terms
+    2 tau |eta c| round by more than rtol / 100 are far: they run in the
+    offset r - c with D from `_bregman`, so a narrow peak at a huge c keeps
+    its nodes; the others run in r.  Each window [c - L, c + L] is fitted
+    until the exponent at both ends is below -45 and split at r = 0, where
+    |r|^a is not smooth.  The order grows until two levels agree to rtol
+    in the log of the shifted sum; at non-integer alpha a batch unsettled
+    at the top order is retried once on panels graded toward r = 0.
+    DomainError: |eta|^alpha' or 2 tau |eta|^alpha' passes 1e300.
     """
     etas = np.asarray(etas, dtype=float).ravel()
     a = spec.alpha
     ap = a / (a - 1.0)
-    mu = np.abs(etas) ** (1.0 / (a - 1.0))
+    abs_eta = np.abs(etas)
+    e_max = float(abs_eta.max(initial=0.0))
+    if not (e_max <= 1.0 or ap * math.log(e_max) + math.log(max(1.0, 2.0 * tau)) < 690.0):
+        raise DomainError("log I(eta, tau) overflows the float range")
+    mu = abs_eta ** (1.0 / (a - 1.0))
     c = np.sign(etas) * mu
-    peak = 2.0 * tau * np.abs(etas) ** ap / ap
-
-    def shifted_exponent(r):
-        return 2.0 * tau * (r * etas - profile_p(spec, r)) - peak
-
-    # covering overestimate: peak location plus the eta = 0 decay length,
-    # then expand where the endpoints have not decayed and contract where
-    # the half-window already has (the exponent is concave, so endpoint
-    # decay bounds the discarded tails)
+    peak = 2.0 * tau * abs_eta ** ap / ap
     L = np.full_like(etas, mu.max(initial=0.0) + _decay_length(a, tau) + 1.0)
-    for _ in range(200):
-        bad = (shifted_exponent(c + L) > -_EXP_CUTOFF) | (shifted_exponent(c - L) > -_EXP_CUTOFF)
-        if not bad.any():
-            break
-        L = np.where(bad, 1.4 * L, L)
-    else:
-        raise ConvergenceError("inner-integral window failed to close")
-    floor = 1e-4 * (1.0 + mu)
-    for _ in range(80):
-        half = 0.5 * L
-        wide = ((shifted_exponent(c + half) <= -_EXP_CUTOFF)
-                & (shifted_exponent(c - half) <= -_EXP_CUTOFF)
-                & (L > floor))
-        if not wide.any():
-            break
-        L = np.where(wide, half, L)
+    far, origin, center = None, 0.0, c
+    if 2.0 * tau * e_max ** ap * math.ulp(1.0) > 0.01 * rtol:
+        far = peak * (ap * math.ulp(1.0)) > 0.01 * rtol
+        origin = np.where(far, c, 0.0)
+        center = c - origin
+        # far rows start at ~10 peak widths (2 tau p''(mu))^(-1/2)
+        L[far] = 10.0 * mu[far] ** (1.0 - 0.5 * a) / math.sqrt(2.0 * tau * (a - 1.0))
 
-    # split each window at r = 0: |r|^alpha has limited smoothness there
-    # for non-even alpha, and a kink inside a Gauss panel stalls convergence
-    lo = c - L
-    hi = c + L
-    mid = np.clip(0.0, lo, hi)
+    def exponent(x):  # the shifted exponent at x = r - origin, a row per eta
+        e = 2.0 * tau * (x * etas[:, None] - profile_p(spec, x)) - peak[:, None]
+        if far is not None:
+            e[far] = -2.0 * tau * _bregman(spec, x[far], c[far, None])
+        return e
 
-    n_evals = 0
-    prev = None
-    for n in (64, 96, 144, 216, 324, 486, 729):
-        x, wq = _leggauss(n)
-        vals = np.zeros_like(etas)
-        for lft, rgt in ((lo, mid), (mid, hi)):
-            half = 0.5 * (rgt - lft)
-            R = 0.5 * (lft + rgt)[:, None] + half[:, None] * x[None, :]
-            expo = 2.0 * tau * (R * etas[:, None] - profile_p(spec, R)) - peak[:, None]
-            vals = vals + (np.exp(expo) @ wq) * half
-            n_evals += R.size
-        logI = peak + np.log(vals)
-        if prev is not None and np.max(np.abs(logI - prev)) <= rtol:
-            return logI, n_evals
-        prev = logI
-    raise ConvergenceError("inner-integral rule did not stabilise")
+    def decayed(L):
+        e = exponent(center[:, None] + L[:, None] * _SIDES)
+        return np.maximum(e[:, 0], e[:, 1]) <= -_EXP_CUTOFF
+
+    L = _fit_window(decayed, L)
+    lo, hi = center - L, center + L
+    mid = np.clip(-origin, lo, hi)
+
+    def rule(edges):
+        n_evals = 0
+        prev = None
+        for n in (64, 96, 144, 216, 324, 486, 729):
+            x, wq = _leggauss(n)
+            vals = np.zeros_like(etas)
+            for lft, rgt in zip(edges[:-1], edges[1:]):
+                half = 0.5 * (rgt - lft)
+                R = 0.5 * (lft + rgt)[:, None] + half[:, None] * x[None, :]
+                vals = vals + (np.exp(exponent(R)) @ wq) * half
+                n_evals += R.size
+            log_vals = np.log(vals)
+            if prev is not None and np.max(np.abs(log_vals - prev)) <= rtol:
+                return peak + log_vals, n_evals
+            prev = log_vals
+        return None, n_evals
+
+    log_i, n_evals = rule([lo, mid, hi])
+    if log_i is None and not a.is_integer():
+        g = _GRADE_RATIO ** np.arange(_GRADE_PANELS + 1)
+        edges = np.hstack([mid[:, None] - np.multiply.outer(mid - lo, g), mid[:, None],
+                           mid[:, None] + np.multiply.outer(hi - mid, g[::-1])])
+        log_i, more = rule(list(edges.T))
+        n_evals += more
+    if log_i is None:
+        raise ConvergenceError("inner-integral rule did not stabilise")
+    return log_i, n_evals
 
 
-def _bregman(spec, r, c):
-    """D(r, c) = p(r) - p(c) - p'(c)(r - c) >= 0 for p = |x|^a / a.
+def _bregman(spec, d, c):
+    """D(c + d, c) = p(c + d) - p(c) - p'(c) d >= 0 for p = |x|^a / a, c != 0.
 
-    Its three terms are ~|c|^a while D near r = c is ~|c|^(a-2) (r - c)^2,
-    so for |t| < 1/4, t = (r - c) / c, D is summed as the binomial series
-    |c|^a / a sum_{k>=2} binom(a, k) t^k of (1 + t)^a - 1 - a t, which
-    cancels nothing; past k = a the terms shrink by at least 4 per step,
-    and the 30 terms kept past it leave 4^-30 of the largest.
+    Its terms are ~|c|^a while D ~ |c|^(a-2) d^2, so for |t| < 1/4, t = d/c,
+    D is summed as the binomial series |c|^a / a sum_{k>=2} binom(a, k) t^k
+    of (1 + t)^a - 1 - a t, which cancels nothing; past k = a its terms
+    shrink by 4 per step, and the 30 kept past it leave 4^-30 of the largest.
     """
-    r = np.asarray(r, dtype=float)
-    direct = profile_p(spec, r) - profile_p(spec, c) - profile_dp(spec, c) * (r - c)
-    if c == 0.0:
-        return direct
     a = spec.alpha
     coef = [0.5 * a * (a - 1.0)]
     for k in range(2, 30 + int(a)):
         coef.append(coef[-1] * (a - k) / (k + 1))
-    near = np.abs(r - c) < 0.25 * abs(c)
-    t = np.where(near, r - c, 0.0) / c
+    near = np.abs(d) < 0.25 * np.abs(c)
+    t = np.where(near, d, 0.0) / c
     series = profile_p(spec, c) * t * t * np.polynomial.polynomial.polyval(t, coef)
+    direct = profile_p(spec, c + d) - profile_p(spec, c) - profile_dp(spec, c) * d
     return np.where(near, series, direct)
 
 
-def _inner_shifted(spec, tau, eta, cfg):
-    """Adaptive log-shifted I: returns (2 tau p*(eta), I exp(-2 tau p*(eta))).
-
-    The shifted exponent 2 tau (r eta - p(r)) - 2 tau p*(eta) is
-    -2 tau D(r, c), the Bregman divergence of p about the peak c =
-    sign(eta) mu(eta), evaluated without cancellation (`_bregman`).  The
-    window starts at the eta = 0 decay length about c; a start much wider
-    than the peak lets the first panels step over it, which shows as a
-    zero value and raises.
-    """
-    mu = inverse_derivative(spec, eta)
-    center = math.copysign(mu, eta) if eta else 0.0
-    shift = 2.0 * tau * young_conjugate_closed(spec, eta)
-
-    def f(r):
-        return np.exp(-2.0 * tau * _bregman(spec, r, center))
-
-    res = integrate_real_line(f, cfg, center=center,
-                              initial_halfwidth=_decay_length(spec.alpha, tau))
-    if not res.value.real > 0.0:
-        raise ConvergenceError("inner-integral quadrature missed the peak at r = %.6g" % center)
-    return shift, res
+def _log_inner(spec, tau, eta, cfg):
+    """(log I(eta, tau), rtol, n_evals) at `bergman_profile`'s inner rtol."""
+    _require_profile(spec)
+    rtol = max(1e-13, 0.05 * cfg.rel_tol)
+    log_i, n_evals = _log_inner_batch(spec, _check_tau(tau), [float(eta)], rtol)
+    return float(log_i[0]), rtol, n_evals
 
 
 def inner_integral(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CONFIG) -> EvalResult:
-    """I(eta, tau) = int_R exp(2 tau (r eta - p(r))) dr > 0."""
-    _require_profile(spec)
-    tau = _check_tau(tau)
-    shift, res = _inner_shifted(spec, tau, float(eta), cfg)
+    """I(eta, tau) = int_R exp(2 tau (r eta - p(r))) dr > 0.
+
+    One row of `_log_inner_batch` at rtol = max(1e-13, 0.05 rel_tol); the
+    estimate is I (rtol + 32 ulps of log I), the last for its peak term.
+    """
+    log_i, rtol, n_evals = _log_inner(spec, tau, eta, cfg)
     try:
-        scale = math.exp(shift)
+        value = math.exp(log_i)
     except OverflowError:
-        scale = math.inf
-    value = scale * res.value.real
-    if value == math.inf:
-        raise DomainError("I(eta, tau) overflows the float range: log I = %.6g"
-                          % (shift + math.log(res.value.real)))
-    return EvalResult(value, scale * res.abs_err_estimate, res.method, res.n_evals)
+        raise DomainError("I(eta, tau) overflows the float range: log I = %.6g" % log_i) from None
+    err = value * (rtol + 32.0 * math.ulp(1.0) * abs(log_i))
+    return EvalResult(value, err, "gauss-legendre-batch", n_evals)
 
 
 def effective_conjugate(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
     """The tau-smoothed conjugate: log I(eta, tau) / (2 tau).
 
     Squeezed between p*(eta/lam) and p*(lam eta) up to constants for any
-    lam > 1, and converging to p*(eta) as tau grows.
+    lam > 1, and converging to p*(eta) as tau grows.  log I is one row of
+    `_log_inner_batch` at rtol = max(1e-13, 0.05 rel_tol).
     """
-    _require_profile(spec)
-    tau = _check_tau(tau)
-    shift, res = _inner_shifted(spec, tau, float(eta), cfg)
-    return (shift + math.log(res.value.real)) / (2.0 * tau)
+    return _log_inner(spec, tau, eta, cfg)[0] / (2.0 * tau)
 
 
 def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFIG) -> EvalResult:
@@ -288,11 +301,11 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     and every tau shares one table of log J on one Gauss-Legendre rule.
     Row k is shifted by its peak x* Re v - log J(x*), x* = p'(Re v / 2),
     and the shift is folded into log_factor before the final exponential,
-    so no row overflows.  The x window is pushed out until every row has
-    decayed by _EXP_CUTOFF at both ends (the exponent is concave in x, so
-    end decay bounds the tails); the rule order is doubled until every
-    row agrees with the previous level to rtol, and the finer level is
-    returned.  n_evals counts the inner evaluations plus the tau x x cells.
+    so no row overflows.  The x window is fitted to every row at once from
+    the decay length of exp(-2 p*(x)) (`_fit_window`); the rule order is
+    doubled until every row agrees with the previous level to rtol, and
+    the finer level is returned.  n_evals counts the inner evaluations
+    plus the tau x x cells.
     """
     taus = np.asarray(taus, dtype=float)
     if taus.size > _TAU_CHUNK:
@@ -307,34 +320,17 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     log_star, n_evals = _log_inner_batch(spec, 1.0, x_star, rtol)
     peak = x_star * vr - log_star
 
-    # both window ends at once: start from the decay length of
-    # exp(-2 p*(x)) about x = 0, expand an end that has not decayed for
-    # every row, then halve an end while the half-way point has
     ends = np.array([x_star.min(), x_star.max()])
-    side = np.array([-1.0, 1.0])
-    L = np.full(2, _decay_length(spec.conjugate_alpha, 1.0) + 1.0)
 
-    def decayed(xs):
+    def decayed(L):
+        nonlocal n_evals
+        xs = ends + _SIDES * L
         log_j, ne = _log_inner_batch(spec, 1.0, xs, rtol)
+        n_evals += ne
         expo = np.multiply.outer(vr, xs) - log_j - peak[:, None]
-        return np.all(expo <= -_EXP_CUTOFF, axis=0), ne
+        return np.all(expo <= -_EXP_CUTOFF, axis=0)
 
-    for _ in range(200):
-        ok, ne = decayed(ends + side * L)
-        n_evals += ne
-        if ok.all():
-            break
-        L = np.where(ok, L, 1.4 * L)
-    else:
-        raise ConvergenceError("tau-batched window failed to close")
-    for _ in range(80):
-        ok, ne = decayed(ends + side * 0.5 * L)
-        n_evals += ne
-        wide = ok & (L > 1e-4)
-        if not wide.any():
-            break
-        L = np.where(wide, 0.5 * L, L)
-
+    L = _fit_window(decayed, np.full(2, _decay_length(spec.conjugate_alpha, 1.0) + 1.0))
     lo, hi = ends[0] - L[0], ends[1] + L[1]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     prev = None

@@ -131,7 +131,10 @@ def young_conjugate_closed(spec: WeightSpec, eta: float) -> float:
     """p*(eta) = sup_{x>=0} [x|eta| - p(x)] = |eta|^alpha'/alpha'."""
     _require_profile(spec)
     ap = spec.conjugate_alpha
-    return abs(eta) ** ap / ap
+    try:
+        return abs(float(eta)) ** ap / ap
+    except OverflowError:
+        raise DomainError("p*(eta) overflows the float range") from None
 
 
 def inverse_derivative(spec: WeightSpec, eta: float) -> float:
@@ -141,9 +144,10 @@ def inverse_derivative(spec: WeightSpec, eta: float) -> float:
     x = mu(eta), and p'(mu(eta)) = |eta|.
     """
     _require_profile(spec)
-    if eta == 0.0:
-        return 0.0
-    return abs(eta) ** (1.0 / (spec.alpha - 1.0))
+    try:
+        return abs(float(eta)) ** (1.0 / (spec.alpha - 1.0))
+    except OverflowError:
+        raise DomainError("mu(eta) overflows the float range") from None
 
 
 def young_conjugate_numeric(spec: WeightSpec, eta: float, tol: float) -> float:

@@ -147,6 +147,14 @@ def test_inner_integral_overflow_exits_1():
     assert "DomainError" in err and "overflows" in err
 
 
+@pytest.mark.parametrize("argv", [["mu"], ["conjugate"], ["inner-integral", "--tau", "1"]])
+def test_overflowing_conjugate_exits_1(argv):
+    # mu(3) = 3^1000 and p*(3) = 3^1001 / 1001 at alpha = 1.001
+    code, _, err = _run(argv + ["--weight", "profile:alpha=1.001", "--eta", "3"])
+    assert code == 1
+    assert "DomainError" in err and "overflows" in err
+
+
 def test_verify_command_and_report(tmp_path):
     report = tmp_path / "report.csv"
     code, out, err = _run(["verify", "--suite", "bounds", "--format", "csv",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from szegofock import (
     NearSingular,
     QuadConfig,
     SingularPoint,
+    SzegofockError,
     TruncationError,
     bergman_from_szego_gaussian,
     bergman_gaussian_closed,
@@ -37,29 +39,32 @@ PI = math.pi
 SQRT_PI = math.sqrt(PI)
 
 
-def _mpmath_log_inner(mpmath, alpha, tau, eta):
-    """log I(eta, tau) for p = |x|^alpha / alpha by mpmath.quad at 30 digits.
+def _mpmath_log_inner(mpmath, alpha, tau, eta, dps=30):
+    """log I(eta, tau) for p = |x|^alpha / alpha by mpmath.quad at dps digits.
 
-    The shifted integrand is log-concave with its peak 1 at mu, so once it
-    is below 1e-40 at mu -+ H the tails beyond hold less than 1e-40 H; H
-    doubles from the eta = 0 decay length until that holds.
+    The integrand is taken in the offset d = r - c from the peak c =
+    sign(eta) mu(eta), as exp(-2 tau D(c + d, c)) with D the Bregman
+    divergence of p written out, so dps must cover the cancellation of its
+    terms of size |c|^alpha.  The integrand is log-concave with its peak 1
+    at d = 0, so once it is below 1e-40 at -+H the tails beyond hold less
+    than 1e-40 H; H doubles from the eta = 0 decay length until that holds.
     """
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
         a, tau, eta = mpmath.mpf(alpha), mpmath.mpf(tau), mpmath.mpf(eta)
         ap = a / (a - 1)
-        shift = 2 * tau * abs(eta) ** ap / ap
-        mu = mpmath.sign(eta) * abs(eta) ** (1 / (a - 1))
+        c = mpmath.sign(eta) * abs(eta) ** (1 / (a - 1))
+        pc, dpc = abs(c) ** a / a, mpmath.sign(c) * abs(c) ** (a - 1)
 
-        def f(r):
-            return mpmath.exp(2 * tau * (r * eta - abs(r) ** a / a) - shift)
+        def f(d):
+            return mpmath.exp(-2 * tau * (abs(c + d) ** a / a - pc - dpc * d))
 
         H = (45 * a / (2 * tau)) ** (1 / a)
-        while f(mu - H) > 1e-40 or f(mu + H) > 1e-40:
+        while f(-H) > 1e-40 or f(H) > 1e-40:
             H *= 2
-        pts = {mu - H, mu - H / 8, mu, mu + H / 8, mu + H}
-        if abs(mu) < H:
-            pts.add(mpmath.mpf(0))
-        return float(shift + mpmath.log(mpmath.quad(f, sorted(pts))))
+        pts = {-H, -H / 8, 0, H / 8, H}
+        if abs(c) < H:
+            pts.add(-c)
+        return float(2 * tau * abs(eta) ** ap / ap + mpmath.log(mpmath.quad(f, sorted(pts))))
 
 
 def test_inner_integral_gaussian_closed_form(cfg):
@@ -113,12 +118,65 @@ def test_effective_conjugate_far_peak_against_mpmath(cfg):
     assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
+# alpha near 1, where the former adaptive path returned log I = 0.0013 for
+# 0.095 (first case) and missed the second too; mu up to 7e23 with a peak
+# ~1e12 wide (third), which it could not integrate; and three it passed
+NEAR_ONE_CASES = [(1.001, 1.0, 0.3), (1.01, 10.0, 0.9), (1.02, 10.0, 3.0),
+                  (1.1, 1.0, 100.0), (1.05, 1.0, 8.0), (1.02, 1.0, 3.0)]
+
+
+@pytest.mark.parametrize("alpha, tau, eta", NEAR_ONE_CASES)
+def test_effective_conjugate_near_alpha_one_against_mpmath(alpha, tau, eta, cfg):
+    mpmath = pytest.importorskip("mpmath")
+    ref = _mpmath_log_inner(mpmath, alpha, tau, eta, dps=80)
+    spec = profile_power(alpha)
+    got = 2.0 * tau * effective_conjugate(spec, tau, eta, cfg)
+    assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+    if ref < 700.0:
+        res = inner_integral(spec, tau, eta, cfg)
+        assert res.abs_err_estimate >= abs(res.value - math.exp(ref))
+    else:
+        with pytest.raises(DomainError, match="overflows"):
+            inner_integral(spec, tau, eta, cfg)
+
+
+def test_effective_conjugate_grid_returns_or_raises_typed(cfg):
+    # no bare OverflowError, NaN or RuntimeWarning anywhere on the grid;
+    # 24 points raise, where |eta|^alpha' max(1, 2 tau) passes ~1e300
+    returned = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (1.001, 1.01, 1.02, 1.05, 1.1, 1.3, 1.5, 2.0, 2.5, 3.0, 4.0):
+            spec = profile_power(alpha)
+            for tau in (0.05, 1.0, 10.0, 60.0):
+                for eta in (0.0, 0.3, 0.5, 0.9, -1.0, 1.5, 3.0, 8.0, -30.0, 100.0, 1e3):
+                    try:
+                        value = effective_conjugate(spec, tau, eta, cfg)
+                    except SzegofockError:
+                        continue
+                    assert math.isfinite(value), (alpha, tau, eta)
+                    returned += 1
+    assert returned >= 460
+
+
 def test_inner_integral_overflow_raises(cfg):
     # log I = 1e6 at eta = 1e3: not representable, so no inf is returned
     with pytest.raises(DomainError, match="overflows"):
         inner_integral(gaussian(), 1.0, 1e3, cfg)
     with pytest.raises(DomainError, match="overflows"):
         inner_integral(profile_power(1.5), 1.0, 1e3, cfg)
+
+
+def test_bergman_profile_alpha15_tight_against_tau_batch():
+    # criterion 04's tight config asks the inner rule for 1e-13, which two
+    # Gauss panels meeting the |r|^1.5 singularity at r = 0 never reached
+    spec = profile_power(1.5)
+    cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-11, max_subdivisions=4000)
+    tau = 1.2919433100044269
+    z, w = 0.24258609613926585 - 0.5472879414911842j, 0.15733949247373125 - 0.8577096966811935j
+    got = bergman_profile(spec, tau, z, w, cfg).value
+    ref = _kernel_tau_batch(spec, [tau], z + w.conjugate(), np.zeros(1), 1e-13)[0][0]
+    assert abs(got - ref) <= max(cfg.abs_tol, cfg.rel_tol * abs(ref))
 
 
 def test_log_inner_is_convex_in_eta(rng):
@@ -290,7 +348,8 @@ def test_szego_profile_nongaussian_decaying_point():
                                                      (2.5, 1e-9, 100.0),
                                                      (4.0, 1e-9, 300.0)])
 def test_szego_profile_decaying_point_against_per_tau_route(alpha, rel_tol, tau_max):
-    # alpha = 1.5 at rel_tol 1e-9 asks the inner rule for 5e-12 and raises
+    # alpha = 1.5 stays at rel_tol 1e-8: at 1e-9 the per-tau oracle takes
+    # ~10 s (test_szego_profile_alpha15_at_tight_inner_tolerance covers 1e-9)
     spec = profile_power(alpha)
     cfg = QuadConfig(abs_tol=1e-12, rel_tol=rel_tol)
     p1 = BoundaryPoint(-1.0 + 0.15j, -0.45)
@@ -299,6 +358,18 @@ def test_szego_profile_decaying_point_against_per_tau_route(alpha, rel_tol, tau_
     assert res.method == "triple-quadrature"
     ref = _szego_per_tau_route(spec, p1, p2, cfg, tau_max)
     assert abs(res.value - ref) <= 1e-11 * abs(ref)
+
+
+def test_szego_profile_alpha15_at_tight_inner_tolerance():
+    # rel_tol 1e-9 asks the inner rule for 5e-12, where a 32-eta batch used
+    # to raise; the rel_tol 1e-8 value is checked against the per-tau route
+    spec = profile_power(1.5)
+    p1 = BoundaryPoint(-1.0 + 0.15j, -0.45)
+    p2 = BoundaryPoint(0.6 - 0.1j, -0.55)
+    tight = szego_profile(spec, p1, p2, QuadConfig(abs_tol=1e-12, rel_tol=1e-9))
+    base = szego_profile(spec, p1, p2, QuadConfig(abs_tol=1e-12, rel_tol=1e-8))
+    assert tight.method == "triple-quadrature"
+    assert abs(tight.value - base.value) <= 1e-11 * abs(base.value)
 
 
 def test_szego_profile_decaying_work_count(loose, monkeypatch):

@@ -129,6 +129,14 @@ def test_inverse_derivative_inverts_slope(alpha):
         assert slope == pytest.approx(eta, rel=1e-12)
 
 
+def test_overflowing_mu_and_conjugate_raise_domain_error():
+    spec = profile_power(1.001)
+    with pytest.raises(DomainError, match="overflows"):
+        inverse_derivative(spec, 3.0)
+    with pytest.raises(DomainError, match="overflows"):
+        young_conjugate_closed(spec, 3.0)
+
+
 def test_parse_and_format_weights():
     for text in ("radial:alpha=2", "profile:alpha=3", "gaussian"):
         spec = parse_weight(text)
