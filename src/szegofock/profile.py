@@ -16,10 +16,14 @@ substitution x = tau^(1-1/a) eta reduces every tau to tau = 1:
 So `szego_profile` evaluates its tau integrand for all tau nodes of a
 quadrature step at once (`_kernel_tau_batch`): one table of log J on one
 shared Gauss-Legendre rule in x, and one tau x x matrix product per rule
-level, in place of a nested quadrature per node.  It integrates in
-s = tau^(1/a): with tau = s^a the kernel factor becomes a s^(a+1) K_1(s u),
-smooth at s = 0, where tau^(2/a) K_1(tau^(1/a) u) is only algebraically
-smooth at tau = 0 for a != 2.
+level, in place of a nested quadrature per node.  K_1 is entire, so the
+tau integral may run along a ray tau = r omega in the complex plane; it
+takes the ray between the real axis and the steepest-descent ray of the
+integrand's rate e^{tau E} on which the terms of the x integral decay
+fastest, and on it needs no damping, extrapolation or probing.  It
+integrates in s = r^(1/a): the kernel factor becomes a s^(a+1) K_1(s
+omega^(1/a) u), smooth at s = 0, where tau^(2/a) K_1(tau^(1/a) u) is only
+algebraically smooth at tau = 0 for a != 2.
 
 Every caller takes the inner integral I from one batched Gauss-Legendre
 engine, `_log_inner_batch`.  I is the exponential of twice tau times a
@@ -288,10 +292,15 @@ def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFI
 # tau quadrature mixes two rules.
 _X_ORDERS = (32, 64, 128, 256, 512, 1024)
 _TAU_CHUNK = 240
+# `szego_profile`'s ray: the angles it tries, and the GK15 panels seeding
+# it, evenly spaced in r
+_RAY_ANGLES = 33
+_RAY_SEEDS = 8
 
 
 def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
-    """K_tau(u) exp(log_factor) for a vector of tau, on one shared x rule.
+    """K_tau(u) exp(log_factor) for a vector of real or complex tau, on one
+    shared x rule.
 
     For p = |x|^a / a the kernel is homogeneous, K_tau(u) = tau^(2/a)
     K_1(tau^(1/a) u), so with v = tau^(1/a) u and J = I(., 1)
@@ -303,11 +312,13 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     and the shift is folded into log_factor before the final exponential,
     so no row overflows.  The x window is fitted to every row at once from
     the decay length of exp(-2 p*(x)) (`_fit_window`); the rule order is
-    doubled until every row agrees with the previous level to rtol, and
-    the finer level is returned.  n_evals counts the inner evaluations
-    plus the tau x x cells.
+    doubled until every row agrees with the previous level to rtol times
+    its L1 norm sum |e^expo| w, and the finer level is returned: each term
+    carries the inner rule's relative error rtol, and where a complex v
+    makes the terms oscillate and cancel, their errors do not cancel with
+    them.  n_evals counts the inner evaluations plus the tau x x cells.
     """
-    taus = np.asarray(taus, dtype=float)
+    taus = np.asarray(taus)
     if taus.size > _TAU_CHUNK:
         parts = [_kernel_tau_batch(spec, taus[i:i + _TAU_CHUNK], u,
                                    log_factor[i:i + _TAU_CHUNK], rtol)
@@ -342,8 +353,10 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
         expo = np.multiply.outer(v, xs)
         expo -= log_j
         expo -= peak[:, None]
-        vals = (np.exp(expo, out=expo) @ wq) * half
-        if prev is not None and np.all(np.abs(vals - prev) <= rtol * np.abs(vals)):
+        terms = np.exp(expo, out=expo)
+        vals = (terms @ wq) * half
+        l1 = (np.abs(terms) @ wq) * half
+        if prev is not None and np.all(np.abs(vals - prev) <= rtol * l1):
             log_scale = peak + log_factor + (2.0 / a) * np.log(taus) - math.log(TWO_PI)
             return np.exp(log_scale) * vals, n_evals
         prev = vals
@@ -389,101 +402,63 @@ def _extrapolate_to_zero(xs, ys, powers):
 
 def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
                   cfg: QuadConfig = DEFAULT_CONFIG) -> EvalResult:
-    """Boundary kernel as the tau integral of the batched profile kernel.
+    """Boundary kernel as the tau integral of the batched profile kernel,
+    taken along a ray in the complex tau plane.
 
-    The tau integrand is K_tau(z, w) e^{-tau(p(z)+p(w))} e^{-i tau (s-t)}.
+    The tau integrand is K_tau(z, w) e^{-tau R}, R = p(z) + p(w) + i(s-t).
     Each call of it takes every tau node of a quadrature step at once:
     through the homogeneity K_tau(u) = tau^(2/a) K_1(tau^(1/a) u) all
     nodes share one table of log I(., 1) and one matrix product per rule
     level (`_kernel_tau_batch`), so no node runs a quadrature of its own.
-    The decay rate is probed at tau = 2, 4, 8, 16: if the magnitude
-    decays, the integral is truncated a priori and summed directly; if it
-    does not decay but the phase rotates (off the boundary diagonal with
-    matching times), an Abel-damped evaluation e^{-eps tau} is
-    extrapolated to eps = 0; with neither damping nor rotation the
-    configuration is the boundary diagonal and NearSingular is raised.
-    Both branches integrate in s = tau^(1/a), dtau = a s^(a-1) ds, where
-    the integrand is smooth at 0; the panel seeds, evenly spaced in tau
-    up to the truncation point tau_max, are mapped to s.
+    The integrand grows like e^{tau E}, E = 2 (u/2)^a / a - R, u = z +
+    conj w taken with Re u >= 0, and K_1 is entire, so the contour may
+    turn onto any ray tau = r omega between the real axis and the
+    steepest-descent ray omega = -|E| / E, on which tau E = -r |E| is real
+    and the integrand stops oscillating, also at z = w, s != t, where it
+    does not decay on the real axis.  The x integral of K_1 cancels where
+    Im v is large, so the ray taken is the one whose L1 envelope
+    exp(r (2 p(Re(omega^(1/a) u) / 2) - Re(omega R))) decays fastest.
+    With no decaying envelope the configuration is at or near the boundary
+    diagonal, and NearSingular is raised.  The ray is cut where its decay
+    e^{r Re(omega E)} has fallen well below the absolute tolerance, and it
+    is integrated in s = r^(1/a), where the integrand is smooth at 0, on
+    GK15 panels seeded evenly in r.
     The error estimate adds the inner relative tolerance times |S| to the
     tau quadrature's own estimate.
     """
     _require_profile(spec)
     z, w = p1.z, p2.z
-    s_minus_t = p2.t - p1.t
-    pz = eval_weight(spec, z)
-    pw = eval_weight(spec, w)
-    eta_star = float(profile_dp(spec, (z.real + w.real) / 2.0))
-    osc = s_minus_t - eta_star * (z.imag - w.imag)
-
-    inner_rel_tol = max(min(cfg.rel_tol * 0.1, 1e-6), 1e-12)
-    u = z + w.conjugate()
-    rtol = max(1e-13, 0.05 * inner_rel_tol)
     a = spec.alpha
-    rate = pz + pw + 1j * s_minus_t
-    counter = {"n": 0}
+    rate = eval_weight(spec, z) + eval_weight(spec, w) + 1j * (p2.t - p1.t)
+    u = z + w.conjugate()
+    growth = 2.0 * (0.5 * (u if u.real >= 0.0 else -u)) ** a / a - rate
+    omegas = np.exp(1j * np.linspace(0.0, cmath.phase(-growth.conjugate()), _RAY_ANGLES))
+    envelope = 2.0 * profile_p(spec, 0.5 * (omegas ** (1.0 / a) * u).real) - (omegas * rate).real
+    k = int(np.argmin(envelope))
+    if -envelope[k] < 1e-8 * (1.0 + abs(rate)):
+        raise NearSingular("the tau integrand decays on no ray: at or near "
+                           "the boundary diagonal")
+    omega = omegas[k]
+    inner_rel_tol = max(min(cfg.rel_tol * 0.1, 1e-6), 1e-12)
+    rtol = max(1e-13, 0.05 * inner_rel_tol)
+    n_evals = 0
 
-    def f(taus, log_weight=0.0):
-        vals, n = _kernel_tau_batch(spec, taus, u, log_weight - taus * rate, rtol)
-        counter["n"] += n
+    def g(s):  # the integrand at tau = s^a omega, times dtau / (omega ds)
+        nonlocal n_evals
+        taus = s ** a * omega
+        vals, n = _kernel_tau_batch(spec, taus, u, math.log(a) + (a - 1.0) * np.log(s)
+                                    - taus * rate, rtol)
+        n_evals += n
         return vals
 
-    def integrate_s(cfg_, tau_max, seeds, damp=0.0):
-        """int_0^tau_max f(tau) e^{-damp tau} dtau in s = tau^(1/a): the
-        seeds split [0, tau_max] evenly in tau, so each panel still holds
-        the same number of oscillations."""
-        def g(s):
-            taus = s ** a
-            return f(taus, math.log(a) + (a - 1.0) * np.log(s) - damp * taus)
-
-        edges = np.linspace(0.0, tau_max, seeds + 1)[1:-1] ** (1.0 / a)
-        return integrate_interval(g, 0.0, tau_max ** (1.0 / a), cfg_, breakpoints=edges)
-
-    probes = np.array([2.0, 4.0, 8.0, 16.0])
-    mags = np.abs(f(probes))
-    if mags[-1] == 0.0:
-        slope = -math.inf
-    elif mags[-2] > 0.0:
-        slope = (math.log(mags[-1]) - math.log(mags[-2])) / (probes[-1] - probes[-2])
-    else:
-        slope = 0.0
-
-    if slope < -1e-3:
-        floor = max(cfg.abs_tol * 1e-2, 1e-300)
-        reach = (math.log(max(mags[-1], floor)) - math.log(floor)) / -slope
-        tau_max = probes[-1] + min(reach * 1.3, 400.0 / -slope) + 5.0
-        seeds = max(8, min(400, int(abs(osc) * tau_max / 3.0) + 8))
-        res = integrate_s(cfg, tau_max, seeds)
-        err = res.abs_err_estimate + inner_rel_tol * abs(res.value)
-        return EvalResult(res.value, err, "triple-quadrature",
-                          counter["n"] + res.n_evals)
-
-    if abs(osc) < 1e-8:
-        raise NearSingular("undamped, non-rotating tau integrand: boundary "
-                           "diagonal configuration")
-
-    # Abel regularisation: damp with e^{-eps tau}, extrapolate eps -> 0.
-    # All three integrals share one window; only the damper differs.
-    abel_cfg = replace(cfg, abs_tol=max(cfg.abs_tol, 1e-8),
-                       rel_tol=max(cfg.rel_tol, 1e-6),
-                       max_subdivisions=max(cfg.max_subdivisions, 4000))
-    eps_seq = (0.2, 0.1, 0.05)
-    tau_max = 20.0 / eps_seq[-1]
-    for _ in range(3):
-        tau_max = (math.log(1.0 / abel_cfg.abs_tol) + math.log(1.0 + tau_max)) / eps_seq[-1]
-    seeds = max(16, min(800, int(abs(osc) * tau_max / 3.0) + 16))
-
-    vals = []
-    errs = []
-    for eps in eps_seq:
-        res = integrate_s(abel_cfg, tau_max, seeds, eps)
-        vals.append(res.value)
-        errs.append(res.abs_err_estimate)
-        counter["n"] += res.n_evals
-    extrapolated = _extrapolate_to_zero(eps_seq, vals, (0.0, 1.0, 2.0))
-    tail_pair = _extrapolate_to_zero(eps_seq[1:], vals[1:], (0.0, 1.0))
-    err = abs(extrapolated - tail_pair) + 4.0 * max(errs)
-    return EvalResult(extrapolated, err, "triple-abel", counter["n"])
+    floor = max(cfg.abs_tol * 1e-2, 1e-300)
+    decay = -(omega * growth).real
+    r_max = (1.3 * math.log(1.0 / floor) + (1.0 + 2.0 / a) * math.log(1.0 + 1.0 / decay)
+             + 10.0) / decay
+    edges = np.linspace(0.0, r_max, _RAY_SEEDS + 1)[1:-1] ** (1.0 / a)
+    res = integrate_interval(g, 0.0, r_max ** (1.0 / a), cfg, breakpoints=edges)
+    err = res.abs_err_estimate + inner_rel_tol * abs(res.value)
+    return EvalResult(omega * res.value, err, "triple-quadrature", n_evals + res.n_evals)
 
 
 @dataclass(frozen=True)

@@ -288,12 +288,81 @@ def test_szego_profile_damped_point(loose):
     assert res.value == pytest.approx(8.0 / PI, rel=1e-4)
 
 
-def test_szego_profile_abel_point(loose):
-    # undamped but rotating integrand: Abel-regularised limit
-    g = gaussian()
-    res = szego_profile(g, BoundaryPoint(0, 0), BoundaryPoint(0, 1), loose)
-    assert res.method == "triple-abel"
-    assert abs(res.value - (-1.0 / (2.0 * PI))) <= 1e-2 * (1.0 / (2.0 * PI))
+def _within_tol(res, ref, cfg):
+    return abs(res.value - ref) <= max(cfg.abs_tol, cfg.rel_tol * abs(ref))
+
+
+@pytest.mark.parametrize("dist", [0.05, 0.1, 0.2, 0.5, 1.0])
+def test_szego_profile_gaussian_near_points(dist, loose):
+    # near points, where the integrand barely decays on the real tau axis
+    p1 = BoundaryPoint(0.1 + 0.2j + dist * (0.6 + 0.8j) / 2, 0.3)
+    p2 = BoundaryPoint(0.1 + 0.2j - dist * (0.6 + 0.8j) / 2, -0.2)
+    res = szego_profile(gaussian(), p1, p2, loose)
+    ref = szego_gaussian_closed(p1, p2)
+    assert _within_tol(res, ref, loose)
+    assert abs(res.value - ref) <= min(res.abs_err_estimate, 1e-12 * abs(ref))
+
+
+@pytest.mark.parametrize("z, s, t", [(0.0, 0.0, 1.0), (0.0, 0.4, -0.3),
+                                     (0.5 + 0.3j, 0.0, 1.0), (-0.3 - 0.6j, 0.2, -0.5)])
+def test_szego_profile_gaussian_equal_z(z, s, t, loose):
+    # z = w, s != t: the integrand does not decay on the real tau axis
+    p1, p2 = BoundaryPoint(z, s), BoundaryPoint(z, t)
+    res = szego_profile(gaussian(), p1, p2, loose)
+    ref = szego_gaussian_closed(p1, p2)
+    assert _within_tol(res, ref, loose)
+    assert abs(res.value - ref) <= min(res.abs_err_estimate, 1e-12 * abs(ref))
+
+
+def test_szego_profile_power_two_is_gaussian(loose):
+    p1, p2 = BoundaryPoint(0.2 - 0.1j, 0.1), BoundaryPoint(0.1 + 0.15j, -0.35)
+    res = szego_profile(profile_power(2.0), p1, p2, loose)
+    assert _within_tol(res, szego_gaussian_closed(p1, p2), loose)
+
+
+def test_szego_profile_im_distance_one(loose):
+    # |Im(z - w)| >= 1: the oscillating x sum of K_1 cancels far below its
+    # terms, so rtol |K_1| is out of the kernel rule's reach
+    p1 = BoundaryPoint(0.18343226883801267 - 0.33150979398458535j, 0.09029098228971466)
+    p2 = BoundaryPoint(-0.1454480961812442 + 0.9280045276882244j, 0.18975668840137316)
+    res = szego_profile(gaussian(), p1, p2, loose)
+    assert _within_tol(res, szego_gaussian_closed(p1, p2), loose)
+
+
+def _szego_on_ray(spec, p1, p2, cfg, turn):
+    """The tau integral along the ray turned by `turn` radians from the
+    steepest-descent ray arg tau = -arg(-E), integrated in s = r^(1/a)."""
+    z, w = p1.z, p2.z
+    a = spec.alpha
+    rate = eval_weight(spec, z) + eval_weight(spec, w) + 1j * (p2.t - p1.t)
+    u = z + w.conjugate()
+    growth = 2.0 * (0.5 * (u if u.real >= 0.0 else -u)) ** a / a - rate
+    omega = -abs(growth) / growth * complex(math.cos(turn), math.sin(turn))
+    r_max = 60.0 / -(omega * growth).real
+    rtol = max(1e-13, 0.05 * max(min(cfg.rel_tol * 0.1, 1e-6), 1e-12))
+
+    def g(s):
+        taus = s ** a * omega
+        log_weight = math.log(a) + (a - 1.0) * np.log(s) - taus * rate
+        return _kernel_tau_batch(spec, taus, u, log_weight, rtol)[0]
+
+    edges = np.linspace(0.0, r_max, 9)[1:-1] ** (1.0 / a)
+    return omega * integrate_interval(g, 0.0, r_max ** (1.0 / a), cfg, breakpoints=edges).value
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("p1, p2", [
+    (BoundaryPoint(0.3 + 0.1j, 0.2), BoundaryPoint(0.1 - 0.2j, -0.4)),
+    (BoundaryPoint(0.4 + 0.2j, 0.0), BoundaryPoint(0.4 + 0.2j, 0.7)),
+], ids=["near", "equal-z"])
+def test_szego_profile_contour_independence(alpha, p1, p2):
+    # K_1 is entire: rays turned from the steepest-descent ray give the same S
+    spec = profile_power(alpha)
+    cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-9)
+    res = szego_profile(spec, p1, p2, cfg)
+    for turn in (0.2, -0.2):
+        ray = _szego_on_ray(spec, p1, p2, cfg, turn)
+        assert abs(res.value - ray) <= 1e-11 * abs(ray)
 
 
 def test_szego_profile_boundary_diagonal(loose):

@@ -143,6 +143,16 @@ def test_via_laplace_matches_closed(cfg):
     assert abs(lap - closed) <= 1e-6 * abs(closed)
 
 
+def test_via_laplace_far_terms_within_tolerance(cfg):
+    # terms near x = 1e5: Gamma(x + 1) / Gamma(x) through two lgamma values
+    # left ~3e-11 relative in each, a 1e-9 miss in the sum
+    p1 = BoundaryPoint(1.2586963292605642 + 0.2770203802947886j, 0.3256170062422039)
+    p2 = BoundaryPoint(-1.2127028257221546 - 0.6972098784788424j, 0.32436501784149874)
+    closed = szego_radial_closed(1.0, p1, p2).value
+    lap = szego_radial_via_laplace(1.0, p1, p2, cfg).value
+    assert abs(lap - closed) <= max(cfg.abs_tol, cfg.rel_tol * abs(closed))
+
+
 def test_via_laplace_rejects_undamped(cfg):
     with pytest.raises(NearSingular):
         szego_radial_via_laplace(2, BoundaryPoint(0, 0), BoundaryPoint(0, 1), cfg)
