@@ -419,10 +419,13 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     Im v is large, so the ray taken is the one whose L1 envelope
     exp(r (2 p(Re(omega^(1/a) u) / 2) - Re(omega R))) decays fastest.
     With no decaying envelope the configuration is at or near the boundary
-    diagonal, and NearSingular is raised.  The ray is cut where its decay
-    e^{r Re(omega E)} has fallen well below the absolute tolerance, and it
-    is integrated in s = r^(1/a), where the integrand is smooth at 0, on
-    GK15 panels seeded evenly in r.
+    diagonal, and NearSingular is raised.  The ray is cut where that
+    envelope has fallen well below the absolute tolerance: it bounds the
+    integrand, since |K_1(v)| <= K_1(Re v), where e^{tau E} is the rate
+    only while the saddle of the x integral governs it (for a > 2 and
+    nearly imaginary u, Re E can be positive on a bounded integrand).  The
+    ray is integrated in s = r^(1/a), where the integrand is smooth at 0,
+    on GK15 panels seeded evenly in r.
     The error estimate adds the inner relative tolerance times |S| to the
     tau quadrature's own estimate.
     """
@@ -452,7 +455,7 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
         return vals
 
     floor = max(cfg.abs_tol * 1e-2, 1e-300)
-    decay = -(omega * growth).real
+    decay = -envelope[k]
     r_max = (1.3 * math.log(1.0 / floor) + (1.0 + 2.0 / a) * math.log(1.0 + 1.0 / decay)
              + 10.0) / decay
     edges = np.linspace(0.0, r_max, _RAY_SEEDS + 1)[1:-1] ** (1.0 / a)

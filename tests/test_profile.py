@@ -34,6 +34,7 @@ from szegofock import (
 )
 import szegofock.profile as profile_module
 from szegofock.profile import _kernel_tau_batch, _log_inner_batch
+from szegofock.weights import profile_p
 
 PI = math.pi
 SQRT_PI = math.sqrt(PI)
@@ -304,9 +305,13 @@ def test_szego_profile_gaussian_near_points(dist, loose):
 
 
 @pytest.mark.parametrize("z, s, t", [(0.0, 0.0, 1.0), (0.0, 0.4, -0.3),
-                                     (0.5 + 0.3j, 0.0, 1.0), (-0.3 - 0.6j, 0.2, -0.5)])
+                                     (0.5 + 0.3j, 0.0, 1.0), (-0.3 - 0.6j, 0.2, -0.5),
+                                     (1.0 + 0.3j, 0.0, 0.2), (2.0 + 0.3j, 0.0, 1.0)])
 def test_szego_profile_gaussian_equal_z(z, s, t, loose):
-    # z = w, s != t: the integrand does not decay on the real tau axis
+    # z = w, s != t: the integrand does not decay on the real tau axis; at
+    # the last two points the x sum on the steepest-descent ray cancels
+    # from terms e^{(Re z)^2 r / 2} larger than it, and only a ray nearer
+    # the real axis converges
     p1, p2 = BoundaryPoint(z, s), BoundaryPoint(z, t)
     res = szego_profile(gaussian(), p1, p2, loose)
     ref = szego_gaussian_closed(p1, p2)
@@ -326,19 +331,21 @@ def test_szego_profile_im_distance_one(loose):
     p1 = BoundaryPoint(0.18343226883801267 - 0.33150979398458535j, 0.09029098228971466)
     p2 = BoundaryPoint(-0.1454480961812442 + 0.9280045276882244j, 0.18975668840137316)
     res = szego_profile(gaussian(), p1, p2, loose)
-    assert _within_tol(res, szego_gaussian_closed(p1, p2), loose)
+    ref = szego_gaussian_closed(p1, p2)
+    assert _within_tol(res, ref, loose)
+    assert abs(res.value - ref) <= res.abs_err_estimate
 
 
-def _szego_on_ray(spec, p1, p2, cfg, turn):
-    """The tau integral along the ray turned by `turn` radians from the
-    steepest-descent ray arg tau = -arg(-E), integrated in s = r^(1/a)."""
+def _szego_on_ray(spec, p1, p2, cfg, omega):
+    """The tau integral along the ray tau = r omega, integrated in
+    s = r^(1/a) up to where its L1 envelope has fallen by e^-60."""
     z, w = p1.z, p2.z
     a = spec.alpha
     rate = eval_weight(spec, z) + eval_weight(spec, w) + 1j * (p2.t - p1.t)
     u = z + w.conjugate()
-    growth = 2.0 * (0.5 * (u if u.real >= 0.0 else -u)) ** a / a - rate
-    omega = -abs(growth) / growth * complex(math.cos(turn), math.sin(turn))
-    r_max = 60.0 / -(omega * growth).real
+    envelope = 2.0 * profile_p(spec, 0.5 * (omega ** (1.0 / a) * u).real) - (omega * rate).real
+    assert envelope < 0.0
+    r_max = 60.0 / -envelope
     rtol = max(1e-13, 0.05 * max(min(cfg.rel_tol * 0.1, 1e-6), 1e-12))
 
     def g(s):
@@ -356,12 +363,33 @@ def _szego_on_ray(spec, p1, p2, cfg, turn):
     (BoundaryPoint(0.4 + 0.2j, 0.0), BoundaryPoint(0.4 + 0.2j, 0.7)),
 ], ids=["near", "equal-z"])
 def test_szego_profile_contour_independence(alpha, p1, p2):
-    # K_1 is entire: rays turned from the steepest-descent ray give the same S
+    # K_1 is entire: rays turned by +-0.2 rad from the steepest-descent ray
+    # arg tau = -arg(-E) of the rate e^{tau E} give the same S
     spec = profile_power(alpha)
     cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-9)
     res = szego_profile(spec, p1, p2, cfg)
+    u = p1.z + p2.z.conjugate()
+    growth = (2.0 * (0.5 * u) ** alpha / alpha - eval_weight(spec, p1.z)
+              - eval_weight(spec, p2.z) - 1j * (p2.t - p1.t))
     for turn in (0.2, -0.2):
-        ray = _szego_on_ray(spec, p1, p2, cfg, turn)
+        omega = -abs(growth) / growth * complex(math.cos(turn), math.sin(turn))
+        ray = _szego_on_ray(spec, p1, p2, cfg, omega)
+        assert abs(res.value - ray) <= 1e-11 * abs(ray)
+
+
+@pytest.mark.parametrize("alpha, p1, p2", [
+    (4.0, BoundaryPoint(1j, 0.0), BoundaryPoint(-1j, 0.02)),
+    (3.0, BoundaryPoint(-0.18 + 0.38j, 0.0), BoundaryPoint(0.2 - 0.95j, 0.02)),
+])
+def test_szego_profile_nearly_imaginary_u(alpha, p1, p2):
+    # u = z + conj w nearly imaginary and a > 2: Re E > 0 (alpha 4) or
+    # e^{tau E} decays faster than the integrand (alpha 3), so only the L1
+    # envelope gives a safe truncation point; fixed rays agree
+    spec = profile_power(alpha)
+    cfg = QuadConfig(abs_tol=1e-12, rel_tol=1e-9)
+    res = szego_profile(spec, p1, p2, cfg)
+    for phase in (-0.6, -0.9):
+        ray = _szego_on_ray(spec, p1, p2, cfg, complex(math.cos(phase), math.sin(phase)))
         assert abs(res.value - ray) <= 1e-11 * abs(ray)
 
 
