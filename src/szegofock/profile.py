@@ -80,6 +80,8 @@ _SIDES = np.array([-1.0, 1.0])
 # by this ratio, this many on each side
 _GRADE_RATIO = 0.15
 _GRADE_PANELS = 12
+# the last retry of a lone unsettled row: its panels halved up to this often
+_HALVINGS = 3
 
 
 def _check_tau(tau):
@@ -130,7 +132,11 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
     until the exponent at both ends is below -45 and split at r = 0, where
     |r|^a is not smooth.  The order grows until two levels agree to rtol
     in the log of the shifted sum; at non-integer alpha a batch unsettled
-    at the top order is retried once on panels graded toward r = 0.
+    at the top order is retried once on panels graded toward r = 0.  A
+    batch still unsettled, or with a window too wide for its peak's nodes
+    (the starting window is shared), is split in halves that settle alone,
+    so a row's value does not depend on its batch; a lone row still
+    unsettled has its panels halved, up to _HALVINGS times.
     DomainError: |eta|^alpha' or 2 tau |eta|^alpha' passes 1e300.
     """
     etas = np.asarray(etas, dtype=float).ravel()
@@ -177,18 +183,34 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
                 R = 0.5 * (lft + rgt)[:, None] + half[:, None] * x[None, :]
                 vals = vals + (np.exp(exponent(R)) @ wq) * half
                 n_evals += R.size
+            if prev is None and not vals.all():
+                break  # a window too wide for its peak: only a smaller batch settles
             log_vals = np.log(vals)
             if prev is not None and np.max(np.abs(log_vals - prev)) <= rtol:
                 return peak + log_vals, n_evals
             prev = log_vals
         return None, n_evals
 
-    log_i, n_evals = rule([lo, mid, hi])
+    edges = [lo, mid, hi]
+    log_i, n_evals = rule(edges)
     if log_i is None and not a.is_integer():
         g = _GRADE_RATIO ** np.arange(_GRADE_PANELS + 1)
-        edges = np.hstack([mid[:, None] - np.multiply.outer(mid - lo, g), mid[:, None],
-                           mid[:, None] + np.multiply.outer(hi - mid, g[::-1])])
-        log_i, more = rule(list(edges.T))
+        edges = list(np.hstack([mid[:, None] - np.multiply.outer(mid - lo, g), mid[:, None],
+                                mid[:, None] + np.multiply.outer(hi - mid, g[::-1])]).T)
+        log_i, more = rule(edges)
+        n_evals += more
+    if log_i is None and etas.size > 1:
+        # rows share the starting window and the rule order: settle each half alone
+        parts = [_log_inner_batch(spec, tau, part, rtol) for part in np.array_split(etas, 2)]
+        return (np.concatenate([part[0] for part in parts]),
+                n_evals + sum(part[1] for part in parts))
+    for _ in range(_HALVINGS):
+        if log_i is not None:
+            break
+        # a lone row whose walls outrun its panels (alpha' >> 2): halve every panel
+        edges = [e for lft, rgt in zip(edges[:-1], edges[1:])
+                 for e in (lft, 0.5 * (lft + rgt))] + [edges[-1]]
+        log_i, more = rule(edges)
         n_evals += more
     if log_i is None:
         raise ConvergenceError("inner-integral rule did not stabilise")
@@ -595,6 +617,8 @@ def laplace_asymptotic(spec: WeightSpec, eta, tau_grid,
 _INTERIOR_SHIFT = 1e-6
 _CAUSAL_SHIFT = 1e-6
 _PLANCHEREL_NORM = 2.0 * math.pi ** 2
+# outer nodes per banded block of the inverse's damped v sum
+_DAMP_CHUNK = 64
 
 
 def _causal_deficit_slope(tau, a, base):
@@ -620,16 +644,38 @@ def _gk_composite(edges):
     return nodes, weights
 
 
-def _difference_rule_edges(delta, inner_stop, V, coarse):
-    """Panel edges on [-V, V]: geometric refinement toward 0 at pole scale
-    delta, uniform panels of width `coarse` elsewhere."""
-    geo = []
-    h = max(delta / 4.0, 1e-12)
+def _difference_rule_edges(center, scale, inner_stop, V, width):
+    """Panel edges on [-V, V]: geometric refinement toward `center` from
+    scale / 4 out to `inner_stop`, uniform panels of `width` beyond."""
+    offsets = []
+    h = max(scale / 4.0, 1e-12)
     while h < inner_stop:
-        geo.append(h)
+        offsets.append(h)
         h *= 3.0
-    pos = sorted(set(geo) | set(np.arange(inner_stop, V, coarse)) | {V})
-    return [-p for p in reversed(pos)] + [0.0] + list(pos)
+    offsets += list(np.arange(inner_stop, V + abs(center), width))
+    edges = {center + sgn * d for sgn in (-1.0, 1.0) for d in offsets} | {center}
+    return sorted({e for e in edges if -V < e < V} | {-V, V})
+
+
+def _banded_damped_sum(svec, nodes, weighted, eps, reach):
+    """sum_j exp(-eps (s - v_j)^2) weighted_j for each s, over |s - v_j| <= reach.
+
+    The truncated direct Gauss transform (Greengard & Strain, 1991): the
+    s are sorted and taken in chunks of _DAMP_CHUNK; each chunk sums only
+    the nodes (ascending) within `reach` of it.  Returns (sums, terms).
+    """
+    order = np.argsort(svec)
+    out = np.empty(svec.size, dtype=complex)
+    terms = 0
+    for start in range(0, svec.size, _DAMP_CHUNK):
+        idx = order[start:start + _DAMP_CHUNK]
+        chunk = svec[idx]
+        lo = np.searchsorted(nodes, chunk[0] - reach)
+        hi = np.searchsorted(nodes, chunk[-1] + reach, side="right")
+        d = chunk[:, None] - nodes[None, lo:hi]
+        out[idx] = np.exp(-eps * d * d) @ weighted[lo:hi]
+        terms += d.size
+    return out, terms
 
 
 def bergman_from_szego_gaussian(tau, z, w, epsilon,
@@ -640,12 +686,23 @@ def bergman_from_szego_gaussian(tau, z, w, epsilon,
     / (p(w) - i s) ds dt with the integrand damped by e^{-eps s^2} e^{-eps t^2},
     the boundary kernel pushed an interior shift inside the domain, and the
     causal factor shifted off the contour.  In the difference variable
-    v = s - t the kernel factor is s-independent, so the t-direction uses
-    one fixed composite rule (validated by global refinement) and the
-    s-direction is adaptive.  The result is normalised by the Plancherel
-    constant 2 pi^2 and by the analytically known leading damping deficit,
-    so values extrapolate to the closed kernel along eps -> 0 (see
-    `bergman_roundtrip_extrapolated`).
+    v = s - t the kernel factor (base - delta - i v)^-2 e^{i tau v} is
+    s-independent, so the v-direction uses one fixed composite GK15 rule
+    over [-V, V] and the s-direction is adaptive over [-L, L], with
+    L = sqrt(45 / eps) where the damping falls to e^-45.
+
+    The v rule is sized from the integrand's scales.  It refines
+    geometrically toward Re v* = Im base, the real part of the kernel's
+    double pole v* = -i(base - delta), starting at a quarter of the pole's
+    distance delta + |Re base| from the axis, out to 2; beyond, its panels
+    have width h = min(1, 2/tau), at most 1/pi of the period of e^{i tau v}.
+    A rule of width 2h, compared with it at three s, gives its error term.
+    Each chunk of outer nodes sums only the v nodes within L of it
+    (`_banded_damped_sum`), since the dropped terms are below e^-45.
+
+    The result is normalised by the Plancherel constant 2 pi^2 and by the
+    analytically known leading damping deficit, so values extrapolate to
+    the closed kernel along eps -> 0 (see `bergman_roundtrip_extrapolated`).
     """
     tau = _check_tau(tau)
     eps = float(epsilon)
@@ -660,32 +717,24 @@ def bergman_from_szego_gaussian(tau, z, w, epsilon,
     a = pw + _CAUSAL_SHIFT
     L = math.sqrt(_EXP_CUTOFF / eps)
     V = 2.0 * L + 2.0
+    h = min(1.0, 2.0 / tau)
 
-    def kernel_profile(v):
-        return (base - delta - 1j * v) ** -2 * np.exp(1j * tau * v)
-
-    def build(coarse):
-        edges = _difference_rule_edges(delta, 2.0, V, coarse)
+    def build(width):
+        edges = _difference_rule_edges(base.imag, delta + abs(base.real), 2.0, V, width)
         nodes, wts = _gk_composite(edges)
-        return nodes, kernel_profile(nodes) * wts
+        return nodes, (base - delta - 1j * nodes) ** -2 * np.exp(1j * tau * nodes) * wts
 
-    def inner_batch(svec, rule):
-        nodes, pw_ = rule
-        damp = np.exp(-eps * (np.asarray(svec)[:, None] - nodes[None, :]) ** 2)
-        return damp @ pw_
-
-    rule = build(0.5)
-    check = build(0.25)
+    rule = build(h)
     probe = np.array([0.0, 0.3 * L, -0.7 * L])
-    coarse_vals = inner_batch(probe, rule)
-    fine_vals = inner_batch(probe, check)
+    fine_vals, n_evals = _banded_damped_sum(probe, *rule, eps, L)
+    coarse_vals, n_coarse = _banded_damped_sum(probe, *build(2.0 * h), eps, L)
     rule_err = float(np.max(np.abs(coarse_vals - fine_vals)))
-    n_evals = probe.size * (rule[0].size + check[0].size)
-    rule = check  # keep the finer rule
+    n_evals += n_coarse
 
     def outer(svec):
-        svec = np.atleast_1d(np.asarray(svec, dtype=float))
-        inner_vals = inner_batch(svec, rule)
+        nonlocal n_evals
+        inner_vals, terms = _banded_damped_sum(svec, *rule, eps, L)
+        n_evals += terms
         return inner_vals * np.exp(-eps * svec * svec) / (a - 1j * svec)
 
     scale0 = max(a, delta)
@@ -695,7 +744,6 @@ def bergman_from_szego_gaussian(tau, z, w, epsilon,
                         max_subdivisions=max(cfg.max_subdivisions, 4000))
     res = integrate_interval(outer, -L, L, outer_cfg,
                              breakpoints=[p for p in obp if -L < p < L])
-    n_evals += res.n_evals * rule[0].size
 
     pref = math.exp(tau * (pz + pw)) / TWO_PI / _PLANCHEREL_NORM
     c1 = _causal_deficit_slope(tau, a, base - delta)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -34,7 +35,7 @@ from szegofock import (
 )
 import szegofock.profile as profile_module
 from szegofock.profile import _kernel_tau_batch, _log_inner_batch
-from szegofock.weights import profile_p
+from szegofock.weights import conjugate_spec, profile_p
 
 PI = math.pi
 SQRT_PI = math.sqrt(PI)
@@ -521,6 +522,27 @@ def test_sandwich_bounds_examples(cfg):
     assert rep.upper_bounded and rep.lower_bounded
 
 
+def test_sandwich_bounds_near_alpha_one(cfg):
+    # alpha = 1.01 puts the peaks at eta^100, so the eta = 0 row shares a
+    # batch with windows 1e79 wide; the dual alpha' = 101 has walls at
+    # |r| ~ 1 that neither the two-panel nor the graded rule resolves
+    spec = profile_power(1.01)
+    grid = np.linspace(0.0, 30.0, 25)
+    rep = sandwich_bounds_check(spec, 1.0, 1.5, grid, cfg)
+    assert rep.upper_bounded and rep.lower_bounded
+    logI, _ = _log_inner_batch(spec, 1.0, grid, 1e-10)
+    alone = [_log_inner_batch(spec, 1.0, [eta], 1e-10)[0][0] for eta in grid]
+    np.testing.assert_allclose(logI, alone, rtol=1e-10, atol=1e-10)
+
+
+def test_log_inner_batch_steep_walls_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    dual = conjugate_spec(profile_power(1.01))
+    logI, _ = _log_inner_batch(dual, 1.0, [2.5], 1e-10)
+    ref = _mpmath_log_inner(mpmath, dual.alpha, 1.0, 2.5)
+    assert abs(logI[0] - ref) <= 1e-10 * abs(ref)
+
+
 def test_sandwich_squeeze_constants(cfg):
     # p*(eta/lam) + c1 <= smoothed conjugate <= p*(lam eta) + c2 on the grid
     spec = profile_power(3.0)
@@ -585,6 +607,45 @@ def test_roundtrip_hermitian_despite_asymmetric_integrand(cfg):
     assert a.value == pytest.approx(b.value.conjugate(), rel=2e-3)
     target = bergman_gaussian_closed(1.0, 1.0, 0.0)
     assert abs(a.value - target) <= 2e-3 * abs(target)
+
+
+def test_roundtrip_off_diagonal_near_pole(cfg):
+    # the kernel's double pole sits |z - w|^2 / 4 = 1.5e-3 off the v axis,
+    # at Re v = Im base = 0.0285, where the v rule must refine
+    tau, z, w = 0.94, -0.6 + 0.31j, -0.54 + 0.36j
+    target = bergman_gaussian_closed(tau, z, w)
+    res = bergman_roundtrip_extrapolated(tau, z, w, cfg)
+    err = abs(res.value - target)
+    assert err <= 1e-3 * abs(target)
+    assert res.abs_err_estimate >= err
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0, 5.0])
+@pytest.mark.parametrize("eps", [0.1, 0.005])
+@pytest.mark.parametrize("z, w", [(0.3 + 0.1j, 0.3 + 0.1j), (-0.6 + 0.31j, -0.54 + 0.36j)])
+def test_inverse_banded_rule_matches_dense_quarter_rule(monkeypatch, cfg, tau, eps, z, w):
+    # the kept v rule of width h = min(1, 2/tau), summed over the band
+    # |s - v| <= L, against every node of a 0.25-wide rule (check rule 0.5)
+    got = bergman_from_szego_gaussian(tau, z, w, eps, cfg)
+    h = min(1.0, 2.0 / tau)
+    edges = profile_module._difference_rule_edges
+    band = profile_module._banded_damped_sum
+    monkeypatch.setattr(profile_module, "_difference_rule_edges",
+                        lambda c, scale, stop, V, width: edges(c, scale, stop, V, 0.25 * width / h))
+    monkeypatch.setattr(profile_module, "_banded_damped_sum",
+                        lambda s, nodes, wts, e, reach: band(s, nodes, wts, e, math.inf))
+    ref = bergman_from_szego_gaussian(tau, z, w, eps, cfg)
+    assert abs(got.value - ref.value) <= 1e-10 * abs(ref.value)
+
+
+def test_roundtrip_peak_memory():
+    tracemalloc.start()
+    try:
+        bergman_roundtrip_extrapolated(1.0, 0.3 + 0.1j, 0.3 + 0.1j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_single_epsilon_evaluation_converges_toward_target(cfg):
