@@ -15,15 +15,16 @@ substitution x = tau^(1-1/a) eta reduces every tau to tau = 1:
 
 So `szego_profile` evaluates its tau integrand for all tau nodes of a
 quadrature step at once (`_kernel_tau_batch`): one table of log J on one
-shared Gauss-Legendre rule in x, and one tau x x matrix product per rule
-level, in place of a nested quadrature per node.  K_1 is entire, so the
-tau integral may run along a ray tau = r omega in the complex plane; it
-takes the ray between the real axis and the steepest-descent ray of the
-integrand's rate e^{tau E} on which the terms of the x integral decay
-fastest, and on it needs no damping, extrapolation or probing.  It
-integrates in s = r^(1/a): the kernel factor becomes a s^(a+1) K_1(s
-omega^(1/a) u), smooth at s = 0, where tau^(2/a) K_1(tau^(1/a) u) is only
-algebraically smooth at tau = 0 for a != 2.
+shared, nested trapezoid rule in x, each level adding only its new
+midpoints to the table and a tau x (new x) block of terms, in place of a
+nested quadrature per node.  K_1 is entire, so the tau integral may run
+along a ray tau = r omega in the complex plane; it takes the ray between
+the real axis and the steepest-descent ray of the integrand's rate
+e^{tau E} on which the terms of the x integral decay fastest, and on it
+needs no damping, extrapolation or probing.  It integrates in
+s = r^(1/a): the kernel factor becomes a s^(a+1) K_1(s omega^(1/a) u),
+smooth at s = 0, where tau^(2/a) K_1(tau^(1/a) u) is only algebraically
+smooth at tau = 0 for a != 2.
 
 Every caller takes the inner integral I from one batched Gauss-Legendre
 engine, `_log_inner_batch`.  I is the exponential of twice tau times a
@@ -98,7 +99,35 @@ def _decay_length(a, tau):
 
 @lru_cache(maxsize=16)
 def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes (ascending) and weights of order n, in O(n^2).
+
+    Newton's method takes every root of P_n in [0, 1) at once from
+    Tricomi's estimates; each step is one pass of the three-term recurrence
+    in Reinsch's form about x = 1, in d_j = P_j - P_{j-1} and y = 1 - x,
+    which keeps its rounding from growing at the end nodes.  The weight
+    2 / ((1 - x^2) P_n'(x)^2) is carried to the root to first order in the
+    last Newton step.  The other half of the rule is the mirror image.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos(math.pi * (4.0 * k - 1.0) / (4.0 * n + 2.0))
+    for _ in range(10):
+        y = 1.0 - x
+        p_prev, p, d = 1.0, x, -y
+        for j in range(1, n):
+            d = (j * d - (2.0 * j + 1.0) * y * p) / (j + 1.0)
+            p_prev, p = p, p + d
+        s2 = y * (1.0 + x)
+        dp = n * (p_prev - x * p) / s2  # (1 - x^2) P_n' = n (P_{n-1} - x P_n)
+        dx = p / dp
+        if np.max(np.abs(dx)) < 1e-14:
+            break
+        x = x - dx
+    w = 2.0 / (s2 * dp * dp) * (1.0 + 2.0 * x * dx / s2)
+    x = x - dx
+    if n % 2:
+        x[-1] = 0.0  # P_n is odd
+    return (np.concatenate([-x, x[::-1][n % 2:]]),
+            np.concatenate([w, w[::-1][n % 2:]]))
 
 
 def _fit_window(decayed, L):
@@ -137,14 +166,15 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
     (the starting window is shared), is split in halves that settle alone,
     so a row's value does not depend on its batch; a lone row still
     unsettled has its panels halved, up to _HALVINGS times.
-    DomainError: |eta|^alpha' or 2 tau |eta|^alpha' passes 1e300.
+    DomainError: a term the rule forms, |eta| mu = mu^a = |eta|^alpha' or
+    2 tau times it, passes e^700.
     """
     etas = np.asarray(etas, dtype=float).ravel()
     a = spec.alpha
     ap = a / (a - 1.0)
     abs_eta = np.abs(etas)
     e_max = float(abs_eta.max(initial=0.0))
-    if not (e_max <= 1.0 or ap * math.log(e_max) + math.log(max(1.0, 2.0 * tau)) < 690.0):
+    if not (e_max <= 1.0 or ap * math.log(e_max) + math.log(max(1.0, 2.0 * tau)) < 700.0):
         raise DomainError("log I(eta, tau) overflows the float range")
     mu = abs_eta ** (1.0 / (a - 1.0))
     c = np.sign(etas) * mu
@@ -307,11 +337,11 @@ def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFI
                       counter["n"] + res.n_evals)
 
 
-# Gauss-Legendre orders of the batched kernel's shared x rule, and the
-# most tau one rule serves: larger batches are split, which bounds the
-# tau x x matrices (4 MB at the top order) and the inner call at x*.  The
-# size is a multiple of the 15 nodes of a GK15 panel, so no panel of the
-# tau quadrature mixes two rules.
+# Interval counts of the batched kernel's nested trapezoid rule in x, and
+# the most tau one rule serves: larger batches are split, which bounds the
+# tau x (new x) blocks (240 x 512 complex, 2 MB, at the top level) and the
+# inner call at x*.  The size is a multiple of the 15 nodes of a GK15
+# panel, so no panel of the tau quadrature mixes two rules.
 _X_ORDERS = (32, 64, 128, 256, 512, 1024)
 _TAU_CHUNK = 240
 # `szego_profile`'s ray: the angles it tries, and the GK15 panels seeding
@@ -329,23 +359,34 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
 
         K_tau(u) = tau^(2/a) / (2 pi) int_R exp(x v - log J(x)) dx,
 
-    and every tau shares one table of log J on one Gauss-Legendre rule.
+    and every tau shares one table of log J on one trapezoid rule.
     Row k is shifted by its peak x* Re v - log J(x*), x* = p'(Re v / 2),
     and the shift is folded into log_factor before the final exponential,
     so no row overflows.  The x window is fitted to every row at once from
-    the decay length of exp(-2 p*(x)) (`_fit_window`); the rule order is
-    doubled until every row agrees with the previous level to rtol times
-    its L1 norm sum |e^expo| w, and the finer level is returned: each term
-    carries the inner rule's relative error rtol, and where a complex v
-    makes the terms oscillate and cancel, their errors do not cancel with
-    them.  n_evals counts the inner evaluations plus the tau x x cells.
+    the decay length of exp(-2 p*(x)) (`_fit_window`), so the terms at its
+    ends are below e^-45 of each row's peak; there, with e^{xv} / J(x)
+    analytic in a strip about the real axis, the trapezoid rule converges
+    geometrically, and its levels nest (Trefethen & Weideman, SIAM Review
+    56, 2014).  The first level takes n + 1 nodes; each later one halves
+    the step and evaluates only the n / 2 new midpoints, its sum and L1
+    norm sum |e^expo| h being half the previous level's plus h times the
+    new terms.  Levels are added until every row agrees with the previous
+    one to rtol times its L1 norm, and the finer level is returned: each
+    term carries the inner rule's relative error rtol, and where a complex
+    v makes the terms oscillate and cancel, their errors do not cancel
+    with them.  A batch that no level settles is split into contiguous
+    halves, whose x* lie closer together; a lone row raises.  n_evals
+    counts the inner evaluations plus the tau x x cells.
     """
     taus = np.asarray(taus)
+
+    def split(cuts, n_evals=0):  # the batch as consecutive parts taus[i:j]
+        parts = [_kernel_tau_batch(spec, taus[i:j], u, log_factor[i:j], rtol)
+                 for i, j in zip(cuts[:-1], cuts[1:])]
+        return np.concatenate([p[0] for p in parts]), n_evals + sum(p[1] for p in parts)
+
     if taus.size > _TAU_CHUNK:
-        parts = [_kernel_tau_batch(spec, taus[i:i + _TAU_CHUNK], u,
-                                   log_factor[i:i + _TAU_CHUNK], rtol)
-                 for i in range(0, taus.size, _TAU_CHUNK)]
-        return np.concatenate([p[0] for p in parts]), sum(p[1] for p in parts)
+        return split(list(range(0, taus.size, _TAU_CHUNK)) + [taus.size])
     a = spec.alpha
     v = taus ** (1.0 / a) * u
     vr = v.real
@@ -365,24 +406,28 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
 
     L = _fit_window(decayed, np.full(2, _decay_length(spec.conjugate_alpha, 1.0) + 1.0))
     lo, hi = ends[0] - L[0], ends[1] + L[1]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    prev = None
-    for n in _X_ORDERS:
-        x, wq = _leggauss(n)
-        xs = mid + half * x
+    vals = l1 = 0.0
+    for level, n in enumerate(_X_ORDERS):
+        h = (hi - lo) / n
+        xs = lo + h * (np.arange(n + 1) if level == 0 else np.arange(1, n, 2))
         log_j, ne = _log_inner_batch(spec, 1.0, xs, rtol)
-        n_evals += ne + taus.size * n
+        n_evals += ne + taus.size * xs.size
         expo = np.multiply.outer(v, xs)
         expo -= log_j
         expo -= peak[:, None]
         terms = np.exp(expo, out=expo)
-        vals = (terms @ wq) * half
-        l1 = (np.abs(terms) @ wq) * half
-        if prev is not None and np.all(np.abs(vals - prev) <= rtol * l1):
+        if level == 0:
+            terms[:, [0, -1]] *= 0.5
+        prev = vals
+        vals = 0.5 * prev + h * terms.sum(axis=1)
+        l1 = 0.5 * l1 + h * np.abs(terms).sum(axis=1)
+        if level > 0 and np.all(np.abs(vals - prev) <= rtol * l1):
             log_scale = peak + log_factor + (2.0 / a) * np.log(taus) - math.log(TWO_PI)
             return np.exp(log_scale) * vals, n_evals
-        prev = vals
-    raise ConvergenceError("tau-batched kernel rule did not stabilise")
+    if taus.size == 1:
+        raise ConvergenceError("tau-batched kernel rule did not stabilise")
+    # one window serves the whole batch: contiguous halves, with nearer x*, settle alone
+    return split([0, taus.size // 2, taus.size], n_evals)
 
 
 def bergman_gaussian_closed(tau, z, w) -> complex:
@@ -430,8 +475,8 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     The tau integrand is K_tau(z, w) e^{-tau R}, R = p(z) + p(w) + i(s-t).
     Each call of it takes every tau node of a quadrature step at once:
     through the homogeneity K_tau(u) = tau^(2/a) K_1(tau^(1/a) u) all
-    nodes share one table of log I(., 1) and one matrix product per rule
-    level (`_kernel_tau_batch`), so no node runs a quadrature of its own.
+    nodes share one table of log I(., 1) on one nested x rule
+    (`_kernel_tau_batch`), so no node runs a quadrature of its own.
     The integrand grows like e^{tau E}, E = 2 (u/2)^a / a - R, u = z +
     conj w taken with Re u >= 0, and K_1 is entire, so the contour may
     turn onto any ray tau = r omega between the real axis and the

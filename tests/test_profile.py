@@ -7,6 +7,7 @@ import pytest
 
 from szegofock import (
     BoundaryPoint,
+    ConvergenceError,
     DomainError,
     NearSingular,
     QuadConfig,
@@ -144,7 +145,7 @@ def test_effective_conjugate_near_alpha_one_against_mpmath(alpha, tau, eta, cfg)
 
 def test_effective_conjugate_grid_returns_or_raises_typed(cfg):
     # no bare OverflowError, NaN or RuntimeWarning anywhere on the grid;
-    # 24 points raise, where |eta|^alpha' max(1, 2 tau) passes ~1e300
+    # 22 points raise, where |eta|^alpha' max(1, 2 tau) passes e^700
     returned = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -167,6 +168,19 @@ def test_inner_integral_overflow_raises(cfg):
         inner_integral(gaussian(), 1.0, 1e3, cfg)
     with pytest.raises(DomainError, match="overflows"):
         inner_integral(profile_power(1.5), 1.0, 1e3, cfg)
+
+
+def test_log_inner_overflow_guard_sized_to_its_terms(cfg):
+    # the rule forms |eta| mu = |eta|^alpha' and 2 tau times it: e^697.7 at
+    # alpha 1.01, eta = 1e3 is a float, and so is p*(eta) = 9.9e300; e^716
+    # at eta = 1.2e3 is not
+    spec = profile_power(1.01)
+    got = effective_conjugate(spec, 0.05, 1e3, cfg)
+    assert got == pytest.approx(young_conjugate_closed(spec, 1e3), rel=1e-12)
+    with pytest.raises(DomainError, match="overflows"):
+        effective_conjugate(spec, 0.05, 1.2e3, cfg)
+    with pytest.raises(DomainError, match="overflows"):
+        effective_conjugate(profile_power(1.5), 1.0, 1e200, cfg)
 
 
 def test_bergman_profile_alpha15_tight_against_tau_batch():
@@ -249,6 +263,53 @@ def test_tau_batch_kernel_matches_bergman_profile(weight, cfg):
             assert abs(value - ref) <= 1e-9 * abs(ref)
 
 
+def test_tau_batch_kernel_evaluates_each_x_node_once(monkeypatch):
+    # the nested trapezoid rule: level one takes 33 nodes, each later level
+    # only the midpoints new to it, so across levels no log J is recomputed
+    calls, depth = [], [0]
+    inner = profile_module._log_inner_batch
+
+    def recorded(spec, tau, etas, rtol):
+        if depth[0] == 0:
+            calls.append(np.array(etas, dtype=float))
+        depth[0] += 1
+        try:
+            return inner(spec, tau, etas, rtol)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(profile_module, "_log_inner_batch", recorded)
+    _kernel_tau_batch(profile_power(3.0), KERNEL_TAUS, 1.4 - 0.03j,
+                      np.zeros(KERNEL_TAUS.size), 5e-9)
+    # calls[0] is x* per tau, then the window fit's pairs of ends
+    levels = [xs for xs in calls[1:] if xs.size > 2]
+    sizes = [xs.size for xs in levels]
+    assert sizes[0] == 33 and len(sizes) >= 2
+    assert sizes[1:] == [32 * 2 ** k for k in range(len(sizes) - 1)]
+    nodes = np.concatenate(levels)
+    assert np.unique(nodes).size == nodes.size
+    h = np.diff(np.sort(nodes))
+    assert np.allclose(h, h[0], rtol=1e-9)
+
+
+def test_tau_batch_kernel_complex_tau_gaussian_closed():
+    # on a ray tau = r omega, K_tau(u) = (tau / 2 pi) e^{tau u^2 / 4}
+    for u in (0.6 + 0.2j, -0.9 + 0.1j, 1.4 - 0.3j):
+        for phase in (-1.0, -0.5, 0.4):
+            taus = np.array([0.05, 0.3, 1.0, 3.0, 8.0]) * complex(math.cos(phase), math.sin(phase))
+            got, _ = _kernel_tau_batch(gaussian(), taus, u, np.zeros(taus.size), 1e-13)
+            ref = taus / (2.0 * PI) * np.exp(0.25 * taus * u * u)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+
+def test_tau_batch_kernel_lone_unsettled_row_raises(monkeypatch):
+    # with one rule level nothing settles: the batch splits down to single
+    # rows, and a lone row raises
+    monkeypatch.setattr(profile_module, "_X_ORDERS", (32,))
+    with pytest.raises(ConvergenceError, match="did not stabilise"):
+        _kernel_tau_batch(gaussian(), KERNEL_TAUS[:3], 0.6 + 0.05j, np.zeros(3), 1e-12)
+
+
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 4.0])
 def test_bergman_profile_homogeneity(alpha, cfg):
     # K_tau(z, w) = tau^(2/a) K_1(tau^(1/a) z, tau^(1/a) w)
@@ -318,6 +379,18 @@ def test_szego_profile_gaussian_equal_z(z, s, t, loose):
     ref = szego_gaussian_closed(p1, p2)
     assert _within_tol(res, ref, loose)
     assert abs(res.value - ref) <= min(res.abs_err_estimate, 1e-12 * abs(ref))
+
+
+@pytest.mark.parametrize("x, gap", [(1.0, 0.05), (1.5, 0.05), (2.0, 0.2), (3.0, 0.2)])
+def test_szego_profile_gaussian_equal_z_small_gap(x, gap, loose):
+    # z = w, |s - t| below ~0.05 (Re z)^2: r_max reaches |tau| ~ 1e4, and
+    # one x window for the whole batch (Re v from 0 to ~450) settles at no
+    # order; contiguous halves of the batch settle alone
+    p1, p2 = BoundaryPoint(x + 0.3j, 0.0), BoundaryPoint(x + 0.3j, gap)
+    res = szego_profile(gaussian(), p1, p2, loose)
+    ref = szego_gaussian_closed(p1, p2)
+    assert _within_tol(res, ref, loose)
+    assert abs(res.value - ref) <= res.abs_err_estimate
 
 
 def test_szego_profile_power_two_is_gaussian(loose):
@@ -557,6 +630,25 @@ def test_sandwich_squeeze_constants(cfg):
     expected = 2.0 * tau * (effective_conjugate(spec, tau, eta, cfg)
                             - young_conjugate_closed(spec, lam * eta))
     assert rep.upper_log_gap[mid + 3] == pytest.approx(expected, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [64, 729])
+def test_leggauss_against_mpmath(n):
+    # each node is refined by one mpmath Newton step on P_n at 32 digits,
+    # and its weight is 2 (1 - x^2) / (n P_{n-1}(x))^2 there
+    mpmath = pytest.importorskip("mpmath")
+    x, w = profile_module._leggauss(n)
+    assert x.size == n and np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 2.0) <= 1e-14
+    with mpmath.workdps(32):
+        for xk, wk in zip(x[n // 2:], w[n // 2:]):
+            r = mpmath.mpf(xk)
+            p_n, p_m = mpmath.legendre(n, r), mpmath.legendre(n - 1, r)
+            r -= p_n * (1 - r * r) / (n * (p_m - r * p_n))
+            ref_w = 2 * (1 - r * r) / (n * mpmath.legendre(n - 1, r)) ** 2
+            assert abs(xk - r) <= 1e-13 * abs(r) + 1e-17, (xk, r)
+            assert abs(wk - ref_w) <= 1e-13 * ref_w, (xk, wk, ref_w)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 3.0, 4.0])
