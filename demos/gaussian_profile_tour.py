@@ -33,7 +33,7 @@ for tau, eta in ((1.0, 0.0), (1.0, 1.0), (2.0, 0.0), (2.0, -1.5)):
     exact = math.sqrt(math.pi / tau) * math.exp(tau * eta * eta)
     print(f"  tau={tau} eta={eta:+.1f}:  quadrature {got:.10f}   closed {exact:.10f}")
 
-print("\n=== kernel by nested quadrature vs closed form ===")
+print("\n=== kernel by homogeneity-reduced trapezoid rule vs closed form ===")
 print("K_tau(z, w) = (tau/2pi) exp((tau/4)(z + conj w)^2):\n")
 for tau, z, w in ((1.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 1 + 1j, 1 - 1j)):
     got = bergman_profile(g, tau, z, w, cfg).value

@@ -3,9 +3,8 @@
 For a profile weight p the Bergman kernel is the quadrature formula
 
     K_tau(z, w) = (tau / 2 pi) int_R exp(tau eta u) / I(eta, tau) deta,
-    I(eta, tau) = int_R exp(2 tau (r eta - p(r))) dr,   u = z + conj w,
+    I(eta, tau) = int_R exp(2 tau (r eta - p(r))) dr,   u = z + conj w.
 
-which `bergman_profile` evaluates for one tau by nested quadrature.
 Integrating K_tau e^{-tau(p(z)+p(w))} e^{-i tau (s-t)} over tau gives the
 boundary kernel.  The profiles p = |x|^a / a are homogeneous, and the
 substitution x = tau^(1-1/a) eta reduces every tau to tau = 1:
@@ -13,18 +12,19 @@ substitution x = tau^(1-1/a) eta reduces every tau to tau = 1:
     I(eta, tau) = tau^(-1/a) J(tau^(1-1/a) eta),   J = I(., 1),
     K_tau(u) = tau^(2/a) K_1(tau^(1/a) u).
 
-So `szego_profile` evaluates its tau integrand for all tau nodes of a
-quadrature step at once (`_kernel_tau_batch`): one table of log J on one
-shared, nested trapezoid rule in x, each level adding only its new
-midpoints to the table and a tau x (new x) block of terms, in place of a
-nested quadrature per node.  K_1 is entire, so the tau integral may run
-along a ray tau = r omega in the complex plane; it takes the ray between
-the real axis and the steepest-descent ray of the integrand's rate
-e^{tau E} on which the terms of the x integral decay fastest, and on it
-needs no damping, extrapolation or probing.  It integrates in
-s = r^(1/a): the kernel factor becomes a s^(a+1) K_1(s omega^(1/a) u),
-smooth at s = 0, where tau^(2/a) K_1(tau^(1/a) u) is only algebraically
-smooth at tau = 0 for a != 2.
+So one engine, `_kernel_tau_batch`, serves both kernels: for a vector of
+tau it keeps one table of log J on one shared, nested trapezoid rule in x,
+each level adding only its new midpoints and a tau x (new x) block of
+terms, and estimates each row's error from its last two levels.
+`bergman_profile` is one row; `szego_profile` takes all tau nodes of a
+quadrature step at once.  K_1 is entire, so the tau integral may run along
+a ray tau = r omega in the complex plane; it takes the ray between the real
+axis and the steepest-descent ray of the integrand's rate e^{tau E} on
+which the terms of the x integral decay fastest, and on it needs no
+damping, extrapolation or probing.  It integrates in s = r^(1/a): the
+kernel factor becomes a s^(a+1) K_1(s omega^(1/a) u), smooth at s = 0,
+where tau^(2/a) K_1(tau^(1/a) u) is only algebraically smooth at tau = 0
+for a != 2.
 
 Every caller takes the inner integral I from one batched Gauss-Legendre
 engine, `_log_inner_batch`.  I is the exponential of twice tau times a
@@ -53,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .boundary import BoundaryPoint
-from .errors import ConvergenceError, DomainError, NearSingular, SingularPoint, TruncationError
+from .errors import ConvergenceError, DomainError, NearSingular, SingularPoint
 from .numerics import (
     DEFAULT_CONFIG,
     TWO_PI,
@@ -300,41 +300,36 @@ def effective_conjugate(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CO
 
 
 def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFIG) -> EvalResult:
-    """Bergman kernel by nested quadrature; depends on (z, w) through z + conj w.
+    """Bergman kernel as one row of `_kernel_tau_batch`, at inner rtol
+    max(1e-13, 0.05 rel_tol); depends on (z, w) through u = z + conj w.
 
-    The outer integrand exp(tau eta u) / I(eta, tau) is evaluated against
-    the batched inner rule; its magnitude is normalised so the peak (at
-    eta* = p'(Re u / 2)) sits at 1, making the window search safe.
+    The estimate is the last level difference plus rtol times the terms'
+    L1 norm.  Where the terms cancel (large Im u) that norm can exceed |K|
+    by more than rel_tol / rtol: the row is rerun once at an rtol scaled to
+    the tolerance, and ConvergenceError is raised if it still misses.
     """
     _require_profile(spec)
     tau = _check_tau(tau)
     u = complex(z) + complex(w).conjugate()
     if not cmath.isfinite(u):
         raise DomainError("bergman_profile requires finite z and w")
-    ux = u.real
-    eta_star = float(profile_dp(spec, ux / 2.0))
-    inner_rtol = max(1e-13, 0.05 * cfg.rel_tol)
 
-    log_star, n0 = _log_inner_batch(spec, tau, [eta_star], inner_rtol)
-    shift = tau * eta_star * ux - float(log_star[0])
-    counter = {"n": n0}
+    def row(rtol):
+        with np.errstate(over="ignore", invalid="ignore"):
+            (value,), n_evals, (err,) = _kernel_tau_batch(spec, [tau], u, np.zeros(1), rtol)
+        if not np.isfinite([value, err]).all():
+            raise DomainError("K_tau(u) overflows the float range")
+        return complex(value), float(err), n_evals, max(cfg.abs_tol, cfg.rel_tol * abs(value))
 
-    def outer(etas):
-        logI, ne = _log_inner_batch(spec, tau, etas, inner_rtol)
-        counter["n"] += ne
-        return np.exp(tau * np.asarray(etas) * u - logI - shift)
-
-    try:
-        res = integrate_real_line(outer, cfg, center=eta_star,
-                                  initial_halfwidth=max(1.0, 2.0 * abs(eta_star)))
-    except TruncationError as exc:
-        raise ConvergenceError(
-            "outer integrand failed to decay; parameters outside the "
-            "kernel's domain (%s)" % exc)
-    scale = (tau / TWO_PI) * math.exp(shift)
-    err = scale * (res.abs_err_estimate + inner_rtol * abs(res.value))
-    return EvalResult(scale * res.value, err, "profile-quadrature",
-                      counter["n"] + res.n_evals)
+    rtol = max(1e-13, 0.05 * cfg.rel_tol)
+    value, err, n_evals, tol = row(rtol)
+    if err > tol and rtol > 1e-13:
+        value, err, more, tol = row(max(1e-13, rtol * 0.5 * tol / err))
+        n_evals += more
+    if err > tol:
+        raise ConvergenceError("bergman_profile estimate %.3g exceeds the tolerance %.3g: "
+                               "the x integral cancels" % (err, tol))
+    return EvalResult(value, err, "profile-quadrature", n_evals)
 
 
 # Interval counts of the batched kernel's nested trapezoid rule in x, and
@@ -351,8 +346,8 @@ _RAY_SEEDS = 8
 
 
 def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
-    """K_tau(u) exp(log_factor) for a vector of real or complex tau, on one
-    shared x rule.
+    """(K_tau(u) exp(log_factor), n_evals, error estimate) for a vector of
+    real or complex tau, on one shared x rule.
 
     For p = |x|^a / a the kernel is homogeneous, K_tau(u) = tau^(2/a)
     K_1(tau^(1/a) u), so with v = tau^(1/a) u and J = I(., 1)
@@ -376,14 +371,16 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     v makes the terms oscillate and cancel, their errors do not cancel
     with them.  A batch that no level settles is split into contiguous
     halves, whose x* lie closer together; a lone row raises.  n_evals
-    counts the inner evaluations plus the tau x x cells.
+    counts the inner evaluations plus the tau x x cells.  A row's error
+    estimate is its last level difference plus rtol times its L1 norm.
     """
     taus = np.asarray(taus)
 
     def split(cuts, n_evals=0):  # the batch as consecutive parts taus[i:j]
         parts = [_kernel_tau_batch(spec, taus[i:j], u, log_factor[i:j], rtol)
                  for i, j in zip(cuts[:-1], cuts[1:])]
-        return np.concatenate([p[0] for p in parts]), n_evals + sum(p[1] for p in parts)
+        vals, counts, errs = zip(*parts)
+        return np.concatenate(vals), n_evals + sum(counts), np.concatenate(errs)
 
     if taus.size > _TAU_CHUNK:
         return split(list(range(0, taus.size, _TAU_CHUNK)) + [taus.size])
@@ -422,8 +419,8 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
         vals = 0.5 * prev + h * terms.sum(axis=1)
         l1 = 0.5 * l1 + h * np.abs(terms).sum(axis=1)
         if level > 0 and np.all(np.abs(vals - prev) <= rtol * l1):
-            log_scale = peak + log_factor + (2.0 / a) * np.log(taus) - math.log(TWO_PI)
-            return np.exp(log_scale) * vals, n_evals
+            scale = np.exp(peak + log_factor + (2.0 / a) * np.log(taus) - math.log(TWO_PI))
+            return scale * vals, n_evals, np.abs(scale) * (np.abs(vals - prev) + rtol * l1)
     if taus.size == 1:
         raise ConvergenceError("tau-batched kernel rule did not stabilise")
     # one window serves the whole batch: contiguous halves, with nearer x*, settle alone
@@ -516,8 +513,8 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     def g(s):  # the integrand at tau = s^a omega, times dtau / (omega ds)
         nonlocal n_evals
         taus = s ** a * omega
-        vals, n = _kernel_tau_batch(spec, taus, u, math.log(a) + (a - 1.0) * np.log(s)
-                                    - taus * rate, rtol)
+        vals, n, _ = _kernel_tau_batch(spec, taus, u, math.log(a) + (a - 1.0) * np.log(s)
+                                       - taus * rate, rtol)
         n_evals += n
         return vals
 

@@ -25,6 +25,7 @@ from szegofock import (
     gaussian,
     inner_integral,
     integrate_interval,
+    integrate_real_line,
     laplace_asymptotic,
     parse_weight,
     profile_power,
@@ -36,7 +37,7 @@ from szegofock import (
 )
 import szegofock.profile as profile_module
 from szegofock.profile import _kernel_tau_batch, _log_inner_batch
-from szegofock.weights import conjugate_spec, profile_p
+from szegofock.weights import conjugate_spec, profile_dp, profile_p
 
 PI = math.pi
 SQRT_PI = math.sqrt(PI)
@@ -183,15 +184,35 @@ def test_log_inner_overflow_guard_sized_to_its_terms(cfg):
         effective_conjugate(profile_power(1.5), 1.0, 1e200, cfg)
 
 
+def _bergman_nested_oracle(spec, tau, z, w, cfg):
+    """K_tau(z, w) by nested quadrature, independent of `_kernel_tau_batch`:
+    an adaptive GK15 integral over eta of exp(tau eta u) / I(eta, tau),
+    I from `_log_inner_batch` at rtol max(1e-13, 0.05 rel_tol), shifted so
+    its peak at eta* = p'(Re u / 2) sits at 1."""
+    u = complex(z) + complex(w).conjugate()
+    eta_star = float(profile_dp(spec, u.real / 2.0))
+    rtol = max(1e-13, 0.05 * cfg.rel_tol)
+    shift = tau * eta_star * u.real - _log_inner_batch(spec, tau, [eta_star], rtol)[0][0]
+
+    def outer(etas):
+        log_i = _log_inner_batch(spec, tau, etas, rtol)[0]
+        return np.exp(tau * np.asarray(etas) * u - log_i - shift)
+
+    res = integrate_real_line(outer, cfg, center=eta_star,
+                              initial_halfwidth=max(1.0, 2.0 * abs(eta_star)))
+    return tau / (2.0 * PI) * math.exp(shift) * res.value
+
+
 def test_bergman_profile_alpha15_tight_against_tau_batch():
     # criterion 04's tight config asks the inner rule for 1e-13, which two
-    # Gauss panels meeting the |r|^1.5 singularity at r = 0 never reached
+    # Gauss panels meeting the |r|^1.5 singularity at r = 0 never reached;
+    # the nested route is the reference the batch row must meet
     spec = profile_power(1.5)
     cfg = QuadConfig(abs_tol=1e-14, rel_tol=1e-11, max_subdivisions=4000)
     tau = 1.2919433100044269
     z, w = 0.24258609613926585 - 0.5472879414911842j, 0.15733949247373125 - 0.8577096966811935j
     got = bergman_profile(spec, tau, z, w, cfg).value
-    ref = _kernel_tau_batch(spec, [tau], z + w.conjugate(), np.zeros(1), 1e-13)[0][0]
+    ref = _bergman_nested_oracle(spec, tau, z, w, cfg)
     assert abs(got - ref) <= max(cfg.abs_tol, cfg.rel_tol * abs(ref))
 
 
@@ -247,19 +268,87 @@ def test_bergman_profile_rejects_nonfinite(tau, z, w):
         bergman_profile(gaussian(), tau, z, w)
 
 
+PROFILE_WEIGHTS = ["gaussian", "profile:alpha=1.5", "profile:alpha=3", "profile:alpha=4"]
+# (z, w) in [-1.5, 1.5]^2, with u = z + conj w out to |Im u| = 3, where the
+# x integral of K_1 cancels far below its L1 norm
+GRID_POINTS = [
+    (-1.5 - 1.5j, 1.5 + 1.5j), (0.9 - 0.4j, -1.2 + 0.8j), (1.5 - 1.5j, 0.7 + 1.5j),
+    (1.5j, 0.7 - 1.5j), (-1.5 + 1.5j, 1.5 - 1.5j), (1.5 + 1.5j, 1.5 - 1.5j),
+    (-1.5 + 1.5j, -1.5 - 1.5j), (1.5 + 1.5j, 1.5 + 1.5j), (0.3j, -0.2 + 0.1j),
+]
+
+
+@pytest.mark.parametrize("weight", PROFILE_WEIGHTS)
+def test_bergman_profile_estimate_meets_tolerance_or_raises(weight, cfg, tight):
+    # every return carries an estimate within its tolerance; at the default
+    # config the whole grid returns, at the tight one the cancelling points
+    # (u = +-3 + 3i at alpha 3 and 4) may raise instead
+    spec = parse_weight(weight)
+    for config, taus, points in ((cfg, (0.4, 1.2, 2.0), GRID_POINTS),
+                                 (tight, (0.4, 1.2), GRID_POINTS[4:])):
+        for tau in taus:
+            for z, w in points:
+                try:
+                    res = bergman_profile(spec, tau, z, w, config)
+                except ConvergenceError:
+                    assert config is tight
+                    continue
+                assert res.abs_err_estimate <= max(config.abs_tol, config.rel_tol * abs(res.value))
+                if weight == "gaussian":
+                    exact = bergman_gaussian_closed(tau, z, w)
+                    assert res.abs_err_estimate >= abs(res.value - exact)
+
+
+def test_bergman_profile_is_one_tau_batch_row(monkeypatch, cfg):
+    # one top-level batch call at one tau, a second only where the terms
+    # cancel, and no adaptive outer integral; n_evals is the batches' count
+    calls, depth = [], [0]
+    batch = profile_module._kernel_tau_batch
+
+    def counted(spec, taus, u, log_factor, rtol):
+        depth[0] += 1
+        try:
+            out = batch(spec, taus, u, log_factor, rtol)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:
+            calls.append((np.size(taus), rtol, out[1]))
+        return out
+
+    def adaptive(*args, **kwargs):
+        raise AssertionError("bergman_profile ran an adaptive integral")
+
+    monkeypatch.setattr(profile_module, "_kernel_tau_batch", counted)
+    monkeypatch.setattr(profile_module, "integrate_real_line", adaptive)
+    monkeypatch.setattr(profile_module, "integrate_interval", adaptive)
+    for weight in ("gaussian", "profile:alpha=4"):
+        for tau, z, w, n_calls in ((1.2, 0.4 + 0.1j, -0.3 + 0.2j, 1),
+                                   (2.0, 1.5 + 1.5j, 1.5 - 1.5j, 2)):
+            calls.clear()
+            res = bergman_profile(parse_weight(weight), tau, z, w, cfg)
+            assert [size for size, _, _ in calls] == [1] * n_calls
+            assert calls[0][1] == 0.05 * cfg.rel_tol
+            assert all(later[1] < calls[0][1] for later in calls[1:])
+            assert res.n_evals == sum(n for _, _, n in calls)
+
+
+def test_bergman_profile_overflow_raises(cfg):
+    with pytest.raises(DomainError, match="overflows"):
+        bergman_profile(gaussian(), 1.0, 30.0, 30.0, cfg)
+
+
 KERNEL_TAUS = np.array([0.05, 0.3, 1.0, 2.5, 7.0, 20.0, 60.0])
 
 
-@pytest.mark.parametrize("weight", ["gaussian", "profile:alpha=1.5",
-                                    "profile:alpha=3", "profile:alpha=4"])
+@pytest.mark.parametrize("weight", PROFILE_WEIGHTS)
 def test_tau_batch_kernel_matches_bergman_profile(weight, cfg):
     spec = parse_weight(weight)
     rtol = max(1e-13, 0.05 * cfg.rel_tol)
     for u in (0.6 + 0.05j, -0.9 + 0.02j, 1.4 - 0.03j):
-        got, n_evals = _kernel_tau_batch(spec, KERNEL_TAUS, u, np.zeros(KERNEL_TAUS.size), rtol)
+        got, n_evals, _ = _kernel_tau_batch(spec, KERNEL_TAUS, u, np.zeros(KERNEL_TAUS.size), rtol)
         assert n_evals > 0
         for tau, value in zip(KERNEL_TAUS, got):
-            ref = bergman_profile(spec, tau, u, 0.0, cfg).value
+            ref = _bergman_nested_oracle(spec, tau, u, 0.0, cfg)
             assert abs(value - ref) <= 1e-9 * abs(ref)
 
 
@@ -297,7 +386,7 @@ def test_tau_batch_kernel_complex_tau_gaussian_closed():
     for u in (0.6 + 0.2j, -0.9 + 0.1j, 1.4 - 0.3j):
         for phase in (-1.0, -0.5, 0.4):
             taus = np.array([0.05, 0.3, 1.0, 3.0, 8.0]) * complex(math.cos(phase), math.sin(phase))
-            got, _ = _kernel_tau_batch(gaussian(), taus, u, np.zeros(taus.size), 1e-13)
+            got = _kernel_tau_batch(gaussian(), taus, u, np.zeros(taus.size), 1e-13)[0]
             ref = taus / (2.0 * PI) * np.exp(0.25 * taus * u * u)
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
 
@@ -483,8 +572,8 @@ def test_szego_profile_hermitian(loose):
 
 
 def _szego_per_tau_route(spec, p1, p2, cfg, tau_max):
-    """The boundary kernel as the tau integral of one adaptive
-    bergman_profile call per tau node: the reference for the batched path.
+    """The boundary kernel as the tau integral of one nested-quadrature
+    kernel per tau node: the reference for the batched path.
     Integrates in s = tau^(1/a), where the integrand is smooth at 0."""
     z, w = p1.z, p2.z
     a = spec.alpha
@@ -492,7 +581,7 @@ def _szego_per_tau_route(spec, p1, p2, cfg, tau_max):
     inner = QuadConfig(abs_tol=1e-30, rel_tol=max(min(cfg.rel_tol * 0.1, 1e-6), 1e-12))
 
     def f(taus):
-        return np.array([bergman_profile(spec, t, z, w, inner).value * np.exp(-t * rate)
+        return np.array([_bergman_nested_oracle(spec, t, z, w, inner) * np.exp(-t * rate)
                          for t in taus])
 
     def g(s):
