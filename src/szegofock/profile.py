@@ -15,7 +15,10 @@ substitution x = tau^(1-1/a) eta reduces every tau to tau = 1:
 So one engine, `_kernel_tau_batch`, serves both kernels: for a vector of
 tau it keeps one table of log J on one shared, nested trapezoid rule in x,
 each level adding only its new midpoints and a tau x (new x) block of
-terms, and estimates each row's error from its last two levels.
+terms, and estimates each row's error from its last two levels.  Its x
+window and the shift of each row come from a closed-form floor of log J,
+within 3 of it (`_log_inner_floor`), so log J is computed only at the
+rule's nodes.
 `bergman_profile` is one row; `szego_profile` takes all tau nodes of a
 quadrature step at once.  K_1 is entire, so the tau integral may run along
 a ray tau = r omega in the complex plane; it takes the ray between the real
@@ -160,12 +163,14 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
     its nodes; the others run in r.  Each window [c - L, c + L] is fitted
     until the exponent at both ends is below -45 and split at r = 0, where
     |r|^a is not smooth.  The order grows until two levels agree to rtol
-    in the log of the shifted sum; at non-integer alpha a batch unsettled
-    at the top order is retried once on panels graded toward r = 0.  A
-    batch still unsettled, or with a window too wide for its peak's nodes
-    (the starting window is shared), is split in halves that settle alone,
-    so a row's value does not depend on its batch; a lone row still
-    unsettled has its panels halved, up to _HALVINGS times.
+    in the log of the shifted sum.  Where the top order leaves rows
+    unsettled, those whose top two orders agree keep their values and only
+    the others go on (all of them where a window is too wide for its
+    peak's nodes, which leaves a zero sum at the first order): at
+    non-integer alpha to one retry on panels graded toward r = 0, then,
+    since a batch shares its starting window, each to a batch of its own,
+    so a row's value does not depend on its batch beyond rtol.  A lone
+    row still unsettled has its panels halved, up to _HALVINGS times.
     DomainError: a term the rule forms, |eta| mu = mu^a = |eta|^alpha' or
     2 tau times it, passes e^700.
     """
@@ -188,10 +193,11 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
         # far rows start at ~10 peak widths (2 tau p''(mu))^(-1/2)
         L[far] = 10.0 * mu[far] ** (1.0 - 0.5 * a) / math.sqrt(2.0 * tau * (a - 1.0))
 
-    def exponent(x):  # the shifted exponent at x = r - origin, a row per eta
-        e = 2.0 * tau * (x * etas[:, None] - profile_p(spec, x)) - peak[:, None]
+    def exponent(x, rows=slice(None)):  # the shifted exponent at x = r - origin, a row per eta
+        e = 2.0 * tau * (x * etas[rows, None] - profile_p(spec, x)) - peak[rows, None]
         if far is not None:
-            e[far] = -2.0 * tau * _bregman(spec, x[far], c[far, None])
+            f = far[rows]
+            e[f] = -2.0 * tau * _bregman(spec, x[f], c[rows][f, None])
         return e
 
     def decayed(L):
@@ -201,48 +207,55 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
     L = _fit_window(decayed, L)
     lo, hi = center - L, center + L
     mid = np.clip(-origin, lo, hi)
+    log_i = np.empty_like(etas)
+    n_evals = 0
 
-    def rule(edges):
-        n_evals = 0
-        prev = None
+    def settle(rows, edges):
+        """Run the order ladder on the given rows and panel edges, store the
+        rows whose top two orders agree to rtol, and return the others."""
+        nonlocal n_evals
+        prev = settled = None
         for n in (64, 96, 144, 216, 324, 486, 729):
             x, wq = _leggauss(n)
-            vals = np.zeros_like(etas)
+            vals = 0.0
             for lft, rgt in zip(edges[:-1], edges[1:]):
                 half = 0.5 * (rgt - lft)
                 R = 0.5 * (lft + rgt)[:, None] + half[:, None] * x[None, :]
-                vals = vals + (np.exp(exponent(R)) @ wq) * half
+                vals = vals + (np.exp(exponent(R, rows)) @ wq) * half
                 n_evals += R.size
             if prev is None and not vals.all():
-                break  # a window too wide for its peak: only a smaller batch settles
+                return rows  # a window too wide for its peak's nodes: no row settles on it
             log_vals = np.log(vals)
-            if prev is not None and np.max(np.abs(log_vals - prev)) <= rtol:
-                return peak + log_vals, n_evals
+            if prev is not None:
+                settled = np.abs(log_vals - prev) <= rtol
+                if settled.all():
+                    break
             prev = log_vals
-        return None, n_evals
+        log_i[rows[settled]] = peak[rows[settled]] + log_vals[settled]
+        return rows[~settled]
 
     edges = [lo, mid, hi]
-    log_i, n_evals = rule(edges)
-    if log_i is None and not a.is_integer():
+    rows = settle(np.arange(etas.size), edges)
+    if rows.size and not a.is_integer():
         g = _GRADE_RATIO ** np.arange(_GRADE_PANELS + 1)
+        lo, mid, hi = lo[rows], mid[rows], hi[rows]
         edges = list(np.hstack([mid[:, None] - np.multiply.outer(mid - lo, g), mid[:, None],
                                 mid[:, None] + np.multiply.outer(hi - mid, g[::-1])]).T)
-        log_i, more = rule(edges)
-        n_evals += more
-    if log_i is None and etas.size > 1:
-        # rows share the starting window and the rule order: settle each half alone
-        parts = [_log_inner_batch(spec, tau, part, rtol) for part in np.array_split(etas, 2)]
-        return (np.concatenate([part[0] for part in parts]),
-                n_evals + sum(part[1] for part in parts))
+        rows = settle(rows, edges)
+    if rows.size and etas.size > 1:
+        # the rows left shared the starting window with the batch: each settles alone
+        for i in rows:
+            log_i[i:i + 1], more = _log_inner_batch(spec, tau, etas[i:i + 1], rtol)
+            n_evals += more
+        return log_i, n_evals
     for _ in range(_HALVINGS):
-        if log_i is not None:
+        if not rows.size:
             break
         # a lone row whose walls outrun its panels (alpha' >> 2): halve every panel
         edges = [e for lft, rgt in zip(edges[:-1], edges[1:])
                  for e in (lft, 0.5 * (lft + rgt))] + [edges[-1]]
-        log_i, more = rule(edges)
-        n_evals += more
-    if log_i is None:
+        rows = settle(rows, edges)
+    if rows.size:
         raise ConvergenceError("inner-integral rule did not stabilise")
     return log_i, n_evals
 
@@ -264,6 +277,37 @@ def _bregman(spec, d, c):
     series = profile_p(spec, c) * t * t * np.polynomial.polynomial.polyval(t, coef)
     direct = profile_p(spec, c + d) - profile_p(spec, c) - profile_dp(spec, c) * d
     return np.where(near, series, direct)
+
+
+def _log_inner_floor(spec: WeightSpec, x):
+    """A closed-form lower bound on log J(x) = log I(x, 1), within 3 of it.
+
+    With c = p'^-1(x) the exponent of J is 2 p*(x) - 2 D(r, c), D the
+    Bregman divergence, and D(c + d, c) <= |d| |p'(c + d) - x| since p' is
+    increasing.  D is convex in r, so on the stretch between c and c + d
+    it is at most its value at c + d, and for either sign of d
+
+        log J(x) >= 2 p*(x) + log |d| - 2 |d| |p'(c + d) - x|.
+
+    The better sign is taken, at |d| = h = p''(c)^(-1/2) / 2, half the
+    peak's width, where D <= ~1/4; h diverges at c = 0, so it is held at
+    1/2 from that side (h <= 1/2 for a > 2, h >= 1/2 for a < 2).  The
+    rounding of p'(c + d) - x, about h |x| eps, stays far below the 3 nats
+    given away, or, at a huge c, below that of 2 p*(x) = 2 |x c| / a'.
+    """
+    a = spec.alpha
+    ap = a / (a - 1.0)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        abs_x = np.abs(x)
+        abs_c = abs_x ** (1.0 / (a - 1.0))
+        h = 0.5 / math.sqrt(a - 1.0) * abs_c ** (1.0 - 0.5 * a)
+        h = np.minimum(h, 0.5) if a > 2.0 else np.maximum(h, 0.5)
+        slope = profile_dp(spec, np.sign(x) * abs_c + np.multiply.outer(_SIDES, h)) - x
+        gain = np.log(h) - 2.0 * h * np.abs(slope)
+        log_peak = 2.0 * abs_x ** ap / ap
+        # where 2 p*(x) overflows so may h, and the gain is nan
+        return np.where(np.isinf(log_peak), log_peak, log_peak + np.fmax(gain[0], gain[1]))
 
 
 def _log_inner(spec, tau, eta, cfg):
@@ -302,6 +346,9 @@ def effective_conjugate(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CO
 def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFIG) -> EvalResult:
     """Bergman kernel as one row of `_kernel_tau_batch`, at inner rtol
     max(1e-13, 0.05 rel_tol); depends on (z, w) through u = z + conj w.
+    Its x window is fitted from the closed-form floor of log J, so
+    n_evals counts only the x rule's nodes: the inner evaluations of log J
+    there, plus one per node for its term.
 
     The estimate is the last level difference plus rtol times the terms'
     L1 norm.  Where the terms cancel (large Im u) that norm can exceed |K|
@@ -334,9 +381,9 @@ def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFI
 
 # Interval counts of the batched kernel's nested trapezoid rule in x, and
 # the most tau one rule serves: larger batches are split, which bounds the
-# tau x (new x) blocks (240 x 512 complex, 2 MB, at the top level) and the
-# inner call at x*.  The size is a multiple of the 15 nodes of a GK15
-# panel, so no panel of the tau quadrature mixes two rules.
+# tau x (new x) blocks (240 x 512 complex, 2 MB, at the top level).  The
+# size is a multiple of the 15 nodes of a GK15 panel, so no panel of the
+# tau quadrature mixes two rules.
 _X_ORDERS = (32, 64, 128, 256, 512, 1024)
 _TAU_CHUNK = 240
 # `szego_profile`'s ray: the angles it tries, and the GK15 panels seeding
@@ -354,24 +401,31 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
 
         K_tau(u) = tau^(2/a) / (2 pi) int_R exp(x v - log J(x)) dx,
 
-    and every tau shares one table of log J on one trapezoid rule.
-    Row k is shifted by its peak x* Re v - log J(x*), x* = p'(Re v / 2),
-    and the shift is folded into log_factor before the final exponential,
-    so no row overflows.  The x window is fitted to every row at once from
-    the decay length of exp(-2 p*(x)) (`_fit_window`), so the terms at its
-    ends are below e^-45 of each row's peak; there, with e^{xv} / J(x)
-    analytic in a strip about the real axis, the trapezoid rule converges
-    geometrically, and its levels nest (Trefethen & Weideman, SIAM Review
-    56, 2014).  The first level takes n + 1 nodes; each later one halves
-    the step and evaluates only the n / 2 new midpoints, its sum and L1
-    norm sum |e^expo| h being half the previous level's plus h times the
-    new terms.  Levels are added until every row agrees with the previous
+    and every tau shares one table of log J on one trapezoid rule.  log J
+    is computed only at the rule's nodes; the shift and the window take
+    its closed-form floor F (`_log_inner_floor`), F <= log J <= F + 3.
+    Row k is shifted by
+    x* Re v - F(x*) at its peak x* = p'(Re v / 2), and the shift is folded
+    into log_factor before the final exponential, so no row overflows and
+    the term at x* is between e^-3 and 1.  The x window is fitted to every
+    row at once from the decay length of exp(-2 p*(x)) (`_fit_window`)
+    until, with F for log J, the terms at its ends are below e^-45 of each
+    row's term at x*.  F is a floor, so the true end terms are no larger
+    than those: they are below e^(-45 + log J(x*) - F(x*)), at most e^-42,
+    of the term at x*.  There, with e^{xv} / J(x) analytic in a strip
+    about the real axis, the trapezoid rule converges geometrically, and
+    its levels nest (Trefethen & Weideman, SIAM Review 56, 2014).  The
+    first level takes n + 1 nodes; each later one halves the step and
+    evaluates only the n / 2 new midpoints, its sum and L1 norm
+    sum |e^expo| h being half the previous level's plus h times the new
+    terms.  Levels are added until every row agrees with the previous
     one to rtol times its L1 norm, and the finer level is returned: each
     term carries the inner rule's relative error rtol, and where a complex
     v makes the terms oscillate and cancel, their errors do not cancel
     with them.  A batch that no level settles is split into contiguous
     halves, whose x* lie closer together; a lone row raises.  n_evals
-    counts the inner evaluations plus the tau x x cells.  A row's error
+    counts the inner evaluations at the rule's nodes plus the tau x x
+    cells; the shift and the window cost none.  A row's error
     estimate is its last level difference plus rtol times its L1 norm.
     """
     taus = np.asarray(taus)
@@ -388,22 +442,18 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     v = taus ** (1.0 / a) * u
     vr = v.real
     x_star = profile_dp(spec, 0.5 * vr)
-    log_star, n_evals = _log_inner_batch(spec, 1.0, x_star, rtol)
-    peak = x_star * vr - log_star
-
+    peak = x_star * vr - _log_inner_floor(spec, x_star)
     ends = np.array([x_star.min(), x_star.max()])
 
     def decayed(L):
-        nonlocal n_evals
         xs = ends + _SIDES * L
-        log_j, ne = _log_inner_batch(spec, 1.0, xs, rtol)
-        n_evals += ne
-        expo = np.multiply.outer(vr, xs) - log_j - peak[:, None]
+        expo = np.multiply.outer(vr, xs) - _log_inner_floor(spec, xs) - peak[:, None]
         return np.all(expo <= -_EXP_CUTOFF, axis=0)
 
     L = _fit_window(decayed, np.full(2, _decay_length(spec.conjugate_alpha, 1.0) + 1.0))
     lo, hi = ends[0] - L[0], ends[1] + L[1]
     vals = l1 = 0.0
+    n_evals = 0
     for level, n in enumerate(_X_ORDERS):
         h = (hi - lo) / n
         xs = lo + h * (np.arange(n + 1) if level == 0 else np.arange(1, n, 2))

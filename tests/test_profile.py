@@ -36,7 +36,7 @@ from szegofock import (
     young_conjugate_closed,
 )
 import szegofock.profile as profile_module
-from szegofock.profile import _kernel_tau_batch, _log_inner_batch
+from szegofock.profile import _kernel_tau_batch, _log_inner_batch, _log_inner_floor
 from szegofock.weights import conjugate_spec, profile_dp, profile_p
 
 PI = math.pi
@@ -354,7 +354,9 @@ def test_tau_batch_kernel_matches_bergman_profile(weight, cfg):
 
 def test_tau_batch_kernel_evaluates_each_x_node_once(monkeypatch):
     # the nested trapezoid rule: level one takes 33 nodes, each later level
-    # only the midpoints new to it, so across levels no log J is recomputed
+    # only the midpoints new to it, so across levels no log J is recomputed;
+    # x* and the window come from the closed-form floor of log J, so every
+    # inner call is a rule level
     calls, depth = [], [0]
     inner = profile_module._log_inner_batch
 
@@ -370,15 +372,55 @@ def test_tau_batch_kernel_evaluates_each_x_node_once(monkeypatch):
     monkeypatch.setattr(profile_module, "_log_inner_batch", recorded)
     _kernel_tau_batch(profile_power(3.0), KERNEL_TAUS, 1.4 - 0.03j,
                       np.zeros(KERNEL_TAUS.size), 5e-9)
-    # calls[0] is x* per tau, then the window fit's pairs of ends
-    levels = [xs for xs in calls[1:] if xs.size > 2]
-    sizes = [xs.size for xs in levels]
+    sizes = [xs.size for xs in calls]
     assert sizes[0] == 33 and len(sizes) >= 2
     assert sizes[1:] == [32 * 2 ** k for k in range(len(sizes) - 1)]
-    nodes = np.concatenate(levels)
+    nodes = np.concatenate(calls)
     assert np.unique(nodes).size == nodes.size
     h = np.diff(np.sort(nodes))
     assert np.allclose(h, h[0], rtol=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 4.0])
+def test_log_inner_floor_bounds_log_j(alpha):
+    # the closed-form floor is never above log J, up to rounding, and at
+    # most 3 below it, wherever log J is a float
+    spec = profile_power(alpha)
+    mags = np.logspace(-6.0, 3.0, 91)
+    mags = mags[spec.conjugate_alpha * np.log(mags) < 690.0]
+    xs = np.concatenate([[0.0], mags, -mags])
+    log_j, _ = _log_inner_batch(spec, 1.0, xs, 1e-12)
+    floor = _log_inner_floor(spec, xs)
+    assert np.all(floor <= log_j + 4.0 * np.spacing(np.abs(log_j)))
+    assert np.all(log_j - floor <= 3.0)
+    assert _log_inner_floor(spec, np.array([1e300]))[0] == math.inf
+
+
+@pytest.mark.parametrize("weight", PROFILE_WEIGHTS)
+@pytest.mark.parametrize("phase", [0.0, -0.5])
+def test_tau_batch_kernel_window_ends_decay(monkeypatch, weight, phase):
+    # the window is fitted from the floor of log J; with log J itself the
+    # terms at the ends of level one are still below e^-40 of each row's
+    # largest term, on the real tau axis and on a complex ray
+    spec = parse_weight(weight)
+    taus = KERNEL_TAUS * complex(math.cos(phase), math.sin(phase))
+    calls, inner = [], profile_module._log_inner_batch
+
+    def recorded(spec, tau, etas, rtol):
+        calls.append(np.array(etas, dtype=float))
+        return inner(spec, tau, etas, rtol)
+
+    monkeypatch.setattr(profile_module, "_log_inner_batch", recorded)
+    for u in (0.6 + 0.05j, -0.9 + 0.02j, 1.4 - 0.03j):
+        calls.clear()
+        _kernel_tau_batch(spec, taus, u, np.zeros(taus.size), 5e-10)
+        xs = calls[0]
+        assert xs.size == 33
+        log_j, _ = inner(spec, 1.0, xs, 1e-12)
+        v = taus ** (1.0 / spec.alpha) * u
+        log_terms = np.multiply.outer(v.real, xs) - log_j
+        ends = np.maximum(log_terms[:, 0], log_terms[:, -1])
+        assert np.all(ends - log_terms.max(axis=1) <= -40.0)
 
 
 def test_tau_batch_kernel_complex_tau_gaussian_closed():
