@@ -40,7 +40,6 @@ from .profile import (
     szego_profile,
 )
 from .radial import (
-    HalfPlaneParam,
     bergman_radial_series,
     gamma_step_identity_check,
     series_coefficient,

@@ -29,6 +29,13 @@ kernel factor becomes a s^(a+1) K_1(s omega^(1/a) u), smooth at s = 0,
 where tau^(2/a) K_1(tau^(1/a) u) is only algebraically smooth at tau = 0
 for a != 2.
 
+Both engines, `_kernel_tau_batch` and the inner `_log_inner_batch`, run
+their rows as one batch under one settle policy: a row settles when its
+own last two levels agree, and keeps its value; only the unsettled rows
+go on, to finer panels (the inner rule) or to halves of the batch with
+windows of their own (the x rule), and a lone row that exhausts its rule
+raises ConvergenceError.
+
 Every caller takes the inner integral I from one batched Gauss-Legendre
 engine, `_log_inner_batch`.  I is the exponential of twice tau times a
 smoothed conjugate of p; its growth is squeezed between scaled copies of
@@ -84,7 +91,7 @@ _SIDES = np.array([-1.0, 1.0])
 # by this ratio, this many on each side
 _GRADE_RATIO = 0.15
 _GRADE_PANELS = 12
-# the last retry of a lone unsettled row: its panels halved up to this often
+# the last retry of the rows still unsettled: their panels halved up to this often
 _HALVINGS = 3
 
 
@@ -160,17 +167,19 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
     -2 tau D(r, c), D the Bregman divergence of p.  Rows whose terms
     2 tau |eta c| round by more than rtol / 100 are far: they run in the
     offset r - c with D from `_bregman`, so a narrow peak at a huge c keeps
-    its nodes; the others run in r.  Each window [c - L, c + L] is fitted
-    until the exponent at both ends is below -45 and split at r = 0, where
-    |r|^a is not smooth.  The order grows until two levels agree to rtol
-    in the log of the shifted sum.  Where the top order leaves rows
-    unsettled, those whose top two orders agree keep their values and only
-    the others go on (all of them where a window is too wide for its
-    peak's nodes, which leaves a zero sum at the first order): at
-    non-integer alpha to one retry on panels graded toward r = 0, then,
-    since a batch shares its starting window, each to a batch of its own,
-    so a row's value does not depend on its batch beyond rtol.  A lone
-    row still unsettled has its panels halved, up to _HALVINGS times.
+    its nodes; the others run in r.  Each row's window [c - L, c + L] is
+    fitted from its own peak, from L = mu + the eta = 0 decay length + 1
+    (10 peak widths for far rows), until the exponent at both ends is
+    below -45, and split at r = 0, where |r|^a is not smooth.  The order
+    grows until two levels agree to rtol in the log of the shifted sum.
+    Rows settle on their own: where the top order leaves some unsettled,
+    those whose top two orders agree keep their values and only the others
+    go on (all of them where a window is too wide for its peak's nodes,
+    which leaves a zero sum at the first order), at non-integer alpha to
+    one retry on panels graded toward r = 0, then to their panels halved,
+    up to _HALVINGS times.  No row's window or panels depend on its batch,
+    so neither does its value beyond rtol.
+    ConvergenceError: a row still unsettled after the last halving.
     DomainError: a term the rule forms, |eta| mu = mu^a = |eta|^alpha' or
     2 tau times it, passes e^700.
     """
@@ -184,7 +193,7 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
     mu = abs_eta ** (1.0 / (a - 1.0))
     c = np.sign(etas) * mu
     peak = 2.0 * tau * abs_eta ** ap / ap
-    L = np.full_like(etas, mu.max(initial=0.0) + _decay_length(a, tau) + 1.0)
+    L = mu + _decay_length(a, tau) + 1.0
     far, origin, center = None, 0.0, c
     if 2.0 * tau * e_max ** ap * math.ulp(1.0) > 0.01 * rtol:
         far = peak * (ap * math.ulp(1.0)) > 0.01 * rtol
@@ -211,8 +220,9 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
     n_evals = 0
 
     def settle(rows, edges):
-        """Run the order ladder on the given rows and panel edges, store the
-        rows whose top two orders agree to rtol, and return the others."""
+        """Run the order ladder on the given rows and their panel edges (one
+        row of `edges` per panel end), store the rows whose top two orders
+        agree to rtol, and return the others with their edges."""
         nonlocal n_evals
         prev = settled = None
         for n in (64, 96, 144, 216, 324, 486, 729):
@@ -224,7 +234,7 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
                 vals = vals + (np.exp(exponent(R, rows)) @ wq) * half
                 n_evals += R.size
             if prev is None and not vals.all():
-                return rows  # a window too wide for its peak's nodes: no row settles on it
+                return rows, edges  # a window too wide for its peak's nodes: no row settles on it
             log_vals = np.log(vals)
             if prev is not None:
                 settled = np.abs(log_vals - prev) <= rtol
@@ -232,29 +242,21 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
                     break
             prev = log_vals
         log_i[rows[settled]] = peak[rows[settled]] + log_vals[settled]
-        return rows[~settled]
+        return rows[~settled], edges[:, ~settled]
 
-    edges = [lo, mid, hi]
-    rows = settle(np.arange(etas.size), edges)
+    rows, edges = settle(np.arange(etas.size), np.array([lo, mid, hi]))
     if rows.size and not a.is_integer():
         g = _GRADE_RATIO ** np.arange(_GRADE_PANELS + 1)
-        lo, mid, hi = lo[rows], mid[rows], hi[rows]
-        edges = list(np.hstack([mid[:, None] - np.multiply.outer(mid - lo, g), mid[:, None],
-                                mid[:, None] + np.multiply.outer(hi - mid, g[::-1])]).T)
-        rows = settle(rows, edges)
-    if rows.size and etas.size > 1:
-        # the rows left shared the starting window with the batch: each settles alone
-        for i in rows:
-            log_i[i:i + 1], more = _log_inner_batch(spec, tau, etas[i:i + 1], rtol)
-            n_evals += more
-        return log_i, n_evals
+        lo, mid, hi = edges
+        rows, edges = settle(rows, np.vstack([mid - np.multiply.outer(g, mid - lo), mid,
+                                              mid + np.multiply.outer(g[::-1], hi - mid)]))
     for _ in range(_HALVINGS):
         if not rows.size:
             break
-        # a lone row whose walls outrun its panels (alpha' >> 2): halve every panel
-        edges = [e for lft, rgt in zip(edges[:-1], edges[1:])
-                 for e in (lft, 0.5 * (lft + rgt))] + [edges[-1]]
-        rows = settle(rows, edges)
+        # walls that outrun their panels (alpha' >> 2): halve every panel
+        halved = np.empty((2 * len(edges) - 1, rows.size))
+        halved[0::2], halved[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+        rows, edges = settle(rows, halved)
     if rows.size:
         raise ConvergenceError("inner-integral rule did not stabilise")
     return log_i, n_evals
@@ -265,12 +267,13 @@ def _bregman(spec, d, c):
 
     Its terms are ~|c|^a while D ~ |c|^(a-2) d^2, so for |t| < 1/4, t = d/c,
     D is summed as the binomial series |c|^a / a sum_{k>=2} binom(a, k) t^k
-    of (1 + t)^a - 1 - a t, which cancels nothing; past k = a its terms
-    shrink by 4 per step, and the 30 kept past it leave 4^-30 of the largest.
+    of (1 + t)^a - 1 - a t, which cancels nothing.  For integer a it ends
+    at k = a (the Gaussian's is t^2); otherwise past k = a its terms shrink
+    by 4 per step, and the 30 kept past it leave 4^-30 of the largest.
     """
     a = spec.alpha
     coef = [0.5 * a * (a - 1.0)]
-    for k in range(2, 30 + int(a)):
+    for k in range(2, int(a) if a.is_integer() else 30 + int(a)):
         coef.append(coef[-1] * (a - k) / (k + 1))
     near = np.abs(d) < 0.25 * np.abs(c)
     t = np.where(near, d, 0.0) / c
@@ -379,13 +382,8 @@ def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFI
     return EvalResult(value, err, "profile-quadrature", n_evals)
 
 
-# Interval counts of the batched kernel's nested trapezoid rule in x, and
-# the most tau one rule serves: larger batches are split, which bounds the
-# tau x (new x) blocks (240 x 512 complex, 2 MB, at the top level).  The
-# size is a multiple of the 15 nodes of a GK15 panel, so no panel of the
-# tau quadrature mixes two rules.
+# Interval counts of the batched kernel's nested trapezoid rule in x
 _X_ORDERS = (32, 64, 128, 256, 512, 1024)
-_TAU_CHUNK = 240
 # `szego_profile`'s ray: the angles it tries, and the GK15 panels seeding
 # it, evenly spaced in r
 _RAY_ANGLES = 33
@@ -422,22 +420,15 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     one to rtol times its L1 norm, and the finer level is returned: each
     term carries the inner rule's relative error rtol, and where a complex
     v makes the terms oscillate and cancel, their errors do not cancel
-    with them.  A batch that no level settles is split into contiguous
-    halves, whose x* lie closer together; a lone row raises.  n_evals
-    counts the inner evaluations at the rule's nodes plus the tau x x
-    cells; the shift and the window cost none.  A row's error
-    estimate is its last level difference plus rtol times its L1 norm.
+    with them.  Rows settle on their own: where the top level leaves some
+    unsettled, the settled rows keep their values and only the others go
+    on, in contiguous halves, each with a window fitted to its own, nearer
+    x*; a lone unsettled row raises ConvergenceError.  n_evals counts the
+    inner evaluations at the rule's nodes plus the tau x x cells; the
+    shift and the window cost none.  A row's error estimate is its last
+    level difference plus rtol times its L1 norm.
     """
     taus = np.asarray(taus)
-
-    def split(cuts, n_evals=0):  # the batch as consecutive parts taus[i:j]
-        parts = [_kernel_tau_batch(spec, taus[i:j], u, log_factor[i:j], rtol)
-                 for i, j in zip(cuts[:-1], cuts[1:])]
-        vals, counts, errs = zip(*parts)
-        return np.concatenate(vals), n_evals + sum(counts), np.concatenate(errs)
-
-    if taus.size > _TAU_CHUNK:
-        return split(list(range(0, taus.size, _TAU_CHUNK)) + [taus.size])
     a = spec.alpha
     v = taus ** (1.0 / a) * u
     vr = v.real
@@ -468,13 +459,22 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
         prev = vals
         vals = 0.5 * prev + h * terms.sum(axis=1)
         l1 = 0.5 * l1 + h * np.abs(terms).sum(axis=1)
-        if level > 0 and np.all(np.abs(vals - prev) <= rtol * l1):
-            scale = np.exp(peak + log_factor + (2.0 / a) * np.log(taus) - math.log(TWO_PI))
-            return scale * vals, n_evals, np.abs(scale) * (np.abs(vals - prev) + rtol * l1)
-    if taus.size == 1:
+        settled = (level > 0) & (np.abs(vals - prev) <= rtol * l1)
+        if settled.all():
+            break
+    scale = np.exp(peak + log_factor + (2.0 / a) * np.log(taus) - math.log(TWO_PI))
+    vals, err = scale * vals, np.abs(scale) * (np.abs(vals - prev) + rtol * l1)
+    if taus.size == 1 and not settled[0]:
         raise ConvergenceError("tau-batched kernel rule did not stabilise")
-    # one window serves the whole batch: contiguous halves, with nearer x*, settle alone
-    return split([0, taus.size // 2, taus.size], n_evals)
+    # the window served every row: the unsettled ones go on in contiguous
+    # halves, each with a window fitted to its own, nearer x*
+    rest = np.flatnonzero(~settled)
+    for part in (rest[:rest.size // 2], rest[rest.size // 2:]):
+        if part.size:
+            vals[part], more, err[part] = _kernel_tau_batch(spec, taus[part], u,
+                                                            log_factor[part], rtol)
+            n_evals += more
+    return vals, n_evals, err
 
 
 def bergman_gaussian_closed(tau, z, w) -> complex:
@@ -531,9 +531,11 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     and the integrand stops oscillating, also at z = w, s != t, where it
     does not decay on the real axis.  The x integral of K_1 cancels where
     Im v is large, so the ray taken is the one whose L1 envelope
-    exp(r (2 p(Re(omega^(1/a) u) / 2) - Re(omega R))) decays fastest.
-    With no decaying envelope the configuration is at or near the boundary
-    diagonal, and NearSingular is raised.  The ray is cut where that
+    exp(r (2 p(Re(omega^(1/a) u) / 2) - Re(omega R))) decays fastest,
+    among _RAY_ANGLES evenly spaced angles, or, where none of them decays,
+    among as many in the first step.  With no decaying envelope there the
+    configuration is at or near the boundary diagonal, and NearSingular
+    is raised.  The ray is cut where that
     envelope has fallen well below the absolute tolerance: it bounds the
     integrand, since |K_1(v)| <= K_1(Re v), where e^{tau E} is the rate
     only while the saddle of the x integral governs it (for a > 2 and
@@ -549,10 +551,14 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     rate = eval_weight(spec, z) + eval_weight(spec, w) + 1j * (p2.t - p1.t)
     u = z + w.conjugate()
     growth = 2.0 * (0.5 * (u if u.real >= 0.0 else -u)) ** a / a - rate
-    omegas = np.exp(1j * np.linspace(0.0, cmath.phase(-growth.conjugate()), _RAY_ANGLES))
-    envelope = 2.0 * profile_p(spec, 0.5 * (omegas ** (1.0 / a) * u).real) - (omegas * rate).real
-    k = int(np.argmin(envelope))
-    if -envelope[k] < 1e-8 * (1.0 + abs(rate)):
+    steepest = cmath.phase(-growth.conjugate())
+    for top in (steepest, steepest / (_RAY_ANGLES - 1)):  # the grid, then its first step
+        omegas = np.exp(1j * np.linspace(0.0, top, _RAY_ANGLES))
+        envelope = 2.0 * profile_p(spec, 0.5 * (omegas ** (1.0 / a) * u).real) - (omegas * rate).real
+        k = int(np.argmin(envelope))
+        if -envelope[k] >= 1e-8 * (1.0 + abs(rate)):
+            break
+    else:
         raise NearSingular("the tau integrand decays on no ray: at or near "
                            "the boundary diagonal")
     omega = omegas[k]

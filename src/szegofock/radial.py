@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,24 +44,6 @@ from .numerics import (
 # float-level guards around it
 _GEOMETRIC_TOL = 1e-12
 _A_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class HalfPlaneParam:
-    """A = (|z|^alpha + |w|^alpha + i(s-t)) / 2, the right-half-plane
-    variable of the closed boundary-kernel formula."""
-
-    A: complex
-
-    def __post_init__(self):
-        if complex(self.A).real < 0.0:
-            raise DomainError("half-plane parameter requires Re A >= 0")
-        object.__setattr__(self, "A", complex(self.A))
-
-    @classmethod
-    def from_points(cls, alpha, p1: BoundaryPoint, p2: BoundaryPoint):
-        a = float(alpha)
-        return cls(0.5 * (abs(p1.z) ** a + abs(p2.z) ** a + 1j * (p2.t - p1.t)))
 
 
 def series_coefficient(alpha, tau, k) -> float:
@@ -100,7 +81,7 @@ def szego_radial_closed(alpha, p1: BoundaryPoint, p2: BoundaryPoint) -> EvalResu
     alpha = float(alpha)
     if alpha <= 0.0:
         raise DomainError("szego_radial_closed requires alpha > 0")
-    A = HalfPlaneParam.from_points(alpha, p1, p2).A
+    A = 0.5 * (abs(p1.z) ** alpha + abs(p2.z) ** alpha + 1j * (p2.t - p1.t))
     if abs(A) < _A_FLOOR:
         raise SingularPoint("A = 0: coincident boundary point with p = 0")
     zw = p1.z * p2.z.conjugate()
@@ -133,7 +114,7 @@ def szego_radial_via_laplace(alpha, p1: BoundaryPoint, p2: BoundaryPoint,
         raise NearSingular(
             "p(z) + p(w) = %.3g below the damping floor %.3g; the tau "
             "integral is not absolutely damped" % (damping, floor))
-    A = HalfPlaneParam.from_points(alpha, p1, p2).A
+    A = 0.5 * (abs(p1.z) ** alpha + abs(p2.z) ** alpha + 1j * (p2.t - p1.t))
     zw = p1.z * p2.z.conjugate()
     log2A = cmath.log(2.0 * A)
     log_zw = cmath.log(zw) if zw != 0.0 else None
@@ -159,20 +140,21 @@ def szego_radial_via_laplace(alpha, p1: BoundaryPoint, p2: BoundaryPoint,
 
 def gamma_step_identity_check(alpha, k, A) -> float:
     """Relative gap between int_0^inf tau^x e^{-2 A tau} dtau (numeric) and
-    Gamma(x+1) (2A)^(-x-1) (closed), x = 2(k+1)/alpha.  Re A > 0 required."""
+    Gamma(x+1) (2A)^(-x-1) (closed), x = 2(k+1)/alpha, for a complex A
+    with Re A > 0."""
     alpha = float(alpha)
     if alpha <= 0.0:
         raise DomainError("gamma_step_identity_check requires alpha > 0")
-    Ac = A.A if isinstance(A, HalfPlaneParam) else complex(A)
-    if Ac.real <= 0.0:
+    A = complex(A)
+    if A.real <= 0.0:
         raise DomainError("gamma step check requires Re A > 0")
     x = 2.0 * (k + 1) / alpha
-    closed = cmath.exp(log_gamma(x + 1.0) - (x + 1.0) * cmath.log(2.0 * Ac))
+    closed = cmath.exp(log_gamma(x + 1.0) - (x + 1.0) * cmath.log(2.0 * A))
 
     def f(tau):
-        return tau ** x * np.exp(-2.0 * Ac * tau)
+        return tau ** x * np.exp(-2.0 * A * tau)
 
     cfg = QuadConfig(abs_tol=1e-13, rel_tol=1e-11, max_subdivisions=4000)
-    peak = max(1.0, x / (2.0 * Ac.real))
+    peak = max(1.0, x / (2.0 * A.real))
     res = integrate_half_line(f, cfg, initial_width=4.0 * peak)
     return abs(res.value - closed) / abs(closed)

@@ -441,6 +441,25 @@ def test_tau_batch_kernel_lone_unsettled_row_raises(monkeypatch):
         _kernel_tau_batch(gaussian(), KERNEL_TAUS[:3], 0.6 + 0.05j, np.zeros(3), 1e-12)
 
 
+def test_tau_batch_kernel_reruns_only_unsettled_rows(monkeypatch):
+    # with three rule levels every row settles but the largest tau, whose
+    # terms oscillate fastest: the settled rows keep their values, and only
+    # that row goes on, with a window of its own
+    monkeypatch.setattr(profile_module, "_X_ORDERS", (32, 64, 128))
+    calls, batch = [], profile_module._kernel_tau_batch
+
+    def recorded(spec, taus, u, log_factor, rtol):
+        calls.append(np.array(taus))
+        return batch(spec, taus, u, log_factor, rtol)
+
+    monkeypatch.setattr(profile_module, "_kernel_tau_batch", recorded)
+    u = 4.0 + 0.5j
+    got, _, err = recorded(gaussian(), KERNEL_TAUS, u, np.zeros(KERNEL_TAUS.size), 1e-10)
+    assert [taus.tolist() for taus in calls[1:]] == [[60.0]]
+    ref = KERNEL_TAUS / (2.0 * PI) * np.exp(0.25 * KERNEL_TAUS * u * u)
+    assert np.all(np.abs(got - ref) <= err)
+
+
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 4.0])
 def test_bergman_profile_homogeneity(alpha, cfg):
     # K_tau(z, w) = tau^(2/a) K_1(tau^(1/a) z, tau^(1/a) w)
@@ -512,11 +531,14 @@ def test_szego_profile_gaussian_equal_z(z, s, t, loose):
     assert abs(res.value - ref) <= min(res.abs_err_estimate, 1e-12 * abs(ref))
 
 
-@pytest.mark.parametrize("x, gap", [(1.0, 0.05), (1.5, 0.05), (2.0, 0.2), (3.0, 0.2)])
+@pytest.mark.parametrize("x, gap", [(1.0, 0.05), (1.5, 0.05), (2.0, 0.2), (3.0, 0.2),
+                                    (3.0, 0.05)])
 def test_szego_profile_gaussian_equal_z_small_gap(x, gap, loose):
     # z = w, |s - t| below ~0.05 (Re z)^2: r_max reaches |tau| ~ 1e4, and
-    # one x window for the whole batch (Re v from 0 to ~450) settles at no
-    # order; contiguous halves of the batch settle alone
+    # one x window for the whole batch (Re v from 0 to ~450) leaves rows
+    # unsettled, which go on in contiguous halves with windows of their
+    # own; at (3, 0.05) every decaying ray lies inside the first step of
+    # the angle grid, which is zoomed into that step
     p1, p2 = BoundaryPoint(x + 0.3j, 0.0), BoundaryPoint(x + 0.3j, gap)
     res = szego_profile(gaussian(), p1, p2, loose)
     ref = szego_gaussian_closed(p1, p2)
@@ -737,6 +759,13 @@ def test_sandwich_bounds_near_alpha_one(cfg):
     logI, _ = _log_inner_batch(spec, 1.0, grid, 1e-10)
     alone = [_log_inner_batch(spec, 1.0, [eta], 1e-10)[0][0] for eta in grid]
     np.testing.assert_allclose(logI, alone, rtol=1e-10, atol=1e-10)
+    # the dual's rows that settle only on halved panels go there from the
+    # batch at once, so the batch costs about what its rows alone do
+    dual = conjugate_spec(spec)
+    logI, n_batch = _log_inner_batch(dual, 1.0, grid, 1e-8)
+    alone = [_log_inner_batch(dual, 1.0, [eta], 1e-8) for eta in grid]
+    assert n_batch <= 1.2 * sum(n for _, n in alone)
+    np.testing.assert_allclose(logI, [log_i[0] for log_i, _ in alone], rtol=1e-8)
 
 
 def test_log_inner_batch_steep_walls_against_mpmath():

@@ -6,7 +6,6 @@ import pytest
 from szegofock import (
     BoundaryPoint,
     DomainError,
-    HalfPlaneParam,
     NearSingular,
     SingularPoint,
     bergman_radial_series,
@@ -120,8 +119,7 @@ def test_geometric_factor_inside_unit_disc(rng):
         s_minus_t = rng.uniform(-3, 3)
         if abs(abs(z) - abs(w)) < 1e-3 and abs(s_minus_t) < 1e-3:
             continue
-        A = HalfPlaneParam.from_points(alpha, BoundaryPoint(z, 0),
-                                       BoundaryPoint(w, s_minus_t)).A
+        A = 0.5 * (abs(z) ** alpha + abs(w) ** alpha + 1j * s_minus_t)
         if abs(A) == 0.0:
             continue
         q = z * w.conjugate() * A ** (-2.0 / alpha)
@@ -193,10 +191,3 @@ def test_gamma_step_identity():
     assert closed1 == pytest.approx(0.25)
     with pytest.raises(DomainError):
         gamma_step_identity_check(2, 0, -1.0 + 0j)
-
-
-def test_half_plane_param_validation():
-    with pytest.raises(DomainError):
-        HalfPlaneParam(-0.1 + 0.5j)
-    hp = HalfPlaneParam.from_points(2.0, BoundaryPoint(1, 0.25), BoundaryPoint(1j, 1.0))
-    assert hp.A == pytest.approx(1.0 + 0.375j)
