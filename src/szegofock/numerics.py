@@ -102,13 +102,23 @@ _WG = np.array([
 _MAX_DOUBLINGS = 60
 
 
-def _eval_panels(f, lefts, rights):
-    """Evaluate GK15 on a batch of panels with a single integrand call."""
+def _gk15_nodes(lefts, rights):
+    """GK15 nodes of a batch of panels, one row per panel, and their half-widths."""
     lefts = np.asarray(lefts, dtype=float)
     rights = np.asarray(rights, dtype=float)
-    mids = 0.5 * (lefts + rights)
     halfs = 0.5 * (rights - lefts)
-    xs = mids[:, None] + halfs[:, None] * _XK[None, :]
+    return 0.5 * (lefts + rights)[:, None] + halfs[:, None] * _XK[None, :], halfs
+
+
+def gk15_composite(edges):
+    """Nodes and weights of the fixed composite GK15 rule on the panels between edges."""
+    xs, halfs = _gk15_nodes(edges[:-1], edges[1:])
+    return xs.ravel(), np.multiply.outer(halfs, _WK).ravel()
+
+
+def _eval_panels(f, lefts, rights):
+    """Evaluate GK15 on a batch of panels with a single integrand call."""
+    xs, halfs = _gk15_nodes(lefts, rights)
     with np.errstate(invalid="ignore", over="ignore"):
         ys = np.asarray(f(xs.ravel())).reshape(xs.shape)
         ik = (ys @ _WK) * halfs

@@ -15,26 +15,19 @@ substitution x = tau^(1-1/a) eta reduces every tau to tau = 1:
 So one engine, `_kernel_tau_batch`, serves both kernels: for a vector of
 tau it keeps one table of log J on one shared, nested trapezoid rule in x,
 each level adding only its new midpoints and a tau x (new x) block of
-terms, and estimates each row's error from its last two levels.  Its x
-window and the shift of each row come from a closed-form floor of log J,
-within 3 of it (`_log_inner_floor`), so log J is computed only at the
-rule's nodes.
-`bergman_profile` is one row; `szego_profile` takes all tau nodes of a
-quadrature step at once.  K_1 is entire, so the tau integral may run along
-a ray tau = r omega in the complex plane; it takes the ray between the real
-axis and the steepest-descent ray of the integrand's rate e^{tau E} on
-which the terms of the x integral decay fastest, and on it needs no
-damping, extrapolation or probing.  It integrates in s = r^(1/a): the
-kernel factor becomes a s^(a+1) K_1(s omega^(1/a) u), smooth at s = 0,
-where tau^(2/a) K_1(tau^(1/a) u) is only algebraically smooth at tau = 0
-for a != 2.
-
-Both engines, `_kernel_tau_batch` and the inner `_log_inner_batch`, run
-their rows as one batch under one settle policy: a row settles when its
-own last two levels agree, and keeps its value; only the unsettled rows
-go on, to finer panels (the inner rule) or to halves of the batch with
-windows of their own (the x rule), and a lone row that exhausts its rule
-raises ConvergenceError.
+terms.  Its x window and the shift of each row come from a closed-form
+floor of log J, within 3 of it (`_log_inner_floor`), so log J is computed
+only at the rule's nodes.  It and the inner `_log_inner_batch` settle
+their rows under one policy, `_settle_rows`.  `bergman_profile` is one
+row; `szego_profile` takes all tau nodes of a quadrature step at once.
+K_1 is entire, so the tau integral may run along a ray tau = r omega in
+the complex plane; it takes the ray between the real axis and the
+steepest-descent ray of the integrand's rate e^{tau E} on which the terms
+of the x integral decay fastest, and on it needs no damping,
+extrapolation or probing.  It integrates in s = r^(1/a): the kernel
+factor becomes a s^(a+1) K_1(s omega^(1/a) u), smooth at s = 0, where
+tau^(2/a) K_1(tau^(1/a) u) is only algebraically smooth at tau = 0 for
+a != 2.
 
 Every caller takes the inner integral I from one batched Gauss-Legendre
 engine, `_log_inner_batch`.  I is the exponential of twice tau times a
@@ -69,6 +62,7 @@ from .numerics import (
     TWO_PI,
     EvalResult,
     QuadConfig,
+    gk15_composite,
     integrate_interval,
     integrate_real_line,
 )
@@ -93,6 +87,10 @@ _GRADE_RATIO = 0.15
 _GRADE_PANELS = 12
 # the last retry of the rows still unsettled: their panels halved up to this often
 _HALVINGS = 3
+# Gauss-Legendre orders of the inner rule's ladder on each panel, and
+# interval counts of the batched kernel's nested trapezoid rule in x
+_GL_ORDERS = (64, 96, 144, 216, 324, 486, 729)
+_X_ORDERS = (32, 64, 128, 256, 512, 1024)
 
 
 def _check_tau(tau):
@@ -159,6 +157,38 @@ def _fit_window(decayed, L):
     return L
 
 
+def _settle_rows(n, level, n_levels):
+    """The settle policy of both profile row engines, on a batch of n rows.
+
+    `level(k, idx, prev)` returns the level-k values of the active rows idx
+    (prev: their level k - 1 values, None at k = 0) and the bound within
+    which the two must agree.  A row that agrees keeps that level's value
+    and leaves the batch at once, so no row's value or work depends on the
+    others' levels; a row whose value is not finite leaves at once,
+    unsettled.  The bound is rtol in log I for the inner rule, and rtol
+    times the terms' L1 norm for the x rule, but only on a step with
+    h |Im v| <= pi, two nodes to a period of e^{i x Im v}: coarser levels
+    can alias it alike and agree on a wrong value.  Unsettled rows go on to
+    their engine's retry.
+    Returns (values, last-level differences, mask of the unsettled rows).
+    """
+    idx, prev = np.arange(n), None
+    diffs, settled = np.full(n, np.nan), np.zeros(n, dtype=bool)
+    for k in range(n_levels):
+        vals, bound = level(k, idx, prev)
+        if k == 0:
+            out, going = vals.copy(), np.isfinite(vals)
+        else:
+            out[idx] = vals
+            diffs[idx] = diff = np.abs(vals - prev)
+            settled[idx] = agree = diff <= bound
+            going = ~agree & np.isfinite(vals)
+        idx, prev = idx[going], vals[going]
+        if not idx.size:
+            break
+    return out, diffs, ~settled
+
+
 def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
     """log I(eta, tau) for an array of eta, on one shared Gauss rule.
 
@@ -171,14 +201,12 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
     fitted from its own peak, from L = mu + the eta = 0 decay length + 1
     (10 peak widths for far rows), until the exponent at both ends is
     below -45, and split at r = 0, where |r|^a is not smooth.  The order
-    grows until two levels agree to rtol in the log of the shifted sum.
-    Rows settle on their own: where the top order leaves some unsettled,
-    those whose top two orders agree keep their values and only the others
-    go on (all of them where a window is too wide for its peak's nodes,
-    which leaves a zero sum at the first order), at non-integer alpha to
-    one retry on panels graded toward r = 0, then to their panels halved,
-    up to _HALVINGS times.  No row's window or panels depend on its batch,
-    so neither does its value beyond rtol.
+    climbs _GL_ORDERS, each row until two orders agree to rtol in the log
+    of its shifted sum (`_settle_rows`); a row whose sum is 0, a window too
+    wide for its peak's nodes, goes on at once.  The rows left go on, at
+    non-integer alpha to one retry on panels graded toward r = 0, then to
+    their panels halved, up to _HALVINGS times.  No row's window or panels
+    depend on its batch, so neither do its value and its work.
     ConvergenceError: a row still unsettled after the last halving.
     DomainError: a term the rule forms, |eta| mu = mu^a = |eta|^alpha' or
     2 tau times it, passes e^700.
@@ -220,29 +248,24 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
     n_evals = 0
 
     def settle(rows, edges):
-        """Run the order ladder on the given rows and their panel edges (one
-        row of `edges` per panel end), store the rows whose top two orders
-        agree to rtol, and return the others with their edges."""
-        nonlocal n_evals
-        prev = settled = None
-        for n in (64, 96, 144, 216, 324, 486, 729):
-            x, wq = _leggauss(n)
-            vals = 0.0
-            for lft, rgt in zip(edges[:-1], edges[1:]):
+        """Run the order ladder on rows with their panel edges (a row of
+        `edges` per panel end); store the settled, return the others."""
+
+        def level(k, idx, prev):
+            nonlocal n_evals
+            x, wq = _leggauss(_GL_ORDERS[k])
+            vals, sel = 0.0, rows[idx]
+            for lft, rgt in zip(edges[:-1, idx], edges[1:, idx]):
                 half = 0.5 * (rgt - lft)
                 R = 0.5 * (lft + rgt)[:, None] + half[:, None] * x[None, :]
-                vals = vals + (np.exp(exponent(R, rows)) @ wq) * half
+                vals = vals + (np.exp(exponent(R, sel)) @ wq) * half
                 n_evals += R.size
-            if prev is None and not vals.all():
-                return rows, edges  # a window too wide for its peak's nodes: no row settles on it
-            log_vals = np.log(vals)
-            if prev is not None:
-                settled = np.abs(log_vals - prev) <= rtol
-                if settled.all():
-                    break
-            prev = log_vals
-        log_i[rows[settled]] = peak[rows[settled]] + log_vals[settled]
-        return rows[~settled], edges[:, ~settled]
+            with np.errstate(divide="ignore"):  # a window too wide for its peak's nodes
+                return np.log(vals), rtol
+
+        log_vals, _, left = _settle_rows(rows.size, level, len(_GL_ORDERS))
+        log_i[rows[~left]] = peak[rows[~left]] + log_vals[~left]
+        return rows[left], edges[:, left]
 
     rows, edges = settle(np.arange(etas.size), np.array([lo, mid, hi]))
     if rows.size and not a.is_integer():
@@ -382,8 +405,6 @@ def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFI
     return EvalResult(value, err, "profile-quadrature", n_evals)
 
 
-# Interval counts of the batched kernel's nested trapezoid rule in x
-_X_ORDERS = (32, 64, 128, 256, 512, 1024)
 # `szego_profile`'s ray: the angles it tries, and the GK15 panels seeding
 # it, evenly spaced in r
 _RAY_ANGLES = 33
@@ -402,36 +423,34 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     and every tau shares one table of log J on one trapezoid rule.  log J
     is computed only at the rule's nodes; the shift and the window take
     its closed-form floor F (`_log_inner_floor`), F <= log J <= F + 3.
-    Row k is shifted by
-    x* Re v - F(x*) at its peak x* = p'(Re v / 2), and the shift is folded
-    into log_factor before the final exponential, so no row overflows and
-    the term at x* is between e^-3 and 1.  The x window is fitted to every
-    row at once from the decay length of exp(-2 p*(x)) (`_fit_window`)
-    until, with F for log J, the terms at its ends are below e^-45 of each
-    row's term at x*.  F is a floor, so the true end terms are no larger
-    than those: they are below e^(-45 + log J(x*) - F(x*)), at most e^-42,
-    of the term at x*.  There, with e^{xv} / J(x) analytic in a strip
-    about the real axis, the trapezoid rule converges geometrically, and
-    its levels nest (Trefethen & Weideman, SIAM Review 56, 2014).  The
+    Row k is shifted by x* Re v - F(x*) at its peak x* = p'(Re v / 2), and
+    the shift is folded into log_factor before the final exponential, so
+    no row overflows and the term at x* is between e^-3 and 1.  The x
+    window is fitted to every row at once from the decay length of
+    exp(-2 p*(x)) (`_fit_window`) until, with F for log J, the terms at
+    its ends are below e^-45 of each row's term at x*.  F is a floor, so
+    the true end terms are below e^(-45 + log J(x*) - F(x*)), at most
+    e^-42, of the term at x*.  There, with e^{xv} / J(x) analytic in a
+    strip about the real axis, the trapezoid rule converges geometrically,
+    and its levels nest (Trefethen & Weideman, SIAM Review 56, 2014).  The
     first level takes n + 1 nodes; each later one halves the step and
     evaluates only the n / 2 new midpoints, its sum and L1 norm
     sum |e^expo| h being half the previous level's plus h times the new
-    terms.  Levels are added until every row agrees with the previous
-    one to rtol times its L1 norm, and the finer level is returned: each
-    term carries the inner rule's relative error rtol, and where a complex
-    v makes the terms oscillate and cancel, their errors do not cancel
-    with them.  Rows settle on their own: where the top level leaves some
-    unsettled, the settled rows keep their values and only the others go
-    on, in contiguous halves, each with a window fitted to its own, nearer
-    x*; a lone unsettled row raises ConvergenceError.  n_evals counts the
-    inner evaluations at the rule's nodes plus the tau x x cells; the
-    shift and the window cost none.  A row's error estimate is its last
-    level difference plus rtol times its L1 norm.
+    terms.  Each row takes levels until it agrees with the previous one
+    to rtol times its L1 norm on a step that resolves its oscillation
+    (`_settle_rows`), and keeps the finer level: each term carries the
+    inner rule's relative error rtol, and where a complex v makes the
+    terms oscillate and cancel, their errors do not cancel with them.
+    Rows left unsettled go on in contiguous halves, each with a window
+    fitted to its own, nearer x*.  n_evals counts the inner evaluations
+    at the rule's nodes plus the tau x x cells of the rows still active;
+    the shift and the window cost none.  A row's error estimate is its
+    last level difference plus rtol times its L1 norm.
     """
     taus = np.asarray(taus)
     a = spec.alpha
     v = taus ** (1.0 / a) * u
-    vr = v.real
+    vr, osc = v.real, np.abs(v.imag)
     x_star = profile_dp(spec, 0.5 * vr)
     peak = x_star * vr - _log_inner_floor(spec, x_star)
     ends = np.array([x_star.min(), x_star.max()])
@@ -443,32 +462,35 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
 
     L = _fit_window(decayed, np.full(2, _decay_length(spec.conjugate_alpha, 1.0) + 1.0))
     lo, hi = ends[0] - L[0], ends[1] + L[1]
-    vals = l1 = 0.0
+    l1 = np.zeros(taus.size)
     n_evals = 0
-    for level, n in enumerate(_X_ORDERS):
+
+    def level(k, idx, prev):
+        nonlocal n_evals
+        n = _X_ORDERS[k]
         h = (hi - lo) / n
-        xs = lo + h * (np.arange(n + 1) if level == 0 else np.arange(1, n, 2))
+        xs = lo + h * (np.arange(n + 1) if k == 0 else np.arange(1, n, 2))
         log_j, ne = _log_inner_batch(spec, 1.0, xs, rtol)
-        n_evals += ne + taus.size * xs.size
-        expo = np.multiply.outer(v, xs)
+        n_evals += ne + idx.size * xs.size
+        expo = np.multiply.outer(v[idx], xs)
         expo -= log_j
-        expo -= peak[:, None]
+        expo -= peak[idx, None]
         terms = np.exp(expo, out=expo)
-        if level == 0:
+        if k == 0:
             terms[:, [0, -1]] *= 0.5
-        prev = vals
-        vals = 0.5 * prev + h * terms.sum(axis=1)
-        l1 = 0.5 * l1 + h * np.abs(terms).sum(axis=1)
-        settled = (level > 0) & (np.abs(vals - prev) <= rtol * l1)
-        if settled.all():
-            break
+            prev = 0.0
+        l1[idx] = 0.5 * l1[idx] + h * np.abs(terms).sum(axis=1)
+        resolved = h * osc[idx] <= math.pi
+        return 0.5 * prev + h * terms.sum(axis=1), np.where(resolved, rtol * l1[idx], -1.0)
+
+    vals, diffs, unsettled = _settle_rows(taus.size, level, len(_X_ORDERS))
+    rest = np.flatnonzero(unsettled)
     scale = np.exp(peak + log_factor + (2.0 / a) * np.log(taus) - math.log(TWO_PI))
-    vals, err = scale * vals, np.abs(scale) * (np.abs(vals - prev) + rtol * l1)
-    if taus.size == 1 and not settled[0]:
+    vals, err = scale * vals, np.abs(scale) * (diffs + rtol * l1)
+    if taus.size == 1 and rest.size:
         raise ConvergenceError("tau-batched kernel rule did not stabilise")
     # the window served every row: the unsettled ones go on in contiguous
     # halves, each with a window fitted to its own, nearer x*
-    rest = np.flatnonzero(~settled)
     for part in (rest[:rest.size // 2], rest[rest.size // 2:]):
         if part.size:
             vals[part], more, err[part] = _kernel_tau_batch(spec, taus[part], u,
@@ -612,8 +634,7 @@ _SLOPE_TOL = 1e-3
 def _end_slopes(xs, gap):
     """Gap trend d(gap)/d|x| at each tail end of the grid."""
     order = np.argsort(xs)
-    xs = xs[order]
-    gap = gap[order]
+    xs, gap = xs[order], gap[order]
     n10 = max(3, len(xs) // 10)
     slopes = []
     if abs(xs[-1]) >= 0.5 * np.max(np.abs(xs)):
@@ -690,16 +711,13 @@ def laplace_asymptotic(spec: WeightSpec, eta, tau_grid,
     pstar = young_conjugate_closed(spec, eta)
     taus = np.asarray(tau_grid, dtype=float)
     rtol = max(1e-9, 0.01 * cfg.rel_tol)
-    ratios = []
-    printed = []
+    ratios, printed = [], []
     for tau in taus:
         tau = _check_tau(tau)
         logI = float(_log_inner_batch(spec, tau, [eta], rtol)[0][0])
-        log_pred = 0.5 * (math.log(math.pi) - math.log(tau) - math.log(p2d)) \
-            + 2.0 * tau * pstar
+        log_pred = 0.5 * (math.log(math.pi) - math.log(tau) - math.log(p2d)) + 2.0 * tau * pstar
         ratios.append(math.exp(logI - log_pred))
-        log_printed = 0.5 * (math.log(tau) + math.log(p2d) - math.log(TWO_PI)) \
-            + 2.0 * tau * pstar
+        log_printed = 0.5 * (math.log(tau) + math.log(p2d) - math.log(TWO_PI)) + 2.0 * tau * pstar
         printed.append(math.exp(logI - log_printed))
     ratios = np.array(ratios)
     dev = np.abs(ratios - 1.0)
@@ -728,18 +746,6 @@ def _causal_deficit_slope(tau, a, base):
     leaves a plain {eps, eps^{3/2}} series for the extrapolation.
     """
     return -(2.0 * math.sqrt(2.0) / math.sqrt(math.pi)) * (a - 0.5 / tau - 0.5 * base)
-
-
-def _gk_composite(edges):
-    """GK15 nodes and weights for a fixed composite rule over given edges."""
-    from .numerics import _WK, _XK  # shared tables
-
-    edges = np.asarray(edges, dtype=float)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + halfs[:, None] * _XK[None, :]).ravel()
-    weights = (halfs[:, None] * _WK[None, :]).ravel()
-    return nodes, weights
 
 
 def _difference_rule_edges(center, scale, inner_stop, V, width):
@@ -819,7 +825,7 @@ def bergman_from_szego_gaussian(tau, z, w, epsilon,
 
     def build(width):
         edges = _difference_rule_edges(base.imag, delta + abs(base.real), 2.0, V, width)
-        nodes, wts = _gk_composite(edges)
+        nodes, wts = gk15_composite(edges)
         return nodes, (base - delta - 1j * nodes) ** -2 * np.exp(1j * tau * nodes) * wts
 
     rule = build(h)
@@ -879,9 +885,7 @@ def duality_finiteness_criterion(tau, tau0, tau1) -> bool:
     integral with weights e^{-2 tau1 p(z) - 2 tau0 p(w)} in the Gaussian
     case: true iff tau1 > tau/2 and (tau1 - tau/2)(tau0 - tau/2) > (tau/2)^2.
     """
-    tau = float(tau)
-    tau0 = float(tau0)
-    tau1 = float(tau1)
+    tau, tau0, tau1 = float(tau), float(tau0), float(tau1)
     if not (0.0 < tau0 < tau < tau1):
         raise DomainError("require 0 < tau0 < tau < tau1")
     h = 0.5 * tau
@@ -897,17 +901,15 @@ def duality_marginal_integral(tau, tau0, tau1,
     decay and TruncationError propagates; that divergence is the point of
     the probe.
     """
-    tau = float(tau)
-    tau0 = float(tau0)
-    tau1 = float(tau1)
+    tau, tau0, tau1 = float(tau), float(tau0), float(tau1)
     if not (0.0 < tau0 < tau < tau1):
         raise DomainError("require 0 < tau0 < tau < tau1")
-    counter = {"n": 0}
+    n_evals = 0
 
     def h(uvec):
-        out = np.empty(np.shape(uvec), dtype=float)
-        flat = np.atleast_1d(uvec).ravel()
-        res_flat = np.empty(flat.shape, dtype=float)
+        nonlocal n_evals
+        flat = np.ravel(uvec)
+        out = np.empty(flat.shape)
         for i, u in enumerate(flat):
             x_star = tau * u / (2.0 * (tau1 - 0.5 * tau))
             qmax = (0.5 * tau * (x_star + u) ** 2 - tau1 * x_star ** 2
@@ -919,18 +921,17 @@ def duality_marginal_integral(tau, tau0, tau1,
 
             r = integrate_real_line(f, cfg, center=x_star,
                                     initial_halfwidth=max(1.0, 2.0 * abs(x_star)))
-            counter["n"] += r.n_evals
+            n_evals += r.n_evals
             try:
-                res_flat[i] = math.exp(qmax) * r.value.real
+                out[i] = math.exp(qmax) * r.value.real
             except OverflowError:
-                res_flat[i] = math.inf
-        out.flat = res_flat
-        return out
+                out[i] = math.inf
+        return out.reshape(np.shape(uvec))
 
     res = integrate_real_line(h, cfg)
     scale = (tau / TWO_PI) ** 2
     return EvalResult(scale * res.value, scale * res.abs_err_estimate,
-                      "marginal-nested", counter["n"] + res.n_evals)
+                      "marginal-nested", n_evals + res.n_evals)
 
 
 def shifted_maximizer_gap(spec: WeightSpec, tau, lam, eta) -> float:

@@ -460,6 +460,18 @@ def test_tau_batch_kernel_reruns_only_unsettled_rows(monkeypatch):
     assert np.all(np.abs(got - ref) <= err)
 
 
+def test_tau_batch_kernel_settles_only_resolved_oscillation():
+    # on a lone complex-tau row the terms oscillate like e^{i x Im v}; two
+    # coarse levels that alias it alike agree on a wrong value, so a row
+    # settles only on a step with two nodes a period, and its estimate
+    # bounds its true error
+    tau = 400.0 * complex(math.cos(-0.28), math.sin(-0.28))
+    u = 0.33 - 1.26j
+    (got,), _, (err,) = _kernel_tau_batch(gaussian(), np.array([tau]), u, np.zeros(1), 5e-9)
+    ref = tau / (2.0 * PI) * np.exp(0.25 * tau * u * u)
+    assert err >= abs(got - ref)
+
+
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 4.0])
 def test_bergman_profile_homogeneity(alpha, cfg):
     # K_tau(z, w) = tau^(2/a) K_1(tau^(1/a) z, tau^(1/a) w)
@@ -759,13 +771,15 @@ def test_sandwich_bounds_near_alpha_one(cfg):
     logI, _ = _log_inner_batch(spec, 1.0, grid, 1e-10)
     alone = [_log_inner_batch(spec, 1.0, [eta], 1e-10)[0][0] for eta in grid]
     np.testing.assert_allclose(logI, alone, rtol=1e-10, atol=1e-10)
-    # the dual's rows that settle only on halved panels go there from the
-    # batch at once, so the batch costs about what its rows alone do
-    dual = conjugate_spec(spec)
-    logI, n_batch = _log_inner_batch(dual, 1.0, grid, 1e-8)
-    alone = [_log_inner_batch(dual, 1.0, [eta], 1e-8) for eta in grid]
-    assert n_batch <= 1.2 * sum(n for _, n in alone)
-    np.testing.assert_allclose(logI, [log_i[0] for log_i, _ in alone], rtol=1e-8)
+    # each row leaves the batch at the order it settles, and the dual's rows
+    # that settle only on halved panels go there from the batch at once, so
+    # a batch is its rows: the same work, and the same values to rounding
+    for spec, grid, rtol in ((conjugate_spec(spec), grid, 1e-8),
+                             (profile_power(1.5), np.linspace(-6.0, 6.0, 65), 5e-10)):
+        logI, n_batch = _log_inner_batch(spec, 1.0, grid, rtol)
+        alone = [_log_inner_batch(spec, 1.0, [eta], rtol) for eta in grid]
+        assert n_batch == sum(n for _, n in alone)
+        assert np.max(np.abs(logI - [log_i[0] for log_i, _ in alone])) <= 1e-14
 
 
 def test_log_inner_batch_steep_walls_against_mpmath():
