@@ -17,9 +17,13 @@ tau it keeps one table of log J on one shared, nested trapezoid rule in x,
 each level adding only its new midpoints and a tau x (new x) block of
 terms.  Its x window and the shift of each row come from a closed-form
 floor of log J, within 3 of it (`_log_inner_floor`), so log J is computed
-only at the rule's nodes.  It and the inner `_log_inner_batch` settle
-their rows under one policy, `_settle_rows`.  `bergman_profile` is one
-row; `szego_profile` takes all tau nodes of a quadrature step at once.
+only at the rule's nodes; no row settles at the rule's first level, so
+the first inner call takes the first two levels at once.  It and the
+inner `_log_inner_batch` settle their rows under one policy,
+`_settle_rows`.  `bergman_profile` is one row; `szego_profile` takes all
+tau nodes of a quadrature step at once, and its batches share one x table
+per call, the window and the log J of each level computed so far: a later
+batch whose rows the window serves pays only its tau x x terms.
 K_1 is entire, so the tau integral may run along a ray tau = r omega in
 the complex plane; it takes the ray between the real axis and the
 steepest-descent ray of the integrand's rate e^{tau E} on which the terms
@@ -162,17 +166,18 @@ def _settle_rows(n, level, n_levels):
 
     `level(k, idx, prev)` returns the level-k values of the active rows idx
     (prev: their level k - 1 values, None at k = 0) and the bound within
-    which the two must agree.  A row that agrees keeps that level's value
-    and leaves the batch at once, so no row's value or work depends on the
-    others' levels; a row whose value is not finite leaves at once,
-    unsettled.  The bound is rtol in log I for the inner rule, and rtol
-    times the terms' L1 norm for the x rule, but only on a step with
-    h |Im v| <= pi, two nodes to a period of e^{i x Im v}: coarser levels
-    can alias it alike and agree on a wrong value.  Unsettled rows go on to
-    their engine's retry.
+    which the two must agree; idx is the slice of all rows while every row
+    is active, so the engines index their row arrays by views, not copies.
+    A row that agrees keeps that level's value and leaves the batch at
+    once, so no row's value or work depends on the others' levels; a row
+    whose value is not finite leaves at once, unsettled.  The bound is rtol
+    in log I for the inner rule, and rtol times the terms' L1 norm for the
+    x rule, but only on a step with h |Im v| <= pi, two nodes to a period
+    of e^{i x Im v}: coarser levels can alias it alike and agree on a
+    wrong value.  Unsettled rows go on to their engine's retry.
     Returns (values, last-level differences, mask of the unsettled rows).
     """
-    idx, prev = np.arange(n), None
+    active, idx, prev = np.arange(n), slice(None), None
     diffs, settled = np.full(n, np.nan), np.zeros(n, dtype=bool)
     for k in range(n_levels):
         vals, bound = level(k, idx, prev)
@@ -183,9 +188,14 @@ def _settle_rows(n, level, n_levels):
             diffs[idx] = diff = np.abs(vals - prev)
             settled[idx] = agree = diff <= bound
             going = ~agree & np.isfinite(vals)
-        idx, prev = idx[going], vals[going]
-        if not idx.size:
+        n_going = np.count_nonzero(going)
+        if not n_going:
             break
+        if n_going < going.size:
+            idx = active = active[going]
+            prev = vals[going]
+        else:
+            prev = vals
     return out, diffs, ~settled
 
 
@@ -411,7 +421,17 @@ _RAY_ANGLES = 33
 _RAY_SEEDS = 8
 
 
-def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
+class _XTable:
+    """One `szego_profile` call's x rule: its window [lo, hi] and the log J
+    values of each nested trapezoid level computed on it so far."""
+
+    __slots__ = ("lo", "hi", "log_j")
+
+    def __init__(self):
+        self.lo, self.hi, self.log_j = math.nan, math.nan, []
+
+
+def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
     """(K_tau(u) exp(log_factor), n_evals, error estimate) for a vector of
     real or complex tau, on one shared x rule.
 
@@ -433,8 +453,9 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     e^-42, of the term at x*.  There, with e^{xv} / J(x) analytic in a
     strip about the real axis, the trapezoid rule converges geometrically,
     and its levels nest (Trefethen & Weideman, SIAM Review 56, 2014).  The
-    first level takes n + 1 nodes; each later one halves the step and
-    evaluates only the n / 2 new midpoints, its sum and L1 norm
+    first level takes n + 1 nodes; no row settles there, so its inner call
+    takes the second level's n new midpoints too.  Each later level halves
+    the step and evaluates only the n / 2 new midpoints, its sum and L1 norm
     sum |e^expo| h being half the previous level's plus h times the new
     terms.  Each row takes levels until it agrees with the previous one
     to rtol times its L1 norm on a step that resolves its oscillation
@@ -443,9 +464,20 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     terms oscillate and cancel, their errors do not cancel with them.
     Rows left unsettled go on in contiguous halves, each with a window
     fitted to its own, nearer x*.  n_evals counts the inner evaluations
-    at the rule's nodes plus the tau x x cells of the rows still active;
-    the shift and the window cost none.  A row's error estimate is its
-    last level difference plus rtol times its L1 norm.
+    made at the rule's nodes plus the tau x x cells of the rows still
+    active; the shift and the window cost none.  A row's error estimate
+    is its last level difference plus rtol times its L1 norm.
+
+    `table`, an `_XTable` kept by the caller across batches of one spec
+    and rtol, holds a window [lo, hi] and the log J of each level computed
+    on it.  The batch takes that window, and every level the table has,
+    only if (a) its x* range lies inside [lo, hi], (b) every row's floor
+    terms at lo and hi are below e^-45 of its term at x*, which with (a)
+    and concavity bounds every term outside, and (c) its own fitted window
+    is at least half as wide as [lo, hi], so the step is no more than
+    twice its own and narrow batches do not settle late on a coarse one.
+    Otherwise its own window, with no levels, becomes the table.  The
+    halves of the unsettled rows take no table.
     """
     taus = np.asarray(taus)
     a = spec.alpha
@@ -455,13 +487,20 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     peak = x_star * vr - _log_inner_floor(spec, x_star)
     ends = np.array([x_star.min(), x_star.max()])
 
-    def decayed(L):
-        xs = ends + _SIDES * L
+    def decayed(xs):
         expo = np.multiply.outer(vr, xs) - _log_inner_floor(spec, xs) - peak[:, None]
         return np.all(expo <= -_EXP_CUTOFF, axis=0)
 
-    L = _fit_window(decayed, np.full(2, _decay_length(spec.conjugate_alpha, 1.0) + 1.0))
+    L = _fit_window(lambda L: decayed(ends + _SIDES * L),
+                    np.full(2, _decay_length(spec.conjugate_alpha, 1.0) + 1.0))
     lo, hi = ends[0] - L[0], ends[1] + L[1]
+    if table is None:
+        table = _XTable()
+    if not (table.lo <= ends[0] and ends[1] <= table.hi
+            and 2.0 * (hi - lo) >= table.hi - table.lo
+            and decayed(np.array([table.lo, table.hi])).all()):
+        table.lo, table.hi, table.log_j = lo, hi, []
+    lo, hi, log_js = table.lo, table.hi, table.log_j
     l1 = np.zeros(taus.size)
     n_evals = 0
 
@@ -470,10 +509,15 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
         n = _X_ORDERS[k]
         h = (hi - lo) / n
         xs = lo + h * (np.arange(n + 1) if k == 0 else np.arange(1, n, 2))
-        log_j, ne = _log_inner_batch(spec, 1.0, xs, rtol)
-        n_evals += ne + idx.size * xs.size
+        if k == len(log_js):
+            # no row settles at level one, so its call takes level two's midpoints too
+            fetch = lo + 0.5 * h * np.arange(2 * n + 1) if k == 0 else xs
+            log_j, ne = _log_inner_batch(spec, 1.0, fetch, rtol)
+            log_js.extend([log_j[0::2], log_j[1::2]] if k == 0 else [log_j])
+            n_evals += ne
         expo = np.multiply.outer(v[idx], xs)
-        expo -= log_j
+        n_evals += expo.size
+        expo -= log_js[k]
         expo -= peak[idx, None]
         terms = np.exp(expo, out=expo)
         if k == 0:
@@ -545,7 +589,11 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     Each call of it takes every tau node of a quadrature step at once:
     through the homogeneity K_tau(u) = tau^(2/a) K_1(tau^(1/a) u) all
     nodes share one table of log I(., 1) on one nested x rule
-    (`_kernel_tau_batch`), so no node runs a quadrature of its own.
+    (`_kernel_tau_batch`), so no node runs a quadrature of its own.  The
+    batches of one call share one `_XTable`, its window and the log J of
+    its levels: a batch whose x* range the window contains, with every
+    row decayed at its ends, and whose own window is at least half as
+    wide, reuses it; any other batch's window replaces it.
     The integrand grows like e^{tau E}, E = 2 (u/2)^a / a - R, u = z +
     conj w taken with Re u >= 0, and K_1 is entire, so the contour may
     turn onto any ray tau = r omega between the real axis and the
@@ -587,12 +635,13 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     inner_rel_tol = max(min(cfg.rel_tol * 0.1, 1e-6), 1e-12)
     rtol = max(1e-13, 0.05 * inner_rel_tol)
     n_evals = 0
+    table = _XTable()
 
     def g(s):  # the integrand at tau = s^a omega, times dtau / (omega ds)
         nonlocal n_evals
         taus = s ** a * omega
         vals, n, _ = _kernel_tau_batch(spec, taus, u, math.log(a) + (a - 1.0) * np.log(s)
-                                       - taus * rate, rtol)
+                                       - taus * rate, rtol, table)
         n_evals += n
         return vals
 

@@ -353,9 +353,10 @@ def test_tau_batch_kernel_matches_bergman_profile(weight, cfg):
 
 
 def test_tau_batch_kernel_evaluates_each_x_node_once(monkeypatch):
-    # the nested trapezoid rule: level one takes 33 nodes, each later level
-    # only the midpoints new to it, so across levels no log J is recomputed;
-    # x* and the window come from the closed-form floor of log J, so every
+    # the nested trapezoid rule: no row settles at level one, so the first
+    # inner call takes levels one and two, 65 nodes; each later level only
+    # the midpoints new to it, so across levels no log J is recomputed; x*
+    # and the window come from the closed-form floor of log J, so every
     # inner call is a rule level
     calls, depth = [], [0]
     inner = profile_module._log_inner_batch
@@ -373,8 +374,8 @@ def test_tau_batch_kernel_evaluates_each_x_node_once(monkeypatch):
     _kernel_tau_batch(profile_power(3.0), KERNEL_TAUS, 1.4 - 0.03j,
                       np.zeros(KERNEL_TAUS.size), 5e-9)
     sizes = [xs.size for xs in calls]
-    assert sizes[0] == 33 and len(sizes) >= 2
-    assert sizes[1:] == [32 * 2 ** k for k in range(len(sizes) - 1)]
+    assert sizes[0] == 65 and len(sizes) >= 2
+    assert sizes[1:] == [64 * 2 ** k for k in range(len(sizes) - 1)]
     nodes = np.concatenate(calls)
     assert np.unique(nodes).size == nodes.size
     h = np.diff(np.sort(nodes))
@@ -400,8 +401,9 @@ def test_log_inner_floor_bounds_log_j(alpha):
 @pytest.mark.parametrize("phase", [0.0, -0.5])
 def test_tau_batch_kernel_window_ends_decay(monkeypatch, weight, phase):
     # the window is fitted from the floor of log J; with log J itself the
-    # terms at the ends of level one are still below e^-40 of each row's
-    # largest term, on the real tau axis and on a complex ray
+    # terms at the ends of level one (every other node of the first inner
+    # call) are still below e^-40 of each row's largest term, on the real
+    # tau axis and on a complex ray
     spec = parse_weight(weight)
     taus = KERNEL_TAUS * complex(math.cos(phase), math.sin(phase))
     calls, inner = [], profile_module._log_inner_batch
@@ -414,13 +416,36 @@ def test_tau_batch_kernel_window_ends_decay(monkeypatch, weight, phase):
     for u in (0.6 + 0.05j, -0.9 + 0.02j, 1.4 - 0.03j):
         calls.clear()
         _kernel_tau_batch(spec, taus, u, np.zeros(taus.size), 5e-10)
-        xs = calls[0]
+        xs = calls[0][0::2]
         assert xs.size == 33
         log_j, _ = inner(spec, 1.0, xs, 1e-12)
         v = taus ** (1.0 / spec.alpha) * u
         log_terms = np.multiply.outer(v.real, xs) - log_j
         ends = np.maximum(log_terms[:, 0], log_terms[:, -1])
         assert np.all(ends - log_terms.max(axis=1) <= -40.0)
+
+
+def test_tau_batch_kernel_table_must_contain_every_peak():
+    # a table whose window stops short of a row's peak x* is not used, even
+    # where the row's terms at its ends have decayed and the batch's own
+    # window is wider: summed on it, that row would lose its whole mass
+    spec, u = gaussian(), 1.0 + 0.05j
+    table = profile_module._XTable()
+    _kernel_tau_batch(spec, np.array([0.05, 0.3]), u, np.zeros(2), 1e-10, table)
+    taus = np.array([0.3, 6400.0])
+    vr = taus ** 0.5 * u.real
+    x_star = profile_dp(spec, 0.5 * vr)
+    assert x_star[-1] > table.hi
+    ends = np.array([table.lo, table.hi])
+    expo = (np.multiply.outer(vr, ends) - _log_inner_floor(spec, ends)
+            - (x_star * vr - _log_inner_floor(spec, x_star))[:, None])
+    assert np.all(expo <= -45.0)
+    log_factor = -0.25 * taus * (u * u).real
+    got = _kernel_tau_batch(spec, taus, u, log_factor, 1e-10, table)[0]
+    fresh = _kernel_tau_batch(spec, taus, u, log_factor, 1e-10)[0]
+    assert np.all(np.abs(got - fresh) <= 1e-14 * np.abs(fresh))
+    ref = taus / (2.0 * PI) * np.exp(0.25 * taus * u * u + log_factor)
+    assert np.all(np.abs(got - ref) <= 1e-8 * np.abs(ref))
 
 
 def test_tau_batch_kernel_complex_tau_gaussian_closed():
@@ -556,6 +581,10 @@ def test_szego_profile_gaussian_equal_z_small_gap(x, gap, loose):
     ref = szego_gaussian_closed(p1, p2)
     assert _within_tol(res, ref, loose)
     assert abs(res.value - ref) <= res.abs_err_estimate
+    if (x, gap) == (3.0, 0.05):
+        # the batches share the call's x table only where it serves them:
+        # no more work than with a window and levels of its own in each
+        assert res.n_evals <= 34_419_004
 
 
 def test_szego_profile_power_two_is_gaussian(loose):
@@ -725,6 +754,36 @@ def test_szego_profile_decaying_work_count(loose, monkeypatch):
     assert res.method == "triple-quadrature"
     assert len(calls) <= 4
     assert res.n_evals < 1_000_000
+
+
+@pytest.mark.parametrize("spec, p1, p2", [
+    (gaussian(), BoundaryPoint(0.72 + 0.07j, -0.35), BoundaryPoint(-0.98 + 0.06j, -0.47)),
+    (profile_power(3.0), BoundaryPoint(-0.71 + 0.13j, 0.39), BoundaryPoint(1.0 + 0.25j, 0.25)),
+], ids=["gaussian", "alpha3"])
+def test_szego_profile_batches_share_one_x_table(spec, p1, p2, loose, monkeypatch):
+    # on a decaying point the first batch of the tau rule spans the whole
+    # ray, so its x table serves every later batch: they compute no log J
+    inner_calls, depth = [], [0]
+    batch, inner = profile_module._kernel_tau_batch, profile_module._log_inner_batch
+
+    def counted_batch(*args):
+        depth[0] += 1
+        if depth[0] == 1:
+            inner_calls.append(0)
+        try:
+            return batch(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted_inner(*args):
+        inner_calls[-1] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(profile_module, "_kernel_tau_batch", counted_batch)
+    monkeypatch.setattr(profile_module, "_log_inner_batch", counted_inner)
+    szego_profile(spec, p1, p2, loose)
+    assert len(inner_calls) >= 2 and inner_calls[0] >= 1
+    assert inner_calls[1:] == [0] * (len(inner_calls) - 1)
 
 
 def test_szego_profile_gaussian_estimate_is_honest(loose):
