@@ -2,22 +2,26 @@
 
 Exit codes: 0 success, 1 computation error (error name on stderr),
 2 usage error (grammar on stderr), 3 verification suite with failures.
+
+`_COMMANDS` is the one table of subcommands and their flags; the parser
+(`build_parser`) and the grammar text (`GRAMMAR`) are both built from it.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import BoundaryPoint
 from .errors import SzegofockError
-from .numerics import QuadConfig
+from .numerics import DEFAULT_CONFIG, EvalResult, QuadConfig
 from .profile import (
     bergman_gaussian_closed,
     bergman_profile,
@@ -31,6 +35,7 @@ from .profile import (
 from .radial import bergman_radial_series, szego_radial_closed, szego_radial_via_laplace
 from .verify import SUITE_NAMES, run_suite
 from .weights import (
+    WEIGHT_GRAMMAR,
     WeightFamily,
     inverse_derivative,
     parse_weight,
@@ -38,78 +43,225 @@ from .weights import (
     young_conjugate_numeric,
 )
 
-GRAMMAR = """subcommands:
-  bergman --weight <spec> --tau <f> --z <re,im> --w <re,im> [--method series|quadrature|closed] [--format json|csv]
-  szego --weight <spec> --zt <re,im,t> --ws <re,im,s> [--method closed|laplace|triple] [--format ...]
-  conjugate --weight <spec> --eta <f> [--method closed|numeric]
-  mu --weight <spec> --eta <f>
-  inner-integral --weight <spec> --tau <f> --eta <f>
-  bounds --weight <spec> --tau <f> --lambda <f> --eta-grid <min:max:count>
-  asymptotics --weight <spec> --eta <f> --tau-grid <min:max:count>
-  duality --tau <f> --tau0 <f> --tau1 <f>
-  verify --suite normalization|reproducing|crosscheck|bounds|asymptotics|all [--report <path>]
-weights: radial:alpha=<float> | profile:alpha=<float> | gaussian
-shared flags: --abs-tol <f> --rel-tol <f> --max-subdiv <n> --decay-threshold <f>
-"""
-
 
 class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One result row; round-trips losslessly through json and csv."""
-
-    command: str
-    params: dict
-    value_re: float
-    value_im: float
-    abs_err: float
-    method: str
-
-    def as_dict(self):
-        return {
-            "command": self.command,
-            "params": {k: str(v) for k, v in self.params.items()},
-            "value_re": self.value_re,
-            "value_im": self.value_im,
-            "abs_err": self.abs_err,
-            "method": self.method,
-        }
-
-
-def _parse_complex(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError("expected re,im pair, got %r" % text)
+def _fields(text, sep, convs, what):
+    """text split at sep into exactly one field per conversion in convs."""
+    parts = text.split(sep)
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        if len(parts) == len(convs):
+            return [conv(part) for conv, part in zip(convs, parts)]
     except ValueError:
-        raise UsageError("expected re,im pair, got %r" % text)
+        pass
+    raise UsageError("expected %s, got %r" % (what, text))
 
 
-def _parse_boundary(text):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError("expected re,im,t triple, got %r" % text)
-    try:
-        return BoundaryPoint(complex(float(parts[0]), float(parts[1])), float(parts[2]))
-    except ValueError:
-        raise UsageError("expected re,im,t triple, got %r" % text)
+def _complex(text):
+    return complex(*_fields(text, ",", (float, float), "re,im pair"))
 
 
-def _parse_grid(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError("expected min:max:count grid, got %r" % text)
-    try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise UsageError("expected min:max:count grid, got %r" % text)
+def _boundary(text):
+    x, y, t = _fields(text, ",", (float, float, float), "re,im,t triple")
+    return BoundaryPoint(complex(x, y), t)
+
+
+def _grid(text):
+    lo, hi, count = _fields(text, ":", (float, float, int), "min:max:count grid")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError("grid bounds must be finite, got %r" % text)
     if count < 2 or hi <= lo:
         raise UsageError("grid needs max > min and count >= 2")
     return np.linspace(lo, hi, count)
+
+
+def _record(command, params, value, abs_err, method):
+    """One output row; round-trips losslessly through json and csv."""
+    value = complex(value)
+    return {"command": command, "params": {k: str(v) for k, v in params.items()},
+            "value_re": value.real, "value_im": value.imag,
+            "abs_err": float(abs_err), "method": method}
+
+
+def _exact(value):
+    """A closed form's value, with its roundoff as the error estimate."""
+    return EvalResult(value, 1e-15 * abs(value), "closed", 0)
+
+
+_RADIAL = WeightFamily.RADIAL_POWER
+_PROFILES = (WeightFamily.PROFILE_POWER, WeightFamily.GAUSSIAN_PROFILE)
+_GAUSSIAN = WeightFamily.GAUSSIAN_PROFILE
+
+# --method -> ({weight family: call}, refusal for any other family); with no
+# --method, the first method that serves the weight's family runs.  The
+# calls take (spec, tau, z, w, cfg) for bergman, (spec, p1, p2, cfg) for szego.
+_BERGMAN_METHODS = {
+    "series": ({_RADIAL: lambda spec, *a: bergman_radial_series(spec.alpha, *a)},
+               "method series requires a radial weight"),
+    "quadrature": (dict.fromkeys(_PROFILES, bergman_profile),
+                   "method quadrature requires a profile weight"),
+    "closed": ({_GAUSSIAN: lambda spec, tau, z, w, cfg:
+                _exact(bergman_gaussian_closed(tau, z, w))},
+               "method closed is valid only for the gaussian weight"),
+}
+_SZEGO_METHODS = {
+    "closed": ({_RADIAL: lambda spec, p1, p2, cfg: szego_radial_closed(spec.alpha, p1, p2),
+                _GAUSSIAN: lambda spec, p1, p2, cfg: _exact(szego_gaussian_closed(p1, p2))},
+               "no closed form for profile power weights"),
+    "laplace": ({_RADIAL: lambda spec, *a: szego_radial_via_laplace(spec.alpha, *a)},
+                "method laplace requires a radial weight"),
+    "triple": (dict.fromkeys(_PROFILES, szego_profile),
+               "method triple requires a profile weight"),
+}
+
+
+def _method_call(methods, method, family):
+    if method is None:
+        method = next(m for m, (calls, _) in methods.items() if family in calls)
+    calls, refusal = methods[method]
+    if family not in calls:
+        raise UsageError(refusal)
+    return calls[family]
+
+
+def _cmd_bergman(args, cfg):
+    spec = parse_weight(args.weight)
+    z, w = _complex(args.z), _complex(args.w)
+    res = _method_call(_BERGMAN_METHODS, args.method, spec.family)(spec, args.tau, z, w, cfg)
+    params = {"weight": args.weight, "tau": args.tau, "z": args.z, "w": args.w}
+    return [_record("bergman", params, res.value, res.abs_err_estimate, res.method)], ()
+
+
+def _cmd_szego(args, cfg):
+    spec = parse_weight(args.weight)
+    p1, p2 = _boundary(args.zt), _boundary(args.ws)
+    res = _method_call(_SZEGO_METHODS, args.method, spec.family)(spec, p1, p2, cfg)
+    params = {"weight": args.weight, "zt": args.zt, "ws": args.ws}
+    return [_record("szego", params, res.value, res.abs_err_estimate, res.method)], ()
+
+
+def _cmd_conjugate(args, cfg):
+    spec = parse_weight(args.weight)
+    params = {"weight": args.weight, "eta": args.eta}
+    if args.method == "closed":
+        value = young_conjugate_closed(spec, args.eta)
+        return [_record("conjugate", params, value, 0.0, "closed")], ()
+    tol = max(cfg.abs_tol, 1e-12)
+    value = young_conjugate_numeric(spec, args.eta, tol)
+    return [_record("conjugate", params, value, tol, "numeric")], ()
+
+
+def _cmd_mu(args, cfg):
+    spec = parse_weight(args.weight)
+    value = inverse_derivative(spec, args.eta)
+    return [_record("mu", {"weight": args.weight, "eta": args.eta}, value, 0.0, "closed")], ()
+
+
+def _cmd_inner(args, cfg):
+    spec = parse_weight(args.weight)
+    res = inner_integral(spec, args.tau, args.eta, cfg)
+    return [_record("inner-integral",
+                    {"weight": args.weight, "tau": args.tau, "eta": args.eta},
+                    res.value, res.abs_err_estimate, res.method)], ()
+
+
+def _cmd_bounds(args, cfg):
+    spec = parse_weight(args.weight)
+    grid = _grid(args.eta_grid)
+    rep = sandwich_bounds_check(spec, args.tau, args.lam, grid, cfg)
+    return [_record("bounds", {"weight": args.weight, "tau": args.tau, "lambda": args.lam,
+                               "eta": eta, "upper_bounded": rep.upper_bounded,
+                               "lower_bounded": rep.lower_bounded},
+                    complex(upper, lower), 0.0, "bounds-sweep")
+            for eta, upper, lower in zip(rep.eta_grid, rep.upper_log_gap, rep.lower_log_gap)], ()
+
+
+def _cmd_asymptotics(args, cfg):
+    spec = parse_weight(args.weight)
+    grid = _grid(args.tau_grid)
+    rep = laplace_asymptotic(spec, args.eta, grid, cfg)
+    return [_record("asymptotics", {"weight": args.weight, "eta": args.eta, "tau": tau,
+                                    "converged": rep.converged,
+                                    "printed_prefactor_ratio": printed},
+                    ratio, 0.0, "laplace-asymptotic")
+            for tau, ratio, printed in zip(rep.tau_grid, rep.ratios,
+                                           rep.printed_prefactor_ratios)], ()
+
+
+def _cmd_duality(args, cfg):
+    ok = duality_finiteness_criterion(args.tau, args.tau0, args.tau1)
+    params = {"tau": args.tau, "tau0": args.tau0, "tau1": args.tau1,
+              "finite": ok}
+    return [_record("duality", params, 1.0 if ok else 0.0, 0.0, "quadratic-form")], ()
+
+
+def _cmd_verify(args, cfg):
+    report = run_suite(args.suite, cfg)
+    return [_record("verify", {"suite": report.suite, "expected_re": c.expected.real,
+                               "expected_im": c.expected.imag, "tolerance": c.tolerance,
+                               "passed": c.passed, "case": c.name},
+                    c.actual, abs(c.expected - c.actual), "verify-case")
+            for c in report.cases], report.notes
+
+
+def _flag(name, placeholder, conv=None, required=True, **kw):
+    """One flag: (name, grammar placeholder, add_argument keywords)."""
+    return name, placeholder, dict(type=conv, required=required, **kw)
+
+
+def _choice(name, choices, required=False, **kw):
+    return name, "|".join(choices), dict(choices=choices, required=required, **kw)
+
+
+_WEIGHT = _flag("--weight", "<spec>")
+_TAU = _flag("--tau", "<f>", float)
+_ETA = _flag("--eta", "<f>", float)
+_GRID = "<min:max:count>"
+
+# Each subcommand's handler, returning (records, notes), and its own flags.
+# The weight, point and grid flags stay text for the records, and each
+# handler parses them in the order it reads them.
+_COMMANDS = {
+    "bergman": (_cmd_bergman, (_WEIGHT, _TAU, _flag("--z", "<re,im>"), _flag("--w", "<re,im>"),
+                               _choice("--method", tuple(_BERGMAN_METHODS)))),
+    "szego": (_cmd_szego, (_WEIGHT, _flag("--zt", "<re,im,t>"), _flag("--ws", "<re,im,s>"),
+                           _choice("--method", tuple(_SZEGO_METHODS)))),
+    "conjugate": (_cmd_conjugate,
+                  (_WEIGHT, _ETA, _choice("--method", ("closed", "numeric"), default="closed"))),
+    "mu": (_cmd_mu, (_WEIGHT, _ETA)),
+    "inner-integral": (_cmd_inner, (_WEIGHT, _TAU, _ETA)),
+    "bounds": (_cmd_bounds, (_WEIGHT, _TAU, _flag("--lambda", "<f>", float, dest="lam"),
+                             _flag("--eta-grid", _GRID))),
+    "asymptotics": (_cmd_asymptotics, (_WEIGHT, _ETA, _flag("--tau-grid", _GRID))),
+    "duality": (_cmd_duality, (_TAU, _flag("--tau0", "<f>", float), _flag("--tau1", "<f>", float))),
+    "verify": (_cmd_verify, (_choice("--suite", SUITE_NAMES, required=True),
+                             _flag("--report", "<path>", required=False))),
+}
+# Flags every subcommand takes; the tolerances default to QuadConfig's.
+_SHARED = (
+    _flag("--abs-tol", "<f>", float, required=False, default=DEFAULT_CONFIG.abs_tol),
+    _flag("--rel-tol", "<f>", float, required=False, default=DEFAULT_CONFIG.rel_tol),
+    _flag("--max-subdiv", "<n>", int, required=False, default=DEFAULT_CONFIG.max_subdivisions),
+    _flag("--decay-threshold", "<f>", float, required=False,
+          default=DEFAULT_CONFIG.truncation_decay_threshold),
+    _choice("--format", ("json", "csv"), default="json"),
+)
+
+
+def _usage(flag):
+    name, placeholder, kw = flag
+    return "%s %s" % (name, placeholder) if kw["required"] else "[%s %s]" % (name, placeholder)
+
+
+GRAMMAR = "\n".join([
+    "subcommands:",
+    *("  %s %s" % (command, " ".join(map(_usage, flags)))
+      for command, (_, flags) in _COMMANDS.items()),
+    "weights: " + WEIGHT_GRAMMAR,
+    "shared flags: " + " ".join("%s %s" % flag[:2] for flag in _SHARED),
+]) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,74 +274,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_shared(p):
-    p.add_argument("--abs-tol", type=float, default=1e-10)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--max-subdiv", type=int, default=2000)
-    p.add_argument("--decay-threshold", type=float, default=1e-16)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-
-
 def build_parser():
-    top = _Parser(prog="szegofock", add_help=True)
+    top = _Parser(prog="szegofock")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bergman", add_help=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--z", required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--method", choices=("series", "quadrature", "closed"))
-    _add_shared(p)
-
-    p = sub.add_parser("szego", add_help=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--zt", required=True)
-    p.add_argument("--ws", required=True)
-    p.add_argument("--method", choices=("closed", "laplace", "triple"))
-    _add_shared(p)
-
-    p = sub.add_parser("conjugate", add_help=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--method", choices=("closed", "numeric"), default="closed")
-    _add_shared(p)
-
-    p = sub.add_parser("mu", add_help=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--eta", type=float, required=True)
-    _add_shared(p)
-
-    p = sub.add_parser("inner-integral", add_help=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--eta", type=float, required=True)
-    _add_shared(p)
-
-    p = sub.add_parser("bounds", add_help=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--eta-grid", required=True)
-    _add_shared(p)
-
-    p = sub.add_parser("asymptotics", add_help=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--tau-grid", required=True)
-    _add_shared(p)
-
-    p = sub.add_parser("duality", add_help=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--tau0", type=float, required=True)
-    p.add_argument("--tau1", type=float, required=True)
-    _add_shared(p)
-
-    p = sub.add_parser("verify", add_help=True)
-    p.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    p.add_argument("--report")
-    _add_shared(p)
-
+    for command, (_, flags) in _COMMANDS.items():
+        p = sub.add_parser(command)
+        for name, _, kw in flags + _SHARED:
+            p.add_argument(name, **kw)
     return top
 
 
@@ -199,189 +290,45 @@ def _config(args) -> QuadConfig:
                       truncation_decay_threshold=args.decay_threshold)
 
 
-def _record(command, params, value, abs_err, method):
-    value = complex(value)
-    return OutputRecord(command, params, value.real, value.imag,
-                        float(abs_err), method)
-
-
-def _cmd_bergman(args, cfg):
-    spec = parse_weight(args.weight)
-    z = _parse_complex(args.z)
-    w = _parse_complex(args.w)
-    method = args.method
-    if method is None:
-        method = "series" if spec.family is WeightFamily.RADIAL_POWER else "quadrature"
-    params = {"weight": args.weight, "tau": args.tau, "z": args.z, "w": args.w}
-    if method == "series":
-        if spec.family is not WeightFamily.RADIAL_POWER:
-            raise UsageError("method series requires a radial weight")
-        res = bergman_radial_series(spec.alpha, args.tau, z, w, cfg)
-        return [_record("bergman", params, res.value, res.abs_err_estimate, res.method)]
-    if method == "quadrature":
-        if not spec.is_profile:
-            raise UsageError("method quadrature requires a profile weight")
-        res = bergman_profile(spec, args.tau, z, w, cfg)
-        return [_record("bergman", params, res.value, res.abs_err_estimate, res.method)]
-    if spec.family is not WeightFamily.GAUSSIAN_PROFILE:
-        raise UsageError("method closed is valid only for the gaussian weight")
-    value = bergman_gaussian_closed(args.tau, z, w)
-    return [_record("bergman", params, value, 1e-15 * abs(value), "closed")]
-
-
-def _cmd_szego(args, cfg):
-    spec = parse_weight(args.weight)
-    p1 = _parse_boundary(args.zt)
-    p2 = _parse_boundary(args.ws)
-    method = args.method
-    if method is None:
-        method = "triple" if spec.family is WeightFamily.PROFILE_POWER else "closed"
-    params = {"weight": args.weight, "zt": args.zt, "ws": args.ws}
-    if method == "closed":
-        if spec.family is WeightFamily.RADIAL_POWER:
-            res = szego_radial_closed(spec.alpha, p1, p2)
-            return [_record("szego", params, res.value, res.abs_err_estimate, res.method)]
-        if spec.family is WeightFamily.GAUSSIAN_PROFILE:
-            value = szego_gaussian_closed(p1, p2)
-            return [_record("szego", params, value, 1e-15 * abs(value), "closed")]
-        raise UsageError("no closed form for profile power weights")
-    if method == "laplace":
-        if spec.family is not WeightFamily.RADIAL_POWER:
-            raise UsageError("method laplace requires a radial weight")
-        res = szego_radial_via_laplace(spec.alpha, p1, p2, cfg)
-        return [_record("szego", params, res.value, res.abs_err_estimate, res.method)]
-    if not spec.is_profile:
-        raise UsageError("method triple requires a profile weight")
-    res = szego_profile(spec, p1, p2, cfg)
-    return [_record("szego", params, res.value, res.abs_err_estimate, res.method)]
-
-
-def _cmd_conjugate(args, cfg):
-    spec = parse_weight(args.weight)
-    params = {"weight": args.weight, "eta": args.eta}
-    if args.method == "closed":
-        value = young_conjugate_closed(spec, args.eta)
-        return [_record("conjugate", params, value, 0.0, "closed")]
-    tol = max(cfg.abs_tol, 1e-12)
-    value = young_conjugate_numeric(spec, args.eta, tol)
-    return [_record("conjugate", params, value, tol, "numeric")]
-
-
-def _cmd_mu(args, cfg):
-    spec = parse_weight(args.weight)
-    value = inverse_derivative(spec, args.eta)
-    return [_record("mu", {"weight": args.weight, "eta": args.eta}, value, 0.0, "closed")]
-
-
-def _cmd_inner(args, cfg):
-    spec = parse_weight(args.weight)
-    res = inner_integral(spec, args.tau, args.eta, cfg)
-    return [_record("inner-integral",
-                    {"weight": args.weight, "tau": args.tau, "eta": args.eta},
-                    res.value, res.abs_err_estimate, res.method)]
-
-
-def _cmd_bounds(args, cfg):
-    spec = parse_weight(args.weight)
-    grid = _parse_grid(args.eta_grid)
-    rep = sandwich_bounds_check(spec, args.tau, args.lam, grid, cfg)
-    records = []
-    for i, eta in enumerate(rep.eta_grid):
-        params = {"weight": args.weight, "tau": args.tau, "lambda": args.lam,
-                  "eta": eta, "upper_bounded": rep.upper_bounded,
-                  "lower_bounded": rep.lower_bounded}
-        records.append(_record("bounds", params,
-                               complex(rep.upper_log_gap[i], rep.lower_log_gap[i]),
-                               0.0, "bounds-sweep"))
-    return records
-
-
-def _cmd_asymptotics(args, cfg):
-    spec = parse_weight(args.weight)
-    grid = _parse_grid(args.tau_grid)
-    rep = laplace_asymptotic(spec, args.eta, grid, cfg)
-    records = []
-    for i, tau in enumerate(rep.tau_grid):
-        params = {"weight": args.weight, "eta": args.eta, "tau": tau,
-                  "converged": rep.converged,
-                  "printed_prefactor_ratio": rep.printed_prefactor_ratios[i]}
-        records.append(_record("asymptotics", params, rep.ratios[i], 0.0,
-                               "laplace-asymptotic"))
-    return records
-
-
-def _cmd_duality(args, cfg):
-    ok = duality_finiteness_criterion(args.tau, args.tau0, args.tau1)
-    params = {"tau": args.tau, "tau0": args.tau0, "tau1": args.tau1,
-              "finite": ok}
-    return [_record("duality", params, 1.0 if ok else 0.0, 0.0, "quadratic-form")]
-
-
-def _cmd_verify(args, cfg):
-    report = run_suite(args.suite, cfg)
-    records = []
-    for c in report.cases:
-        params = {"suite": report.suite, "expected_re": c.expected.real,
-                  "expected_im": c.expected.imag, "tolerance": c.tolerance,
-                  "passed": c.passed, "case": c.name}
-        records.append(_record("verify", params, c.actual,
-                               abs(c.expected - c.actual), "verify-case"))
-    return records, report
-
-
-_DISPATCH = {
-    "bergman": _cmd_bergman,
-    "szego": _cmd_szego,
-    "conjugate": _cmd_conjugate,
-    "mu": _cmd_mu,
-    "inner-integral": _cmd_inner,
-    "bounds": _cmd_bounds,
-    "asymptotics": _cmd_asymptotics,
-    "duality": _cmd_duality,
-}
-
-
-def _emit(records, fmt, stream):
+def _emit(records, fmt):
+    """The records as json or csv text."""
     if fmt == "json":
-        json.dump([r.as_dict() for r in records], stream, indent=2)
-        stream.write("\n")
-        return
-    keys = sorted({k for r in records for k in r.params})
-    writer = csv.writer(stream)
+        return json.dumps(records, indent=2) + "\n"
+    keys = sorted({k for r in records for k in r["params"]})
+    buf = io.StringIO()
+    writer = csv.writer(buf)
     writer.writerow(["command", *keys, "value_re", "value_im", "abs_err", "method"])
     for r in records:
-        writer.writerow([r.command, *(str(r.params.get(k, "")) for k in keys),
-                         repr(r.value_re), repr(r.value_im), repr(r.abs_err),
-                         r.method])
+        writer.writerow([r["command"], *(r["params"].get(k, "") for k in keys),
+                         repr(r["value_re"]), repr(r["value_im"]), repr(r["abs_err"]),
+                         r["method"]])
+    return buf.getvalue()
 
 
 def run(argv, stdout=None, stderr=None) -> int:
     """Parse argv, execute, emit records; returns the process exit code."""
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    parser = build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:  # --help and friends
+            with contextlib.redirect_stdout(stdout):
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help
             return int(exc.code or 0)
-        cfg = _config(args)
-        if args.command == "verify":
-            records, report = _cmd_verify(args, cfg)
-            _emit(records, args.format, stdout)
-            if args.report:
-                with open(args.report, "w", encoding="utf-8") as fh:
-                    buf = io.StringIO()
-                    _emit(records, args.format, buf)
-                    fh.write(buf.getvalue())
-                    for note in report.notes:
-                        fh.write("# %s\n" % note)
-            for note in report.notes:
-                print("# %s" % note, file=stderr)
-            return 0 if report.all_passed else 3
-        records = _DISPATCH[args.command](args, cfg)
-        _emit(records, args.format, stdout)
-        return 0
+        records, notes = _COMMANDS[args.command][0](args, _config(args))
+        text = _emit(records, args.format)
+        report = getattr(args, "report", None)
+        if report:
+            try:
+                with open(report, "w", encoding="utf-8") as fh:
+                    fh.write(text + "".join("# %s\n" % note for note in notes))
+            except OSError as exc:
+                raise UsageError("cannot write report %r: %s" % (report, exc.strerror))
+        stdout.write(text)
+        for note in notes:
+            print("# %s" % note, file=stderr)
+        # exit 3: a verify record reports a failed case
+        return 3 if any(r["params"].get("passed") == "False" for r in records) else 0
     except (UsageError, ValueError) as exc:
         print("usage error: %s" % exc, file=stderr)
         print(GRAMMAR, file=stderr)

@@ -422,13 +422,14 @@ _RAY_SEEDS = 8
 
 
 class _XTable:
-    """One `szego_profile` call's x rule: its window [lo, hi] and the log J
-    values of each nested trapezoid level computed on it so far."""
+    """One `szego_profile` call's x rule: its window [lo, hi], the x* span
+    it was fitted to, and the log J values of each nested trapezoid level
+    computed on it so far."""
 
-    __slots__ = ("lo", "hi", "log_j")
+    __slots__ = ("lo", "hi", "span", "log_j")
 
     def __init__(self):
-        self.lo, self.hi, self.log_j = math.nan, math.nan, []
+        self.lo, self.hi, self.span, self.log_j = math.nan, math.nan, math.nan, []
 
 
 def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
@@ -473,11 +474,13 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
     on it.  The batch takes that window, and every level the table has,
     only if (a) its x* range lies inside [lo, hi], (b) every row's floor
     terms at lo and hi are below e^-45 of its term at x*, which with (a)
-    and concavity bounds every term outside, and (c) its own fitted window
-    is at least half as wide as [lo, hi], so the step is no more than
-    twice its own and narrow batches do not settle late on a coarse one.
-    Otherwise its own window, with no levels, becomes the table.  The
-    halves of the unsettled rows take no table.
+    and concavity bounds every term outside, and (c) its x* span is at
+    least the table's x* span less half of hi - lo: with the table's
+    margins about it, its own window would be at least half as wide as
+    [lo, hi], so the step is no more than twice its own and narrow batches
+    do not settle late on a coarse one.  Otherwise the batch fits its own
+    window, which, with no levels, becomes the table.  The halves of the
+    unsettled rows take no table.
     """
     taus = np.asarray(taus)
     a = spec.alpha
@@ -491,15 +494,15 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
         expo = np.multiply.outer(vr, xs) - _log_inner_floor(spec, xs) - peak[:, None]
         return np.all(expo <= -_EXP_CUTOFF, axis=0)
 
-    L = _fit_window(lambda L: decayed(ends + _SIDES * L),
-                    np.full(2, _decay_length(spec.conjugate_alpha, 1.0) + 1.0))
-    lo, hi = ends[0] - L[0], ends[1] + L[1]
     if table is None:
         table = _XTable()
     if not (table.lo <= ends[0] and ends[1] <= table.hi
-            and 2.0 * (hi - lo) >= table.hi - table.lo
+            and ends[1] - ends[0] >= table.span - 0.5 * (table.hi - table.lo)
             and decayed(np.array([table.lo, table.hi])).all()):
-        table.lo, table.hi, table.log_j = lo, hi, []
+        L = _fit_window(lambda L: decayed(ends + _SIDES * L),
+                        np.full(2, _decay_length(spec.conjugate_alpha, 1.0) + 1.0))
+        table.lo, table.hi, table.span = ends[0] - L[0], ends[1] + L[1], ends[1] - ends[0]
+        table.log_j = []
     lo, hi, log_js = table.lo, table.hi, table.log_j
     l1 = np.zeros(taus.size)
     n_evals = 0

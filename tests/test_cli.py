@@ -1,12 +1,16 @@
+import argparse
 import csv
 import io
 import json
 import math
+import pathlib
+import re
+import warnings
 
 import pytest
 
 from szegofock import CaseResult, VerificationReport
-from szegofock.cli import run
+from szegofock.cli import GRAMMAR, build_parser, run
 
 PI = math.pi
 
@@ -175,3 +179,55 @@ def test_verify_failure_exit_code(monkeypatch):
     code, out, err = _run(["verify", "--suite", "normalization"])
     assert code == 3
     assert json.loads(out)[0]["params"]["passed"] == "False"
+
+
+def test_report_in_missing_directory_is_usage_error(tmp_path):
+    report = tmp_path / "missing" / "report.csv"
+    code, out, err = _run(["verify", "--suite", "bounds", "--report", str(report)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot write report")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--weight", "profile:alpha=2", "--tau", "1", "--lambda", "1.5",
+     "--eta-grid", "nan:4:5"],
+    ["bounds", "--weight", "profile:alpha=2", "--tau", "1", "--lambda", "1.5",
+     "--eta-grid=-inf:4:5"],
+    ["asymptotics", "--weight", "gaussian", "--eta", "1", "--tau-grid", "1:inf:3"],
+])
+def test_non_finite_grid_bounds_are_usage_errors(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: grid bounds must be finite")
+
+
+def test_help_goes_to_the_given_stdout(capsys):
+    code, out, _ = _run(["bergman", "--help"])
+    assert code == 0
+    assert out.startswith("usage: szegofock bergman")
+    assert capsys.readouterr().out == ""
+
+
+def _grammar_flags(line):
+    return set(re.findall(r"--[\w-]+", line))
+
+
+def test_grammar_matches_parser_and_readme():
+    # every flag a subcommand accepts is in its grammar line or the shared
+    # line and no other, and README's block shows the same subcommand lines
+    lines = GRAMMAR.splitlines()
+    shared = _grammar_flags(next(ln for ln in lines if ln.startswith("shared flags:")))
+    usage = {ln.split()[0]: _grammar_flags(ln) for ln in lines if ln.startswith("  ")}
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(usage) == set(subparsers)
+    for name, sub in subparsers.items():
+        accepted = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert accepted == usage[name] | shared, name
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("szegofock <subcommand> [flags]\n\n", 1)[1].split("```", 1)[0]
+    assert block.splitlines() == [ln.strip() for ln in lines if ln.startswith("  ")]
