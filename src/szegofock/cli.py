@@ -267,8 +267,8 @@ GRAMMAR = "\n".join([
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # values like -4:4:17 or -1,0 are data, not options
-        self._negative_number_matcher = re.compile(r"^-[\d.].*$")
+        # values like -4:4:17, -1,0 or -inf are data, not options
+        self._negative_number_matcher = re.compile(r"^-([\d.]|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise UsageError(message)

@@ -14,16 +14,11 @@ substitution x = tau^(1-1/a) eta reduces every tau to tau = 1:
 
 So one engine, `_kernel_tau_batch`, serves both kernels: for a vector of
 tau it keeps one table of log J on one shared, nested trapezoid rule in x,
-each level adding only its new midpoints and a tau x (new x) block of
-terms.  Its x window and the shift of each row come from a closed-form
-floor of log J, within 3 of it (`_log_inner_floor`), so log J is computed
-only at the rule's nodes; no row settles at the rule's first level, so
-the first inner call takes the first two levels at once.  It and the
-inner `_log_inner_batch` settle their rows under one policy,
-`_settle_rows`.  `bergman_profile` is one row; `szego_profile` takes all
-tau nodes of a quadrature step at once, and its batches share one x table
-per call, the window and the log J of each level computed so far: a later
-batch whose rows the window serves pays only its tau x x terms.
+its window and each row's shift taken from a closed-form floor of log J
+(`_log_inner_floor`).  It and the inner `_log_inner_batch` settle their
+rows under one policy, `_settle_rows`.  `bergman_profile` is one row;
+`szego_profile` takes all tau nodes of a quadrature step at once, and its
+batches share one x table per call (`_XTable`).
 K_1 is entire, so the tau integral may run along a ray tau = r omega in
 the complex plane; it takes the ray between the real axis and the
 steepest-descent ray of the integrand's rate e^{tau E} on which the terms
@@ -33,11 +28,13 @@ factor becomes a s^(a+1) K_1(s omega^(1/a) u), smooth at s = 0, where
 tau^(2/a) K_1(tau^(1/a) u) is only algebraically smooth at tau = 0 for
 a != 2.
 
-Every caller takes the inner integral I from one batched Gauss-Legendre
-engine, `_log_inner_batch`.  I is the exponential of twice tau times a
-smoothed conjugate of p; its growth is squeezed between scaled copies of
-the Young conjugate p*, which is what `sandwich_bounds_check` verifies on
-a grid, and for large tau it follows the classical Laplace-method asymptotic
+Every caller takes the inner integral I from one batched engine,
+`_log_inner_batch`: a nested trapezoid rule at even alpha, where the
+exponent is entire, and Gauss-Legendre panels split at r = 0 otherwise.
+I is the exponential of twice tau times a smoothed conjugate of p; its
+growth is squeezed between scaled copies of the Young conjugate p*, which
+`sandwich_bounds_check` verifies on a grid, and for large tau it follows
+the classical Laplace-method asymptotic
 
     I(eta, tau) ~ (pi / (tau p''(mu(eta))))^{1/2} exp(2 tau p*(eta)),
 
@@ -91,9 +88,10 @@ _GRADE_RATIO = 0.15
 _GRADE_PANELS = 12
 # the last retry of the rows still unsettled: their panels halved up to this often
 _HALVINGS = 3
-# Gauss-Legendre orders of the inner rule's ladder on each panel, and
-# interval counts of the batched kernel's nested trapezoid rule in x
+# Gauss-Legendre orders of the inner rule's ladder on each panel, and step
+# counts of its nested trapezoid rule at even alpha and of the kernel's in x
 _GL_ORDERS = (64, 96, 144, 216, 324, 486, 729)
+_R_ORDERS = tuple(32 << k for k in range(8))
 _X_ORDERS = (32, 64, 128, 256, 512, 1024)
 
 
@@ -199,8 +197,22 @@ def _settle_rows(n, level, n_levels):
     return out, diffs, ~settled
 
 
+def _nested_nodes(k, n):  # level k's new nodes on [0, n]: all n + 1 at k = 0, then midpoints
+    return np.arange(n + 1) if k == 0 else np.arange(1, n, 2)
+
+
+def _nested_sum(prev, h, terms):
+    """A nested trapezoid level's sums of step h, a row each, from the terms
+    at its new nodes: half the previous level's, prev, plus h times theirs.
+    prev is None at the first level, whose end terms are halved in place."""
+    if prev is None:
+        terms[:, [0, -1]] *= 0.5
+        prev = 0.0
+    return 0.5 * prev + h * terms.sum(axis=1)
+
+
 def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
-    """log I(eta, tau) for an array of eta, on one shared Gauss rule.
+    """log I(eta, tau) for an array of eta, each row on a window of its own.
 
     The exponent 2 tau (r eta - p(r)) is concave in r with peak value
     2 tau p*(eta) at r = c = sign(eta) mu(eta); shifted by the peak it is
@@ -210,14 +222,18 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
     its nodes; the others run in r.  Each row's window [c - L, c + L] is
     fitted from its own peak, from L = mu + the eta = 0 decay length + 1
     (10 peak widths for far rows), until the exponent at both ends is
-    below -45, and split at r = 0, where |r|^a is not smooth.  The order
-    climbs _GL_ORDERS, each row until two orders agree to rtol in the log
-    of its shifted sum (`_settle_rows`); a row whose sum is 0, a window too
-    wide for its peak's nodes, goes on at once.  The rows left go on, at
-    non-integer alpha to one retry on panels graded toward r = 0, then to
-    their panels halved, up to _HALVINGS times.  No row's window or panels
-    depend on its batch, so neither do its value and its work.
-    ConvergenceError: a row still unsettled after the last halving.
+    below -45.  At even alpha the exponent is entire, so one nested
+    trapezoid rule on the window, its middle node on the peak, converges
+    geometrically (Trefethen & Weideman, SIAM Review 56, 2014); each row
+    climbs _R_ORDERS until two levels agree to rtol.  Otherwise |r|^a is
+    not smooth at r = 0: the window is split there, and the Gauss-Legendre
+    order climbs _GL_ORDERS until two orders agree to rtol in the log of
+    the row's shifted sum; a sum of 0, a window too wide for its peak's
+    nodes, goes on at once.  The rows left go on, at non-integer alpha to
+    one retry on panels graded toward r = 0, then to their panels halved,
+    up to _HALVINGS times.  Rows settle under `_settle_rows`, and no row's
+    window or panels depend on its batch, so neither do its value and work.
+    ConvergenceError: a row unsettled at the last trapezoid level or halving.
     DomainError: a term the rule forms, |eta| mu = mu^a = |eta|^alpha' or
     2 tau times it, passes e^700.
     """
@@ -241,7 +257,8 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
         L[far] = 10.0 * mu[far] ** (1.0 - 0.5 * a) / math.sqrt(2.0 * tau * (a - 1.0))
 
     def exponent(x, rows=slice(None)):  # the shifted exponent at x = r - origin, a row per eta
-        e = 2.0 * tau * (x * etas[rows, None] - profile_p(spec, x)) - peak[rows, None]
+        e = x * (2.0 * tau * etas[rows, None])
+        e -= peak[rows, None] + 2.0 * tau * profile_p(spec, x)
         if far is not None:
             f = far[rows]
             e[f] = -2.0 * tau * _bregman(spec, x[f], c[rows][f, None])
@@ -253,9 +270,23 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
 
     L = _fit_window(decayed, L)
     lo, hi = center - L, center + L
+    n_evals = 0
+    if a % 2.0 == 0.0:
+        def trapezoid(k, idx, prev):
+            nonlocal n_evals
+            n = _R_ORDERS[k]
+            h = (hi[idx] - lo[idx]) / n
+            e = exponent(lo[idx, None] + h[:, None] * _nested_nodes(k, n), idx)
+            n_evals += e.size
+            sums = _nested_sum(prev, h, np.exp(e, out=e))
+            return sums, rtol * sums
+
+        sums, _, left = _settle_rows(etas.size, trapezoid, len(_R_ORDERS))
+        if left.any():
+            raise ConvergenceError("inner-integral rule did not stabilise")
+        return peak + np.log(sums), n_evals
     mid = np.clip(-origin, lo, hi)
     log_i = np.empty_like(etas)
-    n_evals = 0
 
     def settle(rows, edges):
         """Run the order ladder on rows with their panel edges (a row of
@@ -268,8 +299,9 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
             for lft, rgt in zip(edges[:-1, idx], edges[1:, idx]):
                 half = 0.5 * (rgt - lft)
                 R = 0.5 * (lft + rgt)[:, None] + half[:, None] * x[None, :]
-                vals = vals + (np.exp(exponent(R, sel)) @ wq) * half
-                n_evals += R.size
+                e = exponent(R, sel)
+                vals = vals + (np.exp(e, out=e) @ wq) * half
+                n_evals += e.size
             with np.errstate(divide="ignore"):  # a window too wide for its peak's nodes
                 return np.log(vals), rtol
 
@@ -359,6 +391,7 @@ def inner_integral(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CONFIG)
 
     One row of `_log_inner_batch` at rtol = max(1e-13, 0.05 rel_tol); the
     estimate is I (rtol + 32 ulps of log I), the last for its peak term.
+    The method names the rule that ran: trapezoid at even alpha.
     """
     log_i, rtol, n_evals = _log_inner(spec, tau, eta, cfg)
     try:
@@ -366,7 +399,8 @@ def inner_integral(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CONFIG)
     except OverflowError:
         raise DomainError("I(eta, tau) overflows the float range: log I = %.6g" % log_i) from None
     err = value * (rtol + 32.0 * math.ulp(1.0) * abs(log_i))
-    return EvalResult(value, err, "gauss-legendre-batch", n_evals)
+    rule = "trapezoid-batch" if spec.alpha % 2.0 == 0.0 else "gauss-legendre-batch"
+    return EvalResult(value, err, rule, n_evals)
 
 
 def effective_conjugate(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
@@ -452,14 +486,12 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
     its ends are below e^-45 of each row's term at x*.  F is a floor, so
     the true end terms are below e^(-45 + log J(x*) - F(x*)), at most
     e^-42, of the term at x*.  There, with e^{xv} / J(x) analytic in a
-    strip about the real axis, the trapezoid rule converges geometrically,
-    and its levels nest (Trefethen & Weideman, SIAM Review 56, 2014).  The
-    first level takes n + 1 nodes; no row settles there, so its inner call
-    takes the second level's n new midpoints too.  Each later level halves
-    the step and evaluates only the n / 2 new midpoints, its sum and L1 norm
-    sum |e^expo| h being half the previous level's plus h times the new
-    terms.  Each row takes levels until it agrees with the previous one
-    to rtol times its L1 norm on a step that resolves its oscillation
+    strip about the real axis, the trapezoid rule converges geometrically
+    (Trefethen & Weideman, SIAM Review 56, 2014), and its levels nest, as
+    do its L1 norms sum |e^expo| h (`_nested_sum`); no row settles at the
+    first level, so its inner call takes the second's new nodes too.
+    Each row takes levels until it agrees with the previous one to rtol
+    times its L1 norm on a step that resolves its oscillation
     (`_settle_rows`), and keeps the finer level: each term carries the
     inner rule's relative error rtol, and where a complex v makes the
     terms oscillate and cancel, their errors do not cancel with them.
@@ -511,7 +543,7 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
         nonlocal n_evals
         n = _X_ORDERS[k]
         h = (hi - lo) / n
-        xs = lo + h * (np.arange(n + 1) if k == 0 else np.arange(1, n, 2))
+        xs = lo + h * _nested_nodes(k, n)
         if k == len(log_js):
             # no row settles at level one, so its call takes level two's midpoints too
             fetch = lo + 0.5 * h * np.arange(2 * n + 1) if k == 0 else xs
@@ -523,12 +555,10 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
         expo -= log_js[k]
         expo -= peak[idx, None]
         terms = np.exp(expo, out=expo)
-        if k == 0:
-            terms[:, [0, -1]] *= 0.5
-            prev = 0.0
-        l1[idx] = 0.5 * l1[idx] + h * np.abs(terms).sum(axis=1)
+        vals = _nested_sum(prev, h, terms)
+        l1[idx] = _nested_sum(l1[idx], h, np.abs(terms))  # the ends are halved at level 0
         resolved = h * osc[idx] <= math.pi
-        return 0.5 * prev + h * terms.sum(axis=1), np.where(resolved, rtol * l1[idx], -1.0)
+        return vals, np.where(resolved, rtol * l1[idx], -1.0)
 
     vals, diffs, unsettled = _settle_rows(taus.size, level, len(_X_ORDERS))
     rest = np.flatnonzero(unsettled)
@@ -592,11 +622,8 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     Each call of it takes every tau node of a quadrature step at once:
     through the homogeneity K_tau(u) = tau^(2/a) K_1(tau^(1/a) u) all
     nodes share one table of log I(., 1) on one nested x rule
-    (`_kernel_tau_batch`), so no node runs a quadrature of its own.  The
-    batches of one call share one `_XTable`, its window and the log J of
-    its levels: a batch whose x* range the window contains, with every
-    row decayed at its ends, and whose own window is at least half as
-    wide, reuses it; any other batch's window replaces it.
+    (`_kernel_tau_batch`), so no node runs a quadrature of its own, and the
+    batches of one call share one `_XTable` on the terms stated there.
     The integrand grows like e^{tau E}, E = 2 (u/2)^a / a - R, u = z +
     conj w taken with Re u >= 0, and K_1 is entire, so the contour may
     turn onto any ray tau = r omega between the real axis and the

@@ -86,6 +86,13 @@ def _require_profile(spec: WeightSpec):
         raise UnsupportedWeight("operation requires a profile weight family")
 
 
+# |x|^alpha and |x|^(alpha-1) at alpha 1.5, 2, 3 and 4 by products and sqrt:
+# within 2 ulps of numpy's pow, which costs two to three times as much
+_POWERS = {1.5: (lambda t: t * np.sqrt(t), np.sqrt), 2.0: (np.square, lambda t: t),
+           3.0: (lambda t: t * t * t, np.square),
+           4.0: (lambda t: np.square(t * t), lambda t: t * t * t)}
+
+
 def profile_p(spec: WeightSpec, x):
     """p(x) = |x|^alpha / alpha of a profile family, on scalars or arrays.
 
@@ -93,12 +100,13 @@ def profile_p(spec: WeightSpec, x):
     Gaussian's alpha is pinned to 2 by WeightSpec.
     """
     a = spec.alpha
-    return np.abs(x) ** a / a
+    return (_POWERS[a][0](np.abs(x)) if a in _POWERS else np.abs(x) ** a) / a
 
 
 def profile_dp(spec: WeightSpec, x):
     """p'(x) = sign(x) |x|^(alpha-1) of a profile family, on scalars or arrays."""
-    return np.sign(x) * np.abs(x) ** (spec.alpha - 1.0)
+    a = spec.alpha
+    return np.sign(x) * (_POWERS[a][1](np.abs(x)) if a in _POWERS else np.abs(x) ** (a - 1.0))
 
 
 def eval_weight(spec: WeightSpec, z) -> float:

@@ -194,6 +194,11 @@ def test_report_in_missing_directory_is_usage_error(tmp_path):
      "--eta-grid", "nan:4:5"],
     ["bounds", "--weight", "profile:alpha=2", "--tau", "1", "--lambda", "1.5",
      "--eta-grid=-inf:4:5"],
+    # the space-separated form reaches the same check: -inf and -nan are values
+    ["bounds", "--weight", "profile:alpha=2", "--tau", "1", "--lambda", "1.5",
+     "--eta-grid", "-inf:4:5"],
+    ["bounds", "--weight", "profile:alpha=2", "--tau", "1", "--lambda", "1.5",
+     "--eta-grid", "-NaN:4:5"],
     ["asymptotics", "--weight", "gaussian", "--eta", "1", "--tau-grid", "1:inf:3"],
 ])
 def test_non_finite_grid_bounds_are_usage_errors(argv):
@@ -203,6 +208,14 @@ def test_non_finite_grid_bounds_are_usage_errors(argv):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error: grid bounds must be finite")
+
+
+@pytest.mark.parametrize("tau", [["--tau", "-inf"], ["--tau=-inf"], ["--tau", "-nan"]])
+def test_non_finite_tau_is_a_domain_error_in_either_form(tau):
+    code, out, err = _run(["inner-integral", "--weight", "gaussian", *tau, "--eta", "0"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("DomainError: tau must be positive and finite")
 
 
 def test_help_goes_to_the_given_stdout(capsys):

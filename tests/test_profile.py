@@ -78,6 +78,10 @@ def test_inner_integral_gaussian_closed_form(cfg):
         SQRT_PI * math.exp(1.0), rel=1e-9)
     assert inner_integral(g, 2.0, 0.0, cfg).value.real == pytest.approx(
         math.sqrt(PI / 2.0), rel=1e-9)
+    # the method names the rule that ran: a nested trapezoid at even alpha
+    for alpha, method in ((2.0, "trapezoid-batch"), (6.0, "trapezoid-batch"),
+                          (3.0, "gauss-legendre-batch"), (1.5, "gauss-legendre-batch")):
+        assert inner_integral(profile_power(alpha), 1.0, 0.5, cfg).method == method
 
 
 def test_effective_conjugate_gaussian(cfg):
@@ -833,10 +837,50 @@ def test_sandwich_bounds_near_alpha_one(cfg):
     # each row leaves the batch at the order it settles, and the dual's rows
     # that settle only on halved panels go there from the batch at once, so
     # a batch is its rows: the same work, and the same values to rounding
+    # (the Gaussian and alpha 4 take the nested trapezoid rule: the same holds)
     for spec, grid, rtol in ((conjugate_spec(spec), grid, 1e-8),
-                             (profile_power(1.5), np.linspace(-6.0, 6.0, 65), 5e-10)):
+                             (profile_power(1.5), np.linspace(-6.0, 6.0, 65), 5e-10),
+                             (gaussian(), np.linspace(-6.0, 6.0, 65), 5e-10),
+                             (profile_power(4.0), np.linspace(-6.0, 6.0, 65), 5e-10)):
         logI, n_batch = _log_inner_batch(spec, 1.0, grid, rtol)
         alone = [_log_inner_batch(spec, 1.0, [eta], rtol) for eta in grid]
+        assert n_batch == sum(n for _, n in alone)
+        assert np.max(np.abs(logI - [log_i[0] for log_i, _ in alone])) <= 1e-14
+
+
+@pytest.mark.parametrize("tau", [0.05, 1.0, 60.0])
+@pytest.mark.parametrize("rtol", [5e-9, 5e-10, 1e-13])
+def test_log_inner_gaussian_trapezoid_exact(tau, rtol):
+    # log I = log(pi / tau) / 2 + tau eta^2; |eta| up to 1e3 takes in the far
+    # rows, run in the offset from their peak with D from _bregman
+    etas = np.concatenate([np.linspace(-1e3, 1e3, 41), np.linspace(-6.0, 6.0, 25)])
+    logI, n_evals = _log_inner_batch(gaussian(), tau, etas, rtol)
+    exact = 0.5 * np.log(PI / tau) + tau * etas * etas
+    assert np.all(np.abs(logI - exact) <= 4.0 * np.spacing(np.maximum(1.0, np.abs(exact))))
+    assert n_evals <= 80 * etas.size  # 320 an eta on the split Gauss-Legendre ladder
+
+
+@pytest.mark.parametrize("alpha", [4.0, 6.0])
+def test_log_inner_even_alpha_trapezoid_against_mpmath(alpha):
+    mpmath = pytest.importorskip("mpmath")
+    etas = np.array([0.0, 0.3, -1.0, 8.0, -1e3])
+    for tau in (0.05, 1.0, 60.0):
+        logI, _ = _log_inner_batch(profile_power(alpha), tau, etas, 1e-13)
+        for eta, got in zip(etas, logI):
+            ref = _mpmath_log_inner(mpmath, alpha, tau, eta)
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (tau, eta, got, ref)
+
+
+def test_log_inner_trapezoid_narrow_peak():
+    # tau = 60, |eta| = 1e3: peaks 0.09 (Gaussian) and 0.005 (alpha 4) wide
+    # at |r| = 1e3 and 10, batched with rows at r = 0, whose alpha-4 peak is
+    # 0.4 wide; each row's window is fitted to its own peak and its middle
+    # node sits on it, so no two coarse levels step over the peak and agree
+    # on a wrong value (the values are checked in the exact and mpmath tests)
+    etas = np.array([-1e3, -1.0, 0.0, 0.5, 1e3])
+    for spec in (gaussian(), profile_power(4.0)):
+        logI, n_batch = _log_inner_batch(spec, 60.0, etas, 5e-10)
+        alone = [_log_inner_batch(spec, 60.0, [eta], 5e-10) for eta in etas]
         assert n_batch == sum(n for _, n in alone)
         assert np.max(np.abs(logI - [log_i[0] for log_i, _ in alone])) <= 1e-14
 

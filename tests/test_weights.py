@@ -16,6 +16,7 @@ from szegofock import (
     young_conjugate_closed,
     young_conjugate_numeric,
 )
+from szegofock.weights import profile_dp, profile_p
 
 
 def test_eval_weight_examples():
@@ -135,6 +136,34 @@ def test_overflowing_mu_and_conjugate_raise_domain_error():
         inverse_derivative(spec, 3.0)
     with pytest.raises(DomainError, match="overflows"):
         young_conjugate_closed(spec, 3.0)
+
+
+POWER_POINTS = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 1e100, -1e100,
+                         np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 4.0])
+def test_profile_powers_by_products_match_pow(alpha):
+    # p and p' form |x|^alpha and |x|^(alpha-1) by products and sqrt here:
+    # within 2 ulps of pow where it is finite, and inf or nan exactly where
+    # it is (1e100^4 overflows, 1e-300^1.5 underflows to 0)
+    spec = profile_power(alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = ((profile_p(spec, POWER_POINTS), np.abs(POWER_POINTS) ** alpha / alpha),
+                 (profile_dp(spec, POWER_POINTS),
+                  np.sign(POWER_POINTS) * np.abs(POWER_POINTS) ** (alpha - 1.0)))
+    for got, ref in pairs:
+        finite = np.isfinite(ref)
+        np.testing.assert_array_equal(got[~finite], ref[~finite])
+        assert np.all(np.abs(got[finite] - ref[finite]) <= 2.0 * np.spacing(np.abs(ref[finite])))
+        assert np.all(np.isfinite(got[finite]))
+
+
+def test_profile_powers_elsewhere_stay_pow(rng):
+    spec = profile_power(2.5)
+    x = np.concatenate([rng.normal(size=200), 10.0 ** rng.uniform(-300, 100, 200), POWER_POINTS])
+    np.testing.assert_array_equal(profile_p(spec, x), np.abs(x) ** 2.5 / 2.5)
+    np.testing.assert_array_equal(profile_dp(spec, x), np.sign(x) * np.abs(x) ** 1.5)
 
 
 def test_parse_and_format_weights():
