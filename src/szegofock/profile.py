@@ -29,12 +29,14 @@ tau^(2/a) K_1(tau^(1/a) u) is only algebraically smooth at tau = 0 for
 a != 2.
 
 Every caller takes the inner integral I from one batched engine,
-`_log_inner_batch`: a nested trapezoid rule at even alpha, where the
-exponent is entire, and Gauss-Legendre panels split at r = 0 otherwise.
-I is the exponential of twice tau times a smoothed conjugate of p; its
-growth is squeezed between scaled copies of the Young conjugate p*, which
-`sandwich_bounds_check` verifies on a grid, and for large tau it follows
-the classical Laplace-method asymptotic
+`_log_inner_batch`, which computes log J alone, at x = tau^(1-1/a) eta: a
+nested trapezoid rule at even alpha, where the exponent is entire, and
+Gauss-Legendre panels split at r = 0 otherwise; DomainError where the term
+2 |x|^alpha' it forms passes e^700.  I is the exponential of twice tau
+times a smoothed conjugate of p; its growth is squeezed between scaled
+copies of the Young conjugate p*, which `sandwich_bounds_check` verifies
+on a grid, and for large tau it follows the classical Laplace-method
+asymptotic
 
     I(eta, tau) ~ (pi / (tau p''(mu(eta))))^{1/2} exp(2 tau p*(eta)),
 
@@ -102,9 +104,9 @@ def _check_tau(tau):
     return tau
 
 
-def _decay_length(a, tau):
-    """Distance from 0 at which exp(-2 tau |x|^a / a) falls to exp(-_EXP_CUTOFF)."""
-    return (_EXP_CUTOFF * a / (2.0 * tau)) ** (1.0 / a)
+def _decay_length(a):
+    """Distance from 0 at which exp(-2 |x|^a / a) falls to exp(-_EXP_CUTOFF)."""
+    return (_EXP_CUTOFF * a / 2.0) ** (1.0 / a)
 
 
 @lru_cache(maxsize=16)
@@ -211,57 +213,62 @@ def _nested_sum(prev, h, terms):
     return 0.5 * prev + h * terms.sum(axis=1)
 
 
-def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
-    """log I(eta, tau) for an array of eta, each row on a window of its own.
+def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
+    """log I(eta, tau) = log J(x) - log(tau) / a, J = I(., 1), x = tau^(1-1/a)
+    eta (r = tau^(-1/a) rho), for an array of eta, each row on its own window.
 
-    The exponent 2 tau (r eta - p(r)) is concave in r with peak value
-    2 tau p*(eta) at r = c = sign(eta) mu(eta); shifted by the peak it is
-    -2 tau D(r, c), D the Bregman divergence of p.  Rows whose terms
-    2 tau |eta c| round by more than rtol / 100 are far: they run in the
-    offset r - c with D from `_bregman`, so a narrow peak at a huge c keeps
-    its nodes; the others run in r.  Each row's window [c - L, c + L] is
-    fitted from its own peak, from L = mu + the eta = 0 decay length + 1
-    (10 peak widths for far rows), until the exponent at both ends is
-    below -45.  At even alpha the exponent is entire, so one nested
-    trapezoid rule on the window, its middle node on the peak, converges
-    geometrically (Trefethen & Weideman, SIAM Review 56, 2014); each row
-    climbs _R_ORDERS until two levels agree to rtol.  Otherwise |r|^a is
-    not smooth at r = 0: the window is split there, and the Gauss-Legendre
-    order climbs _GL_ORDERS until two orders agree to rtol in the log of
-    the row's shifted sum; a sum of 0, a window too wide for its peak's
-    nodes, goes on at once.  The rows left go on, at non-integer alpha to
-    one retry on panels graded toward r = 0, then to their panels halved,
-    up to _HALVINGS times.  Rows settle under `_settle_rows`, and no row's
-    window or panels depend on its batch, so neither do its value and work.
+    tau is a scalar or one per eta; the rules run on x, at tau = 1.  The
+    exponent 2 (r x - p(r)) is concave in r with peak value 2 p*(x) at
+    r = c = sign(x) mu(x); shifted by the peak it is -2 D(r, c), D the
+    Bregman divergence of p.  Rows whose terms 2 |x c| round by more than
+    rtol / 100 are far: they run in the offset r - c with D from
+    `_bregman`, so a narrow peak at a huge c keeps its nodes; the others
+    run in r.  Each row's window [c - L, c + L] is fitted from its own
+    peak, from L = mu + the x = 0 decay length + 1 (10 peak widths for far
+    rows), until the exponent at both ends is below -45.  At even alpha the
+    exponent is entire, so one nested trapezoid rule on the window, its
+    middle node on the peak, converges geometrically (Trefethen & Weideman,
+    SIAM Review 56, 2014); each row climbs _R_ORDERS until two levels agree
+    to rtol.  Otherwise |r|^a is not smooth at r = 0: the window is split
+    there, and the Gauss-Legendre order climbs _GL_ORDERS until two orders
+    agree to rtol in the log of the row's shifted sum; a sum of 0, a window
+    too wide for its peak's nodes, goes on at once.  The rows left go on, at
+    non-integer alpha to one retry on panels graded toward r = 0, then to
+    their panels halved, up to _HALVINGS times.  Rows settle under
+    `_settle_rows`, and no row's window or panels depend on its batch, so
+    neither do its value and work.
     ConvergenceError: a row unsettled at the last trapezoid level or halving.
-    DomainError: a term the rule forms, |eta| mu = mu^a = |eta|^alpha' or
-    2 tau times it, passes e^700.
+    DomainError: a non-finite eta, or a term the rule forms, |x| mu = mu^a
+    = |x|^alpha' or twice it, past e^700.
     """
-    etas = np.asarray(etas, dtype=float).ravel()
     a = spec.alpha
     ap = a / (a - 1.0)
-    abs_eta = np.abs(etas)
-    e_max = float(abs_eta.max(initial=0.0))
-    if not (e_max <= 1.0 or ap * math.log(e_max) + math.log(max(1.0, 2.0 * tau)) < 700.0):
+    etas = np.asarray(etas, dtype=float).ravel()
+    xs = tau ** (1.0 - 1.0 / a) * etas
+    abs_x = np.abs(xs)
+    x_max = float(abs_x.max(initial=0.0))
+    if not (x_max <= 1.0 or ap * math.log(x_max) + math.log(2.0) < 700.0):
+        if not np.isfinite(etas).all():
+            raise DomainError("eta must be finite")
         raise DomainError("log I(eta, tau) overflows the float range")
-    mu = abs_eta ** (1.0 / (a - 1.0))
-    c = np.sign(etas) * mu
-    peak = 2.0 * tau * abs_eta ** ap / ap
-    L = mu + _decay_length(a, tau) + 1.0
+    mu = abs_x ** (1.0 / (a - 1.0))
+    c = np.sign(xs) * mu
+    peak = 2.0 * abs_x ** ap / ap
+    L = mu + _decay_length(a) + 1.0
     far, origin, center = None, 0.0, c
-    if 2.0 * tau * e_max ** ap * math.ulp(1.0) > 0.01 * rtol:
+    if 2.0 * x_max ** ap * math.ulp(1.0) > 0.01 * rtol:
         far = peak * (ap * math.ulp(1.0)) > 0.01 * rtol
         origin = np.where(far, c, 0.0)
         center = c - origin
-        # far rows start at ~10 peak widths (2 tau p''(mu))^(-1/2)
-        L[far] = 10.0 * mu[far] ** (1.0 - 0.5 * a) / math.sqrt(2.0 * tau * (a - 1.0))
+        # far rows start at ~10 peak widths (2 p''(mu))^(-1/2)
+        L[far] = 10.0 * mu[far] ** (1.0 - 0.5 * a) / math.sqrt(2.0 * (a - 1.0))
 
-    def exponent(x, rows=slice(None)):  # the shifted exponent at x = r - origin, a row per eta
-        e = x * (2.0 * tau * etas[rows, None])
-        e -= peak[rows, None] + 2.0 * tau * profile_p(spec, x)
+    def exponent(d, rows=slice(None)):  # the shifted exponent at d = r - origin, a row per x
+        e = d * (2.0 * xs[rows, None])
+        e -= peak[rows, None] + 2.0 * profile_p(spec, d)
         if far is not None:
             f = far[rows]
-            e[f] = -2.0 * tau * _bregman(spec, x[f], c[rows][f, None])
+            e[f] = -2.0 * _bregman(spec, d[f], c[rows][f, None])
         return e
 
     def decayed(L):
@@ -281,12 +288,12 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
             sums = _nested_sum(prev, h, np.exp(e, out=e))
             return sums, rtol * sums
 
-        sums, _, left = _settle_rows(etas.size, trapezoid, len(_R_ORDERS))
+        sums, _, left = _settle_rows(xs.size, trapezoid, len(_R_ORDERS))
         if left.any():
             raise ConvergenceError("inner-integral rule did not stabilise")
-        return peak + np.log(sums), n_evals
+        return peak + np.log(sums) - np.log(tau) / a, n_evals
     mid = np.clip(-origin, lo, hi)
-    log_i = np.empty_like(etas)
+    log_j = np.empty_like(xs)
 
     def settle(rows, edges):
         """Run the order ladder on rows with their panel edges (a row of
@@ -306,10 +313,10 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
                 return np.log(vals), rtol
 
         log_vals, _, left = _settle_rows(rows.size, level, len(_GL_ORDERS))
-        log_i[rows[~left]] = peak[rows[~left]] + log_vals[~left]
+        log_j[rows[~left]] = peak[rows[~left]] + log_vals[~left]
         return rows[left], edges[:, left]
 
-    rows, edges = settle(np.arange(etas.size), np.array([lo, mid, hi]))
+    rows, edges = settle(np.arange(xs.size), np.array([lo, mid, hi]))
     if rows.size and not a.is_integer():
         g = _GRADE_RATIO ** np.arange(_GRADE_PANELS + 1)
         lo, mid, hi = edges
@@ -324,7 +331,7 @@ def _log_inner_batch(spec: WeightSpec, tau: float, etas, rtol=1e-11):
         rows, edges = settle(rows, halved)
     if rows.size:
         raise ConvergenceError("inner-integral rule did not stabilise")
-    return log_i, n_evals
+    return log_j - np.log(tau) / a, n_evals
 
 
 def _bregman(spec, d, c):
@@ -532,7 +539,7 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
             and ends[1] - ends[0] >= table.span - 0.5 * (table.hi - table.lo)
             and decayed(np.array([table.lo, table.hi])).all()):
         L = _fit_window(lambda L: decayed(ends + _SIDES * L),
-                        np.full(2, _decay_length(spec.conjugate_alpha, 1.0) + 1.0))
+                        np.full(2, _decay_length(spec.conjugate_alpha) + 1.0))
         table.lo, table.hi, table.span = ends[0] - L[0], ends[1] + L[1], ends[1] - ends[0]
         table.log_j = []
     lo, hi, log_js = table.lo, table.hi, table.log_j
@@ -740,8 +747,8 @@ def sandwich_bounds_check(spec: WeightSpec, tau, lam, eta_grid,
     _require_profile(spec)
     tau = _check_tau(tau)
     lam = float(lam)
-    if lam <= 0.0:
-        raise DomainError("lam must be positive")
+    if not 0.0 < lam < math.inf:
+        raise DomainError("lam must be positive and finite")
     etas = np.asarray(eta_grid, dtype=float)
     rtol = max(1e-8, 0.01 * cfg.rel_tol)  # gap slopes are judged at 1e-3
 
@@ -788,21 +795,15 @@ def laplace_asymptotic(spec: WeightSpec, eta, tau_grid,
     if p2d <= 0.0:
         raise DomainError("degenerate maximizer: p'' vanishes at mu(eta)")
     pstar = young_conjugate_closed(spec, eta)
-    taus = np.asarray(tau_grid, dtype=float)
-    rtol = max(1e-9, 0.01 * cfg.rel_tol)
-    ratios, printed = [], []
-    for tau in taus:
-        tau = _check_tau(tau)
-        logI = float(_log_inner_batch(spec, tau, [eta], rtol)[0][0])
-        log_pred = 0.5 * (math.log(math.pi) - math.log(tau) - math.log(p2d)) + 2.0 * tau * pstar
-        ratios.append(math.exp(logI - log_pred))
-        log_printed = 0.5 * (math.log(tau) + math.log(p2d) - math.log(TWO_PI)) + 2.0 * tau * pstar
-        printed.append(math.exp(logI - log_printed))
-    ratios = np.array(ratios)
+    taus = np.array([_check_tau(tau) for tau in np.ravel(tau_grid)])
+    log_i, _ = _log_inner_batch(spec, taus, np.full(taus.size, eta), max(1e-9, 0.01 * cfg.rel_tol))
+    log_i -= 2.0 * taus * pstar
+    ratios = np.exp(log_i - 0.5 * (math.log(math.pi / p2d) - np.log(taus)))
+    printed = np.exp(log_i - 0.5 * (np.log(taus) + math.log(p2d / TWO_PI)))
     dev = np.abs(ratios - 1.0)
     monotone = bool(np.all(dev[1:] <= dev[:-1] * 1.05 + 1e-12))
     converged = monotone and bool(dev[-1] <= final_tol)
-    return AsymptoticsReport(taus, ratios, converged, np.array(printed), final_tol)
+    return AsymptoticsReport(taus, ratios, converged, printed, final_tol)
 
 
 # Plancherel-type inverse: fixed interior/causal regularisation scales.
@@ -889,8 +890,8 @@ def bergman_from_szego_gaussian(tau, z, w, epsilon,
     """
     tau = _check_tau(tau)
     eps = float(epsilon)
-    if eps <= 0.0:
-        raise DomainError("epsilon must be positive")
+    if not 0.0 < eps < math.inf:
+        raise DomainError("epsilon must be positive and finite")
     z = complex(z)
     w = complex(w)
     pz = z.real ** 2 / 2.0
@@ -1021,7 +1022,9 @@ def shifted_maximizer_gap(spec: WeightSpec, tau, lam, eta) -> float:
     """
     _require_profile(spec)
     tau = _check_tau(tau)
-    eta = float(eta)
+    eta, lam = float(eta), float(lam)
+    if not math.isfinite(lam):
+        raise DomainError("lam must be finite")
     mu = inverse_derivative(spec, eta)
     x = mu + 1.0
     return 2.0 * tau * (eta * x - float(profile_p(spec, x))

@@ -50,7 +50,7 @@ def series_coefficient(alpha, tau, k) -> float:
     """Coefficient of z^k conj(w)^k in the radial Bergman kernel."""
     alpha = float(alpha)
     tau = float(tau)
-    if alpha <= 0.0 or tau <= 0.0:
+    if not (alpha > 0.0 and tau > 0.0):
         raise DomainError("series_coefficient requires alpha > 0 and tau > 0")
     if k < 0:
         raise DomainError("series index must be non-negative")
@@ -79,8 +79,8 @@ def bergman_radial_series(alpha, tau, z, w, cfg: QuadConfig = DEFAULT_CONFIG) ->
 def szego_radial_closed(alpha, p1: BoundaryPoint, p2: BoundaryPoint) -> EvalResult:
     """Closed geometric-sum form of the boundary kernel for radial weights."""
     alpha = float(alpha)
-    if alpha <= 0.0:
-        raise DomainError("szego_radial_closed requires alpha > 0")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError("szego_radial_closed requires finite alpha > 0")
     A = 0.5 * (abs(p1.z) ** alpha + abs(p2.z) ** alpha + 1j * (p2.t - p1.t))
     if abs(A) < _A_FLOOR:
         raise SingularPoint("A = 0: coincident boundary point with p = 0")
@@ -106,8 +106,8 @@ def szego_radial_via_laplace(alpha, p1: BoundaryPoint, p2: BoundaryPoint,
     szego_radial_closed within combined error estimates.
     """
     alpha = float(alpha)
-    if alpha <= 0.0:
-        raise DomainError("szego_radial_via_laplace requires alpha > 0")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError("szego_radial_via_laplace requires finite alpha > 0")
     damping = abs(p1.z) ** alpha + abs(p2.z) ** alpha
     floor = math.sqrt(cfg.truncation_decay_threshold)
     if damping < floor:
@@ -143,11 +143,11 @@ def gamma_step_identity_check(alpha, k, A) -> float:
     Gamma(x+1) (2A)^(-x-1) (closed), x = 2(k+1)/alpha, for a complex A
     with Re A > 0."""
     alpha = float(alpha)
-    if alpha <= 0.0:
-        raise DomainError("gamma_step_identity_check requires alpha > 0")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError("gamma_step_identity_check requires finite alpha > 0")
     A = complex(A)
-    if A.real <= 0.0:
-        raise DomainError("gamma step check requires Re A > 0")
+    if not (A.real > 0.0 and cmath.isfinite(A)):
+        raise DomainError("gamma step check requires a finite A with Re A > 0")
     x = 2.0 * (k + 1) / alpha
     closed = cmath.exp(log_gamma(x + 1.0) - (x + 1.0) * cmath.log(2.0 * A))
 

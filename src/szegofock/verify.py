@@ -8,6 +8,7 @@ recorded in the report, never thrown.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 
@@ -78,8 +79,8 @@ def moment_oracle(alpha, tau, k, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
     """m_k = int_C |z|^{2k} e^{-2 tau |z|^alpha} dlambda, by polar quadrature."""
     alpha = float(alpha)
     tau = float(tau)
-    if alpha <= 0.0 or tau <= 0.0 or k < 0:
-        raise ValueError("moment oracle requires alpha, tau > 0 and k >= 0")
+    if not (0.0 < alpha < math.inf and 0.0 < tau < math.inf and k >= 0):
+        raise ValueError("moment oracle requires finite alpha, tau > 0 and k >= 0")
 
     def g(r, theta):
         return r ** (2 * k) * np.exp(-2.0 * tau * r ** alpha) * np.ones_like(theta)
@@ -90,7 +91,10 @@ def moment_oracle(alpha, tau, k, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
 
 def moment_closed(alpha, tau, k) -> float:
     """(2 pi / alpha) (2 tau)^(-2(k+1)/alpha) Gamma(2(k+1)/alpha)."""
-    x = 2.0 * (k + 1) / float(alpha)
+    alpha, tau = float(alpha), float(tau)
+    if not (0.0 < alpha < math.inf and 0.0 < tau < math.inf and k >= 0):
+        raise ValueError("moment_closed requires finite alpha, tau > 0 and k >= 0")
+    x = 2.0 * (k + 1) / alpha
     return (TWO_PI / alpha) * math.exp(log_gamma(x) - x * math.log(2.0 * tau))
 
 
@@ -132,6 +136,8 @@ def reproducing_check(alpha, tau, j, z, cfg: QuadConfig = DEFAULT_CONFIG) -> flo
     """Residual of the point-evaluation identity: | int K(z,.) w^j dmu - z^j |."""
     if j < 0 or j > 8:
         raise ValueError("reproducing check is calibrated for 0 <= j <= 8")
+    if not cmath.isfinite(complex(z)):
+        raise ValueError("reproducing check requires a finite z")
     value = _reproducing_integral(alpha, tau, j, z, cfg)
     return abs(value - complex(z) ** j)
 

@@ -11,6 +11,7 @@ instances are immutable and safe to share across threads.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -112,6 +113,8 @@ def profile_dp(spec: WeightSpec, x):
 def eval_weight(spec: WeightSpec, z) -> float:
     """Evaluate p(z).  Profile families depend on Re z only."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("z must be finite")
     if spec.family is WeightFamily.RADIAL_POWER:
         return abs(z) ** spec.alpha
     return float(profile_p(spec, z.real))
@@ -125,6 +128,8 @@ def weight_derivatives(spec: WeightSpec, x: float) -> tuple[float, float]:
     x = 0 when alpha < 2, which raises DomainError.
     """
     _require_profile(spec)
+    if not math.isfinite(x):
+        raise DomainError("x must be finite")
     a = spec.alpha
     ax = abs(x)
     if ax == 0.0:
@@ -138,9 +143,12 @@ def weight_derivatives(spec: WeightSpec, x: float) -> tuple[float, float]:
 def young_conjugate_closed(spec: WeightSpec, eta: float) -> float:
     """p*(eta) = sup_{x>=0} [x|eta| - p(x)] = |eta|^alpha'/alpha'."""
     _require_profile(spec)
+    eta = float(eta)
+    if not math.isfinite(eta):
+        raise DomainError("eta must be finite")
     ap = spec.conjugate_alpha
     try:
-        return abs(float(eta)) ** ap / ap
+        return abs(eta) ** ap / ap
     except OverflowError:
         raise DomainError("p*(eta) overflows the float range") from None
 
@@ -152,8 +160,11 @@ def inverse_derivative(spec: WeightSpec, eta: float) -> float:
     x = mu(eta), and p'(mu(eta)) = |eta|.
     """
     _require_profile(spec)
+    eta = float(eta)
+    if not math.isfinite(eta):
+        raise DomainError("eta must be finite")
     try:
-        return abs(float(eta)) ** (1.0 / (spec.alpha - 1.0))
+        return abs(eta) ** (1.0 / (spec.alpha - 1.0))
     except OverflowError:
         raise DomainError("mu(eta) overflows the float range") from None
 
@@ -166,7 +177,7 @@ def young_conjugate_numeric(spec: WeightSpec, eta: float, tol: float) -> float:
     Agrees with young_conjugate_closed to within tol.
     """
     _require_profile(spec)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError("tol must be positive")
     e = abs(eta)
     mu = inverse_derivative(spec, e)

@@ -72,20 +72,21 @@ def test_method_weight_mismatch_exits_2():
 
 
 def test_json_and_csv_carry_identical_numbers():
-    args = ["conjugate", "--weight", "profile:alpha=3", "--eta", "2"]
-    _, out_json, _ = _run(args + ["--format", "json"])
-    _, out_csv, _ = _run(args + ["--format", "csv"])
-    rec = json.loads(out_json)[0]
-    rows = list(csv.DictReader(io.StringIO(out_csv)))
-    assert len(rows) == 1
-    row = rows[0]
-    assert float(row["value_re"]) == rec["value_re"]
-    assert float(row["value_im"]) == rec["value_im"]
-    assert float(row["abs_err"]) == rec["abs_err"]
-    assert row["method"] == rec["method"]
-    assert row["command"] == rec["command"]
-    for key, val in rec["params"].items():
-        assert row[key] == val
+    for method in ("closed", "numeric"):
+        args = ["conjugate", "--weight", "profile:alpha=3", "--eta", "2", "--method", method]
+        _, out_json, _ = _run(args + ["--format", "json"])
+        _, out_csv, _ = _run(args + ["--format", "csv"])
+        rec = json.loads(out_json)[0]
+        rows = list(csv.DictReader(io.StringIO(out_csv)))
+        assert len(rows) == 1
+        row = rows[0]
+        assert float(row["value_re"]) == rec["value_re"]
+        assert float(row["value_im"]) == rec["value_im"]
+        assert float(row["abs_err"]) == rec["abs_err"]
+        assert row["method"] == rec["method"] == method
+        assert row["command"] == rec["command"]
+        for key, val in rec["params"].items():
+            assert row[key] == val
 
 
 def test_record_round_trip_via_json():
@@ -123,6 +124,10 @@ def test_grid_commands():
     code, _, _ = _run(["bounds", "--weight", "profile:alpha=2", "--tau", "1",
                        "--lambda", "1.5", "--eta-grid", "oops"])
     assert code == 2
+    code, _, err = _run(["bounds", "--weight", "profile:alpha=2", "--tau", "1",
+                         "--lambda", "1.5", "--eta-grid", "-4:4:1"])
+    assert code == 2
+    assert "count >= 2" in err
 
 
 def test_duality_command():
@@ -157,6 +162,22 @@ def test_overflowing_conjugate_exits_1(argv):
     code, _, err = _run(argv + ["--weight", "profile:alpha=1.001", "--eta", "3"])
     assert code == 1
     assert "DomainError" in err and "overflows" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjugate", "--weight", "gaussian", "--eta", "nan"],
+    ["conjugate", "--weight", "gaussian", "--eta=-nan", "--method", "numeric"],
+    ["mu", "--weight", "profile:alpha=3", "--eta", "nan"],
+    ["bounds", "--weight", "profile:alpha=2", "--tau", "1", "--lambda", "nan",
+     "--eta-grid", "-4:4:17"],
+])
+def test_nan_values_exit_1(argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("DomainError:") and "finite" in err
 
 
 def test_verify_command_and_report(tmp_path):

@@ -22,18 +22,28 @@ from szegofock import (
     duality_marginal_integral,
     effective_conjugate,
     eval_weight,
+    gamma_step_identity_check,
     gaussian,
     inner_integral,
     integrate_interval,
     integrate_real_line,
+    inverse_derivative,
     laplace_asymptotic,
+    moment_closed,
+    moment_oracle,
     parse_weight,
     profile_power,
+    reproducing_check,
     sandwich_bounds_check,
+    series_coefficient,
     shifted_maximizer_gap,
     szego_gaussian_closed,
     szego_profile,
+    szego_radial_closed,
+    szego_radial_via_laplace,
+    weight_derivatives,
     young_conjugate_closed,
+    young_conjugate_numeric,
 )
 import szegofock.profile as profile_module
 from szegofock.profile import _kernel_tau_batch, _log_inner_batch, _log_inner_floor
@@ -186,6 +196,14 @@ def test_log_inner_overflow_guard_sized_to_its_terms(cfg):
         effective_conjugate(spec, 0.05, 1.2e3, cfg)
     with pytest.raises(DomainError, match="overflows"):
         effective_conjugate(profile_power(1.5), 1.0, 1e200, cfg)
+
+
+def test_log_inner_guard_is_exact_in_x(cfg):
+    # the rule runs at tau = 1 on x = tau^(1/2) eta and forms 2 x^2 = e^697.1
+    # at tau = 0.01, eta = e^350.5, a float; a guard on eta^2 = e^701 would raise
+    eta = math.exp(350.5)
+    got = effective_conjugate(gaussian(), 0.01, eta, cfg)
+    assert got == pytest.approx(young_conjugate_closed(gaussian(), eta), rel=1e-12)
 
 
 def _bergman_nested_oracle(spec, tau, z, w, cfg):
@@ -955,6 +973,27 @@ def test_laplace_asymptotic_quartic(cfg):
     assert abs(rep.printed_prefactor_ratios[-1] - 1.0) > 0.5
 
 
+def test_laplace_asymptotic_is_one_engine_call(monkeypatch, cfg):
+    # the whole tau grid maps to x = tau^(1-1/a) eta in one call, and agrees
+    # with one call per tau
+    spec, eta, taus = profile_power(1.5), -2.0, np.geomspace(0.05, 100.0, 7)
+    rtol = max(1e-9, 0.01 * cfg.rel_tol)
+    per_tau = np.array([_log_inner_batch(spec, tau, [eta], rtol)[0][0] for tau in taus])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _log_inner_batch(*args)
+
+    monkeypatch.setattr(profile_module, "_log_inner_batch", counted)
+    rep = laplace_asymptotic(spec, eta, taus, cfg)
+    assert len(calls) == 1
+    mu = inverse_derivative(spec, eta)
+    p2d = weight_derivatives(spec, mu)[1]
+    log_pred = 0.5 * np.log(PI / (taus * p2d)) + 2.0 * taus * young_conjugate_closed(spec, eta)
+    np.testing.assert_allclose(rep.ratios, np.exp(per_tau - log_pred), rtol=1e-9)
+
+
 def test_laplace_asymptotic_degenerate(cfg):
     with pytest.raises(DomainError):
         laplace_asymptotic(profile_power(4.0), 0.0, [1.0], cfg)
@@ -1054,3 +1093,159 @@ def test_shifted_maximizer_gap_bounded_below(alpha):
     m20, m40 = min(gaps20), min(gaps40)
     assert math.isfinite(m20)
     assert abs(m40 - m20) <= 0.01 * abs(m20)
+
+
+_P0, _P1 = BoundaryPoint(0.5, 0.0), BoundaryPoint(-0.25j, 0.5)
+_GRID = np.linspace(-4.0, 4.0, 17)
+
+
+# Non-finite and out-of-domain input at the public entry points: each raises
+# DomainError, or ValueError where that is the contract (moment_oracle).
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: young_conjugate_closed(gaussian(), math.nan), DomainError, "finite",
+                 id="young_conjugate_closed-nan-eta"),
+    pytest.param(lambda: inverse_derivative(profile_power(3.0), math.nan), DomainError, "finite",
+                 id="inverse_derivative-nan-eta"),
+    pytest.param(lambda: young_conjugate_numeric(profile_power(3.0), math.nan, 1e-9),
+                 DomainError, "finite", id="young_conjugate_numeric-nan-eta"),
+    pytest.param(lambda: young_conjugate_numeric(profile_power(3.0), 1.0, 0.0),
+                 DomainError, "tol", id="young_conjugate_numeric-zero-tol"),
+    pytest.param(lambda: young_conjugate_numeric(profile_power(3.0), 1.0, math.nan),
+                 DomainError, "tol", id="young_conjugate_numeric-nan-tol"),
+    pytest.param(lambda: shifted_maximizer_gap(profile_power(3.0), 1.0, 0.5, math.nan),
+                 DomainError, "finite", id="shifted_maximizer_gap-nan-eta"),
+    pytest.param(lambda: shifted_maximizer_gap(profile_power(3.0), 1.0, math.nan, 1.0),
+                 DomainError, "finite", id="shifted_maximizer_gap-nan-lam"),
+    pytest.param(lambda: sandwich_bounds_check(profile_power(2.0), 1.0, math.nan, _GRID),
+                 DomainError, "lam", id="sandwich_bounds_check-nan-lam"),
+    pytest.param(lambda: sandwich_bounds_check(profile_power(2.0), 1.0, 0.0, _GRID),
+                 DomainError, "lam", id="sandwich_bounds_check-zero-lam"),
+    pytest.param(lambda: sandwich_bounds_check(profile_power(2.0), 1.0, math.inf, _GRID),
+                 DomainError, "lam", id="sandwich_bounds_check-inf-lam"),
+    pytest.param(lambda: sandwich_bounds_check(gaussian(), 1.0, 1.5, [0.0, math.nan, 1.0]),
+                 DomainError, "eta must be finite", id="sandwich_bounds_check-nan-eta"),
+    pytest.param(lambda: series_coefficient(2.0, math.nan, 0), DomainError, "tau",
+                 id="series_coefficient-nan-tau"),
+    pytest.param(lambda: szego_radial_closed(math.nan, _P0, _P1), DomainError, "alpha",
+                 id="szego_radial_closed-nan-alpha"),
+    pytest.param(lambda: szego_radial_closed(0.0, _P0, _P1), DomainError, "alpha",
+                 id="szego_radial_closed-zero-alpha"),
+    pytest.param(lambda: szego_radial_closed(2.0, BoundaryPoint(0, 1.0), BoundaryPoint(0, 1.0)),
+                 SingularPoint, "A = 0", id="szego_radial_closed-A-zero"),
+    pytest.param(lambda: szego_radial_via_laplace(math.nan, _P0, _P1), DomainError, "alpha",
+                 id="szego_radial_via_laplace-nan-alpha"),
+    pytest.param(lambda: szego_radial_via_laplace(-1.0, _P0, _P1), DomainError, "alpha",
+                 id="szego_radial_via_laplace-negative-alpha"),
+    pytest.param(lambda: gamma_step_identity_check(0.0, 0, 1.0), DomainError, "alpha",
+                 id="gamma_step_identity_check-zero-alpha"),
+    pytest.param(lambda: gamma_step_identity_check(2.0, 0, complex(math.nan, 0.0)), DomainError,
+                 "finite A", id="gamma_step_identity_check-nan-A"),
+    pytest.param(lambda: weight_derivatives(gaussian(), math.nan), DomainError, "finite",
+                 id="weight_derivatives-nan-x"),
+    pytest.param(lambda: eval_weight(gaussian(), math.nan), DomainError, "finite",
+                 id="eval_weight-nan-z"),
+    pytest.param(lambda: inner_integral(gaussian(), 1.0, math.nan), DomainError,
+                 "eta must be finite", id="inner_integral-nan-eta"),
+    pytest.param(lambda: effective_conjugate(profile_power(1.5), 2.0, math.nan), DomainError,
+                 "eta must be finite", id="effective_conjugate-nan-eta"),
+    pytest.param(lambda: effective_conjugate(gaussian(), 1.0, -math.inf), DomainError,
+                 "eta must be finite", id="effective_conjugate-inf-eta"),
+    pytest.param(lambda: laplace_asymptotic(gaussian(), math.nan, [1.0, 10.0]), DomainError,
+                 "finite", id="laplace_asymptotic-nan-eta"),
+    pytest.param(lambda: laplace_asymptotic(gaussian(), 1.0, [1.0, math.nan]), DomainError,
+                 "tau", id="laplace_asymptotic-nan-tau"),
+    pytest.param(lambda: bergman_from_szego_gaussian(1.0, 0.0, 0.0, math.nan), DomainError,
+                 "epsilon", id="bergman_from_szego_gaussian-nan-eps"),
+    pytest.param(lambda: bergman_roundtrip_extrapolated(1.0, 0.0, 0.0, eps_sequence=(0.1, 0.05)),
+                 DomainError, "three", id="bergman_roundtrip_extrapolated-two-eps"),
+    pytest.param(lambda: bergman_gaussian_closed(1.0, complex(math.nan, 0.0), 0.0), DomainError,
+                 "finite", id="bergman_gaussian_closed-nan-z"),
+    pytest.param(lambda: duality_marginal_integral(1.0, 2.0, 0.5), DomainError, "tau0",
+                 id="duality_marginal_integral-tau-order"),
+    pytest.param(lambda: moment_oracle(math.nan, 1.0, 0), ValueError, "alpha",
+                 id="moment_oracle-nan-alpha"),
+    pytest.param(lambda: moment_oracle(2.0, 0.0, 0), ValueError, "tau",
+                 id="moment_oracle-zero-tau"),
+    pytest.param(lambda: moment_oracle(2.0, 1.0, -1), ValueError, "k >= 0",
+                 id="moment_oracle-negative-k"),
+    pytest.param(lambda: moment_closed(2.0, math.nan, 0), ValueError, "tau",
+                 id="moment_closed-nan-tau"),
+    pytest.param(lambda: reproducing_check(2.0, 1.0, 0, complex(math.nan, 0.0)), ValueError,
+                 "finite z", id="reproducing_check-nan-z"),
+    pytest.param(lambda: BoundaryPoint(0.5, math.inf), DomainError, "finite",
+                 id="BoundaryPoint-inf-t"),
+    pytest.param(lambda: profile_power(math.nan), DomainError, "finite",
+                 id="WeightSpec-nan-alpha"),
+])
+def test_entry_points_reject_invalid_input(call, error, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            call()
+
+
+def test_effective_conjugate_property_against_mpmath():
+    # tau away from 1 is mapped to x = tau^(1-1/a) eta and run at tau = 1;
+    # mpmath integrates at tau itself
+    hypothesis = pytest.importorskip("hypothesis")
+    mpmath = pytest.importorskip("mpmath")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @hypothesis.given(alpha=st.floats(1.2, 4.0),
+                      tau=st.floats(math.log(0.05), math.log(60.0)).map(math.exp),
+                      eta=st.floats(-20.0, 20.0))
+    def check(alpha, tau, eta):
+        ref = _mpmath_log_inner(mpmath, alpha, tau, eta)
+        got = effective_conjugate(profile_power(alpha), tau, eta)
+        assert abs(2.0 * tau * got - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    check()
+
+
+_PROFILE_SPECS = (gaussian(), profile_power(1.5), profile_power(3.0), profile_power(4.0))
+
+
+def test_bergman_profile_property_hermitian_and_translation():
+    # K(w, z) = conj K(z, w) exactly, and K depends on z + conj w only
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coord = st.floats(-1.5, 1.5)
+    point = st.builds(complex, coord, coord)
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @hypothesis.given(spec=st.sampled_from(_PROFILE_SPECS), tau=st.floats(0.4, 2.0),
+                      z=point, w=point, c=point)
+    def check(spec, tau, z, w, c):
+        k = bergman_profile(spec, tau, z, w).value
+        assert bergman_profile(spec, tau, w, z).value == k.conjugate()
+        moved = bergman_profile(spec, tau, z + c, w - c.conjugate()).value
+        assert abs(moved - k) <= 1e-13 * abs(k)
+
+    check()
+
+
+def test_szego_profile_property_scaling(loose):
+    # S(lam z, lam w, lam^a t, lam^a s) = lam^-(a+2) S, on the region the
+    # szego-triple benchmark draws: |z - w| in [1.4, 2], |Im(z - w)| <= 0.3,
+    # and s - t set so that the tau integrand turns at rate 0.1 to 0.15
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=12)
+    @hypothesis.given(alpha=st.sampled_from([2.0, 3.0]), dmag=st.floats(1.4, 2.0),
+                      dim=st.floats(-0.3, 0.3), mid_re=st.floats(-0.4, 0.4),
+                      mid_im=st.floats(-0.4, 0.4), t=st.floats(-0.5, 0.5),
+                      osc=st.floats(0.1, 0.15), sign=st.sampled_from([-1.0, 1.0]),
+                      lam=st.floats(0.7, 1.3))
+    def check(alpha, dmag, dim, mid_re, mid_im, t, osc, sign, lam):
+        spec = gaussian() if alpha == 2.0 else profile_power(alpha)
+        d = complex(sign * math.sqrt(dmag * dmag - dim * dim), dim)
+        z, w = complex(mid_re, mid_im) + d / 2, complex(mid_re, mid_im) - d / 2
+        s = t + sign * osc + float(profile_dp(spec, 0.5 * (z + w).real)) * dim
+        ref = szego_profile(spec, BoundaryPoint(z, t), BoundaryPoint(w, s), loose).value
+        got = szego_profile(spec, BoundaryPoint(lam * z, lam ** alpha * t),
+                            BoundaryPoint(lam * w, lam ** alpha * s), loose).value
+        assert abs(got * lam ** (alpha + 2.0) - ref) <= 1e-13 * abs(ref)
+
+    check()

@@ -89,6 +89,7 @@ def test_double_conjugation_recovers_weight():
     r = 1.7
     recovered = young_conjugate_numeric(dual, r, 1e-9)
     assert recovered == pytest.approx(eval_weight(spec, r), abs=1e-7)
+    assert conjugate_spec(gaussian()) == gaussian()  # the Gaussian is self-dual
 
 
 def test_fenchel_young_inequality(rng):
