@@ -244,8 +244,6 @@ _SHARED = (
     _flag("--abs-tol", "<f>", float, required=False, default=DEFAULT_CONFIG.abs_tol),
     _flag("--rel-tol", "<f>", float, required=False, default=DEFAULT_CONFIG.rel_tol),
     _flag("--max-subdiv", "<n>", int, required=False, default=DEFAULT_CONFIG.max_subdivisions),
-    _flag("--decay-threshold", "<f>", float, required=False,
-          default=DEFAULT_CONFIG.truncation_decay_threshold),
     _choice("--format", ("json", "csv"), default="json"),
 )
 
@@ -286,8 +284,7 @@ def build_parser():
 
 def _config(args) -> QuadConfig:
     return QuadConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol,
-                      max_subdivisions=args.max_subdiv,
-                      truncation_decay_threshold=args.decay_threshold)
+                      max_subdivisions=args.max_subdiv)
 
 
 def _emit(records, fmt):

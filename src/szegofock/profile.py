@@ -815,6 +815,8 @@ _CAUSAL_SHIFT = 1e-6
 _PLANCHEREL_NORM = 2.0 * math.pi ** 2
 # outer nodes per banded block of the inverse's damped v sum
 _DAMP_CHUNK = 64
+# the round trip's eps schedule, largest first
+_ROUNDTRIP_EPS = (0.1, 0.05, 0.025)
 
 
 def _causal_deficit_slope(tau, a, base):
@@ -937,25 +939,28 @@ def bergman_from_szego_gaussian(tau, z, w, epsilon,
     return EvalResult(value, err, "plancherel-damped", n_evals)
 
 
-def bergman_roundtrip_extrapolated(tau, z, w, cfg: QuadConfig = DEFAULT_CONFIG,
-                                   eps_sequence=(0.1, 0.05, 0.025)) -> EvalResult:
-    """Extrapolate the damped inverse evaluations to eps = 0.
+def bergman_roundtrip_extrapolated(tau, z, w, cfg: QuadConfig = DEFAULT_CONFIG) -> EvalResult:
+    """Extrapolate the damped inverse evaluations at `_ROUNDTRIP_EPS` to eps = 0.
 
     After the deficit normalisation in `bergman_from_szego_gaussian`, the
     eps expansion is {1, eps, eps^{3/2}}; three evaluations pin the limit.
     The error estimate combines the last extrapolation correction with the
     propagated quadrature errors.
     """
-    eps = tuple(float(e) for e in eps_sequence)
-    if len(eps) < 3:
-        raise DomainError("need at least three epsilon values")
-    results = [bergman_from_szego_gaussian(tau, z, w, e, cfg) for e in eps]
+    results = [bergman_from_szego_gaussian(tau, z, w, e, cfg) for e in _ROUNDTRIP_EPS]
     vals = [r.value for r in results]
-    limit = _extrapolate_to_zero(eps[-3:], vals[-3:], (0.0, 1.0, 1.5))
-    pair = _extrapolate_to_zero(eps[-2:], vals[-2:], (0.0, 1.0))
+    limit = _extrapolate_to_zero(_ROUNDTRIP_EPS, vals, (0.0, 1.0, 1.5))
+    pair = _extrapolate_to_zero(_ROUNDTRIP_EPS[1:], vals[1:], (0.0, 1.0))
     err = 0.5 * abs(limit - pair) + 8.0 * max(r.abs_err_estimate for r in results)
     n = sum(r.n_evals for r in results)
     return EvalResult(limit, err, "plancherel-extrapolated", n)
+
+
+def _duality_taus(tau, tau0, tau1):
+    tau, tau0, tau1 = float(tau), float(tau0), float(tau1)
+    if not (0.0 < tau0 < tau < tau1 < math.inf):
+        raise DomainError("require finite 0 < tau0 < tau < tau1")
+    return tau, tau0, tau1
 
 
 def duality_finiteness_criterion(tau, tau0, tau1) -> bool:
@@ -965,9 +970,7 @@ def duality_finiteness_criterion(tau, tau0, tau1) -> bool:
     integral with weights e^{-2 tau1 p(z) - 2 tau0 p(w)} in the Gaussian
     case: true iff tau1 > tau/2 and (tau1 - tau/2)(tau0 - tau/2) > (tau/2)^2.
     """
-    tau, tau0, tau1 = float(tau), float(tau0), float(tau1)
-    if not (0.0 < tau0 < tau < tau1):
-        raise DomainError("require 0 < tau0 < tau < tau1")
+    tau, tau0, tau1 = _duality_taus(tau, tau0, tau1)
     h = 0.5 * tau
     return tau1 > h and (tau1 - h) * (tau0 - h) > h * h
 
@@ -976,42 +979,25 @@ def duality_marginal_integral(tau, tau0, tau1,
                               cfg: QuadConfig = DEFAULT_CONFIG) -> EvalResult:
     """Numeric (x, u)-marginal (tau/2 pi)^2 iint e^{Q(x,u)} dx du.
 
-    Q(x, u) = (tau/2)(x+u)^2 - tau1 x^2 - tau0 u^2.  When the quadratic
-    form fails to be negative definite the outer window doubling finds no
-    decay and TruncationError propagates; that divergence is the point of
-    the probe.
+    Q(x, u) = (tau/2)(x+u)^2 - tau1 x^2 - tau0 u^2.  Shifted to
+    y = x - tau u / (2A), A = tau1 - tau/2 > 0, it is -A y^2 + kappa u^2
+    with kappa = tau^2 / (4A) + tau/2 - tau0, so the x integral is one
+    integral of e^{-A y^2}, the same for every u, and the u integral is
+    that value times e^{kappa u^2}; the inner result's relative error is
+    charged to the estimate.  When the quadratic form fails to be negative
+    definite (kappa >= 0) the u window doubling finds no decay and
+    TruncationError propagates; that divergence is the point of the probe.
     """
-    tau, tau0, tau1 = float(tau), float(tau0), float(tau1)
-    if not (0.0 < tau0 < tau < tau1):
-        raise DomainError("require 0 < tau0 < tau < tau1")
-    n_evals = 0
-
-    def h(uvec):
-        nonlocal n_evals
-        flat = np.ravel(uvec)
-        out = np.empty(flat.shape)
-        for i, u in enumerate(flat):
-            x_star = tau * u / (2.0 * (tau1 - 0.5 * tau))
-            qmax = (0.5 * tau * (x_star + u) ** 2 - tau1 * x_star ** 2
-                    - tau0 * u * u)
-
-            def f(x, _u=u, _q=qmax):
-                return np.exp(0.5 * tau * (x + _u) ** 2 - tau1 * x * x
-                              - tau0 * _u * _u - _q)
-
-            r = integrate_real_line(f, cfg, center=x_star,
-                                    initial_halfwidth=max(1.0, 2.0 * abs(x_star)))
-            n_evals += r.n_evals
-            try:
-                out[i] = math.exp(qmax) * r.value.real
-            except OverflowError:
-                out[i] = math.inf
-        return out.reshape(np.shape(uvec))
-
-    res = integrate_real_line(h, cfg)
+    tau, tau0, tau1 = _duality_taus(tau, tau0, tau1)
+    A = tau1 - 0.5 * tau
+    kappa = tau * tau / (4.0 * A) + 0.5 * tau - tau0
+    inner = integrate_real_line(lambda y: np.exp(-A * y * y), cfg)
+    gauss = inner.value.real
+    res = integrate_real_line(lambda u: gauss * np.exp(kappa * u * u), cfg)
     scale = (tau / TWO_PI) ** 2
-    return EvalResult(scale * res.value, scale * res.abs_err_estimate,
-                      "marginal-nested", n_evals + res.n_evals)
+    err = res.abs_err_estimate + abs(res.value) * inner.abs_err_estimate / gauss
+    return EvalResult(scale * res.value, scale * err, "marginal-nested",
+                      inner.n_evals + res.n_evals)
 
 
 def shifted_maximizer_gap(spec: WeightSpec, tau, lam, eta) -> float:

@@ -44,14 +44,17 @@ from .numerics import (
 # float-level guards around it
 _GEOMETRIC_TOL = 1e-12
 _A_FLOOR = 1e-300
+# p(z) + p(w) below which the tau integral of `szego_radial_via_laplace`
+# is not absolutely damped
+_DAMPING_FLOOR = 1e-8
 
 
 def series_coefficient(alpha, tau, k) -> float:
     """Coefficient of z^k conj(w)^k in the radial Bergman kernel."""
     alpha = float(alpha)
     tau = float(tau)
-    if not (alpha > 0.0 and tau > 0.0):
-        raise DomainError("series_coefficient requires alpha > 0 and tau > 0")
+    if not (alpha > 0.0 and 0.0 < tau < math.inf):
+        raise DomainError("series_coefficient requires alpha > 0 and finite tau > 0")
     if k < 0:
         raise DomainError("series index must be non-negative")
     x = 2.0 * (k + 1) / alpha
@@ -109,11 +112,10 @@ def szego_radial_via_laplace(alpha, p1: BoundaryPoint, p2: BoundaryPoint,
     if not 0.0 < alpha < math.inf:
         raise DomainError("szego_radial_via_laplace requires finite alpha > 0")
     damping = abs(p1.z) ** alpha + abs(p2.z) ** alpha
-    floor = math.sqrt(cfg.truncation_decay_threshold)
-    if damping < floor:
+    if damping < _DAMPING_FLOOR:
         raise NearSingular(
             "p(z) + p(w) = %.3g below the damping floor %.3g; the tau "
-            "integral is not absolutely damped" % (damping, floor))
+            "integral is not absolutely damped" % (damping, _DAMPING_FLOOR))
     A = 0.5 * (abs(p1.z) ** alpha + abs(p2.z) ** alpha + 1j * (p2.t - p1.t))
     zw = p1.z * p2.z.conjugate()
     log2A = cmath.log(2.0 * A)

@@ -177,8 +177,8 @@ def young_conjugate_numeric(spec: WeightSpec, eta: float, tol: float) -> float:
     Agrees with young_conjugate_closed to within tol.
     """
     _require_profile(spec)
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be finite and positive")
     e = abs(eta)
     mu = inverse_derivative(spec, e)
 

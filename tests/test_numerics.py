@@ -32,8 +32,6 @@ def test_quad_config_validation():
         QuadConfig(rel_tol=2.0)
     with pytest.raises(DomainError):
         QuadConfig(max_subdivisions=0)
-    with pytest.raises(DomainError):
-        QuadConfig(truncation_decay_threshold=0.0)
 
 
 def test_real_line_examples(cfg):
@@ -41,6 +39,8 @@ def test_real_line_examples(cfg):
     _check(integrate_real_line(lambda x: np.exp(-np.abs(x)), cfg), 2.0, cfg)
     _check(integrate_real_line(lambda x: np.exp(-x * x) * np.cos(x), cfg),
            SQRT_PI * math.exp(-0.25), cfg)
+    for scale in (1e-20, 1e20):
+        _check(integrate_real_line(lambda x: scale * np.exp(-x * x), cfg), scale * SQRT_PI, cfg)
 
 
 def test_half_line_examples(cfg):
@@ -133,8 +133,22 @@ def test_linearity(cfg):
 
 
 def test_truncation_error_on_non_decaying_integrand(cfg):
-    with pytest.raises(TruncationError):
-        integrate_real_line(lambda x: np.ones_like(x), cfg)
+    # infinite ranges stop only when a doubling shell's mass is finite and
+    # below a tenth of the target; exp(x^2) overflows both sides to inf
+    cases = [(integrate_real_line, np.ones_like), (integrate_real_line, np.cos),
+             (integrate_half_line, np.sin), (integrate_real_line, lambda x: x),
+             (integrate_real_line, lambda x: np.exp(x * x))]
+    for integrate, f in cases:
+        with pytest.raises(TruncationError):
+            integrate(f, cfg)
+
+
+def test_half_line_estimate_charges_the_tail(cfg):
+    # 1/(1 + t^2) decays like t^-2: the part beyond the window is as large
+    # as the last shell's mass and must be in the estimate
+    res = integrate_half_line(lambda t: 1.0 / (1.0 + t * t), cfg)
+    err = abs(res.value - 0.5 * math.pi)
+    assert err <= res.abs_err_estimate <= max(cfg.abs_tol, cfg.rel_tol * 0.5 * math.pi)
 
 
 def test_convergence_error_on_subdivision_budget():

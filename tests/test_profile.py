@@ -1078,6 +1078,7 @@ def test_duality_marginal_matches_determinant(cfg):
     det = (2.0 * 2.0 - 1.0) * (2.0 * 0.8 - 1.0) - 1.0
     closed = (1.0 / (2.0 * PI)) ** 2 * 2.0 * PI / math.sqrt(det)
     assert res.value.real == pytest.approx(closed, rel=1e-7)
+    assert abs(res.value - closed) <= res.abs_err_estimate
 
 
 def test_duality_marginal_diverges_below_threshold(cfg):
@@ -1112,6 +1113,8 @@ _GRID = np.linspace(-4.0, 4.0, 17)
                  DomainError, "tol", id="young_conjugate_numeric-zero-tol"),
     pytest.param(lambda: young_conjugate_numeric(profile_power(3.0), 1.0, math.nan),
                  DomainError, "tol", id="young_conjugate_numeric-nan-tol"),
+    pytest.param(lambda: young_conjugate_numeric(profile_power(3.0), 1.0, math.inf),
+                 DomainError, "tol", id="young_conjugate_numeric-inf-tol"),
     pytest.param(lambda: shifted_maximizer_gap(profile_power(3.0), 1.0, 0.5, math.nan),
                  DomainError, "finite", id="shifted_maximizer_gap-nan-eta"),
     pytest.param(lambda: shifted_maximizer_gap(profile_power(3.0), 1.0, math.nan, 1.0),
@@ -1126,6 +1129,8 @@ _GRID = np.linspace(-4.0, 4.0, 17)
                  DomainError, "eta must be finite", id="sandwich_bounds_check-nan-eta"),
     pytest.param(lambda: series_coefficient(2.0, math.nan, 0), DomainError, "tau",
                  id="series_coefficient-nan-tau"),
+    pytest.param(lambda: series_coefficient(2.0, math.inf, 0), DomainError, "tau",
+                 id="series_coefficient-inf-tau"),
     pytest.param(lambda: szego_radial_closed(math.nan, _P0, _P1), DomainError, "alpha",
                  id="szego_radial_closed-nan-alpha"),
     pytest.param(lambda: szego_radial_closed(0.0, _P0, _P1), DomainError, "alpha",
@@ -1156,12 +1161,14 @@ _GRID = np.linspace(-4.0, 4.0, 17)
                  "tau", id="laplace_asymptotic-nan-tau"),
     pytest.param(lambda: bergman_from_szego_gaussian(1.0, 0.0, 0.0, math.nan), DomainError,
                  "epsilon", id="bergman_from_szego_gaussian-nan-eps"),
-    pytest.param(lambda: bergman_roundtrip_extrapolated(1.0, 0.0, 0.0, eps_sequence=(0.1, 0.05)),
-                 DomainError, "three", id="bergman_roundtrip_extrapolated-two-eps"),
     pytest.param(lambda: bergman_gaussian_closed(1.0, complex(math.nan, 0.0), 0.0), DomainError,
                  "finite", id="bergman_gaussian_closed-nan-z"),
     pytest.param(lambda: duality_marginal_integral(1.0, 2.0, 0.5), DomainError, "tau0",
                  id="duality_marginal_integral-tau-order"),
+    pytest.param(lambda: duality_marginal_integral(1.0, 0.8, math.inf), DomainError, "finite",
+                 id="duality_marginal_integral-inf-tau1"),
+    pytest.param(lambda: duality_finiteness_criterion(1.0, 0.5, math.inf), DomainError, "finite",
+                 id="duality_finiteness_criterion-inf-tau1"),
     pytest.param(lambda: moment_oracle(math.nan, 1.0, 0), ValueError, "alpha",
                  id="moment_oracle-nan-alpha"),
     pytest.param(lambda: moment_oracle(2.0, 0.0, 0), ValueError, "tau",
