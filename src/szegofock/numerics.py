@@ -2,9 +2,9 @@
 
 Integrands are vectorised: a callable receives a float ndarray and returns
 a complex (or float) ndarray of the same shape.  Infinite domains are
-truncated by doubling the window until the shell just added has a finite
-mass of at most a tenth of the target; that mass is charged to the
-estimate as the tail beyond the window, and the finite window is then
+truncated by doubling the window until the shells' masses fall and the
+geometric tail fitted to the last two is at most a tenth of the target;
+that tail is charged to the estimate, and the finite window is then
 refined adaptively with a Gauss-Kronrod 7/15 pair, splitting the panel
 with the largest error estimate first.  Error estimates are the summed
 |K15 - G7| panel differences, a deliberately conservative upper estimate.
@@ -127,51 +127,45 @@ def _eval_panels(f, lefts, rights):
 
 
 class _PanelSet:
-    """Priority-queue refinement state for one adaptive integral."""
+    """Adaptive refinement state: one heap of panels (-err, left, right, value)."""
 
     def __init__(self, f):
         self.f = f
-        self.vals = []
-        self.errs = []
-        self.bounds = []
         self.heap = []
         self.total = 0.0 + 0.0j
         self.err = 0.0
         self.n_evals = 0
+        self.panels = 0  # evaluated so far, refined ones included
 
     def add(self, lefts, rights):
+        """Evaluate a batch of panels and keep them; returns the batch's
+        mass, the sum of |value| + error over its panels."""
         v, e, n = _eval_panels(self.f, lefts, rights)
         self.n_evals += n
-        for a, b, vi, ei in zip(np.atleast_1d(lefts), np.atleast_1d(rights),
-                                np.atleast_1d(v), np.atleast_1d(e)):
-            idx = len(self.vals)
-            self.vals.append(vi)
-            self.errs.append(float(ei))
-            self.bounds.append((float(a), float(b)))
+        self.panels += len(v)
+        mass = 0.0
+        for a, b, vi, ei in zip(lefts, rights, v, e.tolist()):
             self.total += vi
-            self.err += float(ei)
-            heapq.heappush(self.heap, (-float(ei), idx))
+            self.err += ei
+            mass += abs(vi) + ei
+            heapq.heappush(self.heap, (-ei, float(a), float(b), vi))
+        return float(mass)
 
     def target(self, cfg):
         return max(cfg.abs_tol, cfg.rel_tol * abs(self.total))
 
     def refine(self, cfg):
         while self.err > self.target(cfg):
-            if not self.heap:
-                break  # accumulated rounding drift; nothing left to split
-            if len(self.vals) >= cfg.max_subdivisions:
+            if self.panels >= cfg.max_subdivisions:
                 raise ConvergenceError(
                     "adaptive quadrature exhausted %d subdivisions "
                     "(err=%.3g, target=%.3g)"
                     % (cfg.max_subdivisions, self.err, self.target(cfg)))
-            neg_err, idx = heapq.heappop(self.heap)
+            neg_err, a, b, val = heapq.heappop(self.heap)
             if neg_err == 0.0:
                 break  # worst panel already at the estimator floor
-            a, b = self.bounds[idx]
-            self.total -= self.vals[idx]
+            self.total -= val
             self.err += neg_err  # neg_err = -old panel error
-            self.vals[idx] = 0.0
-            self.errs[idx] = 0.0
             m = 0.5 * (a + b)
             self.add([a, m], [m, b])
         return self.total, self.err
@@ -194,9 +188,12 @@ def _grow_window(f, cfg, center, width, two_sided):
 
     The window is [center - W, center + W] (two-sided) or [center,
     center + W].  W doubles until the shell just added has a finite mass
-    (sum of |value| + error over its panels) of at most 0.1 * the target.
-    That mass is charged to the estimate: it bounds the tail beyond the
-    window for integrands that decay at least like t^-2.  Shell panels
+    m_k (sum of |value| + error over its panels) below the last one's,
+    m_{k-1}, and its tail charge max(m_k, m_k rho / (1 - rho)), rho =
+    m_k / m_{k-1}, is at most 0.1 * the target; m_0 is the first window's
+    mass.  The charge goes to the estimate: it bounds the part beyond the
+    window while the shell masses keep falling at least geometrically, as
+    those of t^-p decay, p > 1, do at the ratio 2^(1-p).  Shell panels
     evaluated along the way are kept.  Returns the panel set after
     adaptive refinement.
     """
@@ -204,24 +201,24 @@ def _grow_window(f, cfg, center, width, two_sided):
     W = float(width)
     ps = _PanelSet(f)
     if two_sided:
-        ps.add([c - W, c], [c, c + W])
+        prev = ps.add([c - W, c], [c, c + W])
     else:
-        ps.add([c, c + 0.5 * W], [c + 0.5 * W, c + W])
+        prev = ps.add([c, c + 0.5 * W], [c + 0.5 * W, c + W])
     for _ in range(_MAX_DOUBLINGS):
         if two_sided:
             lefts, rights = [c - 2.0 * W, c + W], [c - W, c + 2.0 * W]
         else:
             lefts, rights = [c + W], [c + 2.0 * W]
         W = 2.0 * W
-        before = len(ps.vals)
-        ps.add(lefts, rights)
-        shell_mass = sum(abs(ps.vals[i]) + ps.errs[i]
-                         for i in range(before, len(ps.vals)))
-        # a divergent integrand overflows both sides of the test to inf
-        if math.isfinite(shell_mass) and shell_mass <= 0.1 * ps.target(cfg):
-            ps.err += shell_mass
-            ps.refine(cfg)
-            return ps
+        mass = ps.add(lefts, rights)
+        # a divergent integrand overflows the mass to inf
+        if mass == 0.0 or math.isfinite(mass) and mass < prev:
+            tail = max(mass, mass * (mass / (prev - mass))) if mass else 0.0
+            if tail <= 0.1 * ps.target(cfg):
+                ps.err += tail
+                ps.refine(cfg)
+                return ps
+        prev = mass
     raise TruncationError("no decay window found within the doubling budget")
 
 

@@ -46,14 +46,15 @@ that circulates in print, which fails the Gaussian check).
 
 For the Gaussian profile everything has closed forms, and the inverse
 direction (recovering K_tau from the boundary kernel by a Plancherel-type
-double integral) is realized with Gaussian dampers e^{-eps s^2} e^{-eps t^2}
-plus an epsilon extrapolation; see `bergman_from_szego_gaussian`.
+double integral) takes Gaussian dampers e^{-eps s^2} e^{-eps t^2}, a Laplace
+identity for the causal factor that leaves the s integral in closed form, and
+an epsilon extrapolation; see `bergman_from_szego_gaussian`.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -808,13 +809,15 @@ def laplace_asymptotic(spec: WeightSpec, eta, tau_grid,
 
 # Plancherel-type inverse: fixed interior/causal regularisation scales.
 # The interior shift keeps the boundary kernel's double pole off the
-# integration plane; the causal shift keeps 1/(p(w) - i s) off the contour
-# when p(w) = 0.  Both are far below every tolerance in use.
+# integration plane; the causal shift keeps a = p(w) + shift > 0 for the
+# Laplace identity of 1/(a - i s).  Both are far below every tolerance in use.
 _INTERIOR_SHIFT = 1e-6
 _CAUSAL_SHIFT = 1e-6
 _PLANCHEREL_NORM = 2.0 * math.pi ** 2
-# outer nodes per banded block of the inverse's damped v sum
-_DAMP_CHUNK = 64
+# fixed GK15 panels of the inverse's lambda integral over [0, Lambda], and
+# the v nodes per block of its G(v) table
+_LAMBDA_PANELS = 8
+_V_BLOCK = 512
 # the round trip's eps schedule, largest first
 _ROUNDTRIP_EPS = (0.1, 0.05, 0.025)
 
@@ -843,27 +846,6 @@ def _difference_rule_edges(center, scale, inner_stop, V, width):
     return sorted({e for e in edges if -V < e < V} | {-V, V})
 
 
-def _banded_damped_sum(svec, nodes, weighted, eps, reach):
-    """sum_j exp(-eps (s - v_j)^2) weighted_j for each s, over |s - v_j| <= reach.
-
-    The truncated direct Gauss transform (Greengard & Strain, 1991): the
-    s are sorted and taken in chunks of _DAMP_CHUNK; each chunk sums only
-    the nodes (ascending) within `reach` of it.  Returns (sums, terms).
-    """
-    order = np.argsort(svec)
-    out = np.empty(svec.size, dtype=complex)
-    terms = 0
-    for start in range(0, svec.size, _DAMP_CHUNK):
-        idx = order[start:start + _DAMP_CHUNK]
-        chunk = svec[idx]
-        lo = np.searchsorted(nodes, chunk[0] - reach)
-        hi = np.searchsorted(nodes, chunk[-1] + reach, side="right")
-        d = chunk[:, None] - nodes[None, lo:hi]
-        out[idx] = np.exp(-eps * d * d) @ weighted[lo:hi]
-        terms += d.size
-    return out, terms
-
-
 def bergman_from_szego_gaussian(tau, z, w, epsilon,
                                 cfg: QuadConfig = DEFAULT_CONFIG) -> EvalResult:
     """One damped evaluation of the inverse double integral (Gaussian only).
@@ -872,19 +854,25 @@ def bergman_from_szego_gaussian(tau, z, w, epsilon,
     / (p(w) - i s) ds dt with the integrand damped by e^{-eps s^2} e^{-eps t^2},
     the boundary kernel pushed an interior shift inside the domain, and the
     causal factor shifted off the contour.  In the difference variable
-    v = s - t the kernel factor (base - delta - i v)^-2 e^{i tau v} is
-    s-independent, so the v-direction uses one fixed composite GK15 rule
-    over [-V, V] and the s-direction is adaptive over [-L, L], with
-    L = sqrt(45 / eps) where the damping falls to e^-45.
+    v = s - t the kernel factor f(v) = (base - delta - i v)^-2 e^{i tau v}
+    is s-independent, and for a = p(w) + shift > 0 the Laplace identity
+    1/(a - i s) = int_0^inf e^{-lam (a - i s)} dlam leaves the s integral
+    a Gaussian in closed form:
 
-    The v rule is sized from the integrand's scales.  It refines
-    geometrically toward Re v* = Im base, the real part of the kernel's
-    double pole v* = -i(base - delta), starting at a quarter of the pole's
-    distance delta + |Re base| from the axis, out to 2; beyond, its panels
-    have width h = min(1, 2/tau), at most 1/pi of the period of e^{i tau v}.
-    A rule of width 2h, compared with it at three s, gives its error term.
-    Each chunk of outer nodes sums only the v nodes within L of it
-    (`_banded_damped_sum`), since the dropped terms are below e^-45.
+        iint = sqrt(pi / 2 eps) int f(v) e^{-eps v^2 / 2} G(v) dv,
+        G(v) = int_0^Lam e^{-lam a - lam^2 / (8 eps) + i lam v / 2} dlam,
+
+    cut where the Gaussians fall to e^-45: |v| <= sqrt(90 / eps) + 2 and
+    Lam = sqrt(360 eps).  Both run on fixed composite GK15 rules, lam on
+    _LAMBDA_PANELS equal panels, and G is formed over blocks of _V_BLOCK
+    v nodes.  The v rule refines geometrically toward Re v* = Im base, the
+    real part of the kernel's double pole v* = -i(base - delta), from a
+    quarter of its distance delta + |Re base| from the axis out to 2, and
+    beyond has panels of width h = min(1, 2/tau), at most 1/pi of the
+    period of e^{i tau v}.  The error term is the gap to a rule of width 2h
+    with half the lam panels, plus 50 machine epsilons of the terms'
+    absolute sum: on the diagonal base = 0, the double pole sits delta off
+    the axis and the sum cancels.  `cfg` does not enter the fixed rules.
 
     The result is normalised by the Plancherel constant 2 pi^2 and by the
     analytically known leading damping deficit, so values extrapolate to
@@ -894,49 +882,35 @@ def bergman_from_szego_gaussian(tau, z, w, epsilon,
     eps = float(epsilon)
     if not 0.0 < eps < math.inf:
         raise DomainError("epsilon must be positive and finite")
-    z = complex(z)
-    w = complex(w)
-    pz = z.real ** 2 / 2.0
-    pw = w.real ** 2 / 2.0
+    z, w = complex(z), complex(w)
+    pz, pw = z.real ** 2 / 2.0, w.real ** 2 / 2.0
     base = _gaussian_boundary_expression(BoundaryPoint(z, 0.0), BoundaryPoint(w, 0.0))
     delta = _INTERIOR_SHIFT
     a = pw + _CAUSAL_SHIFT
-    L = math.sqrt(_EXP_CUTOFF / eps)
-    V = 2.0 * L + 2.0
+    V = math.sqrt(2.0 * _EXP_CUTOFF / eps) + 2.0
+    lam_max = math.sqrt(8.0 * _EXP_CUTOFF * eps)
     h = min(1.0, 2.0 / tau)
 
-    def build(width):
+    def damped(width, panels):  # the v sum of f(v) e^{-eps v^2/2} G(v), sum |terms|, terms
         edges = _difference_rule_edges(base.imag, delta + abs(base.real), 2.0, V, width)
-        nodes, wts = gk15_composite(edges)
-        return nodes, (base - delta - 1j * nodes) ** -2 * np.exp(1j * tau * nodes) * wts
+        v, wv = gk15_composite(edges)
+        f = (base - delta - 1j * v) ** -2 * np.exp(1j * tau * v - 0.5 * eps * v * v) * wv
+        lam, wl = gk15_composite(np.linspace(0.0, lam_max, panels + 1))
+        g = np.exp(-lam * (a + lam / (8.0 * eps))) * wl
+        total = 0.0j
+        for i in range(0, v.size, _V_BLOCK):
+            blk = slice(i, i + _V_BLOCK)
+            phase = np.multiply.outer(v[blk], 0.5 * lam)
+            total += f[blk] @ (np.cos(phase) @ g + 1j * (np.sin(phase) @ g))
+        return total, float(np.abs(f).sum() * g.sum()), v.size * lam.size
 
-    rule = build(h)
-    probe = np.array([0.0, 0.3 * L, -0.7 * L])
-    fine_vals, n_evals = _banded_damped_sum(probe, *rule, eps, L)
-    coarse_vals, n_coarse = _banded_damped_sum(probe, *build(2.0 * h), eps, L)
-    rule_err = float(np.max(np.abs(coarse_vals - fine_vals)))
-    n_evals += n_coarse
-
-    def outer(svec):
-        nonlocal n_evals
-        inner_vals, terms = _banded_damped_sum(svec, *rule, eps, L)
-        n_evals += terms
-        return inner_vals * np.exp(-eps * svec * svec) / (a - 1j * svec)
-
-    scale0 = max(a, delta)
-    obp = sorted({sgn * scale0 * 10.0 ** j for sgn in (-1.0, 1.0) for j in range(8)}
-                 | {0.0, -1.0, 1.0})
-    outer_cfg = replace(cfg, abs_tol=1e-9, rel_tol=1e-9,
-                        max_subdivisions=max(cfg.max_subdivisions, 4000))
-    res = integrate_interval(outer, -L, L, outer_cfg,
-                             breakpoints=[p for p in obp if -L < p < L])
-
-    pref = math.exp(tau * (pz + pw)) / TWO_PI / _PLANCHEREL_NORM
-    c1 = _causal_deficit_slope(tau, a, base - delta)
-    correction = 1.0 + c1 * math.sqrt(eps)
-    value = pref * res.value / correction
-    err = pref * (res.abs_err_estimate + math.pi * rule_err) / abs(correction)
-    return EvalResult(value, err, "plancherel-damped", n_evals)
+    value, mass, n_evals = damped(h, _LAMBDA_PANELS)
+    coarse, _, n_coarse = damped(2.0 * h, _LAMBDA_PANELS // 2)
+    scale = math.exp(tau * (pz + pw)) / TWO_PI / _PLANCHEREL_NORM * math.sqrt(0.5 * math.pi / eps)
+    correction = 1.0 + _causal_deficit_slope(tau, a, base - delta) * math.sqrt(eps)
+    err = abs(value - coarse) + 50.0 * np.finfo(float).eps * mass
+    return EvalResult(scale * value / correction, scale * err / abs(correction),
+                      "plancherel-damped", n_evals + n_coarse)
 
 
 def bergman_roundtrip_extrapolated(tau, z, w, cfg: QuadConfig = DEFAULT_CONFIG) -> EvalResult:

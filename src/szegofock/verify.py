@@ -119,12 +119,7 @@ def _reproducing_integral(alpha, tau, j, z, cfg: QuadConfig) -> complex:
         k += 1
 
     def g(r, theta):
-        wbar = r * np.exp(-1j * theta)
-        acc = np.zeros(np.broadcast_shapes(r.shape, theta.shape), dtype=complex)
-        pw = np.ones_like(acc)
-        for d in coeffs:
-            acc = acc + d * pw
-            pw = pw * wbar
+        acc = np.polynomial.polynomial.polyval(r * np.exp(-1j * theta), coeffs)
         wj = (r * np.exp(1j * theta)) ** j
         return acc * wj * np.exp(-2.0 * tau * r ** alpha)
 

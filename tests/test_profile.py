@@ -1031,19 +1031,18 @@ def test_roundtrip_off_diagonal_near_pole(cfg):
 @pytest.mark.parametrize("tau", [0.3, 1.0, 5.0])
 @pytest.mark.parametrize("eps", [0.1, 0.005])
 @pytest.mark.parametrize("z, w", [(0.3 + 0.1j, 0.3 + 0.1j), (-0.6 + 0.31j, -0.54 + 0.36j)])
-def test_inverse_banded_rule_matches_dense_quarter_rule(monkeypatch, cfg, tau, eps, z, w):
-    # the kept v rule of width h = min(1, 2/tau), summed over the band
-    # |s - v| <= L, against every node of a 0.25-wide rule (check rule 0.5)
+def test_inverse_rule_gap_to_finer_rule_within_estimate(monkeypatch, cfg, tau, eps, z, w):
+    # the fixed v rule of width h = min(1, 2/tau) and lambda rule against
+    # a rule of a quarter the v width and four times the lambda panels
     got = bergman_from_szego_gaussian(tau, z, w, eps, cfg)
-    h = min(1.0, 2.0 / tau)
     edges = profile_module._difference_rule_edges
-    band = profile_module._banded_damped_sum
     monkeypatch.setattr(profile_module, "_difference_rule_edges",
-                        lambda c, scale, stop, V, width: edges(c, scale, stop, V, 0.25 * width / h))
-    monkeypatch.setattr(profile_module, "_banded_damped_sum",
-                        lambda s, nodes, wts, e, reach: band(s, nodes, wts, e, math.inf))
+                        lambda c, scale, stop, V, width: edges(c, scale, stop, V, 0.25 * width))
+    monkeypatch.setattr(profile_module, "_LAMBDA_PANELS", 4 * profile_module._LAMBDA_PANELS)
     ref = bergman_from_szego_gaussian(tau, z, w, eps, cfg)
-    assert abs(got.value - ref.value) <= 1e-10 * abs(ref.value)
+    gap = abs(got.value - ref.value)
+    assert gap <= got.abs_err_estimate
+    assert gap <= 1e-9 * abs(ref.value)
 
 
 def test_roundtrip_peak_memory():
@@ -1254,5 +1253,28 @@ def test_szego_profile_property_scaling(loose):
         got = szego_profile(spec, BoundaryPoint(lam * z, lam ** alpha * t),
                             BoundaryPoint(lam * w, lam ** alpha * s), loose).value
         assert abs(got * lam ** (alpha + 2.0) - ref) <= 1e-13 * abs(ref)
+
+    check()
+
+
+def test_szego_profile_property_hermitian(loose):
+    # S(P2, P1) = conj S(P1, P2), on the region of the scaling property
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=12)
+    @hypothesis.given(alpha=st.sampled_from([2.0, 3.0]), dmag=st.floats(1.4, 2.0),
+                      dim=st.floats(-0.3, 0.3), mid_re=st.floats(-0.4, 0.4),
+                      mid_im=st.floats(-0.4, 0.4), t=st.floats(-0.5, 0.5),
+                      osc=st.floats(0.1, 0.15), sign=st.sampled_from([-1.0, 1.0]))
+    def check(alpha, dmag, dim, mid_re, mid_im, t, osc, sign):
+        spec = gaussian() if alpha == 2.0 else profile_power(alpha)
+        d = complex(sign * math.sqrt(dmag * dmag - dim * dim), dim)
+        z, w = complex(mid_re, mid_im) + d / 2, complex(mid_re, mid_im) - d / 2
+        s = t + sign * osc + float(profile_dp(spec, 0.5 * (z + w).real)) * dim
+        p1, p2 = BoundaryPoint(z, t), BoundaryPoint(w, s)
+        ref = szego_profile(spec, p1, p2, loose).value
+        got = szego_profile(spec, p2, p1, loose).value
+        assert abs(got - ref.conjugate()) <= 1e-13 * abs(ref)
 
     check()
