@@ -8,6 +8,7 @@ that tail is charged to the estimate, and the finite window is then
 refined adaptively with a Gauss-Kronrod 7/15 pair, splitting the panel
 with the largest error estimate first.  Error estimates are the summed
 |K15 - G7| panel differences, a deliberately conservative upper estimate.
+A series' estimate is its last two terms' geometric tail plus eps * sum |t_k|.
 
 All routines are pure functions; panels of one integral may be evaluated
 concurrently provided the reduction order is kept deterministic.
@@ -97,6 +98,8 @@ _WG = np.array([
 ])
 
 _MAX_DOUBLINGS = 60
+_MAX_TERMS = 100_000
+_EPS = 2.0 ** -52  # double-precision machine epsilon
 
 
 def _gk15_nodes(lefts, rights):
@@ -282,43 +285,42 @@ def integrate_plane_polar(g, cfg=DEFAULT_CONFIG, initial_radius=1.0):
     return EvalResult(total, err, "polar-gk15-trig", evals["n"])
 
 
-def sum_series(term, cfg=DEFAULT_CONFIG, max_terms=100_000, patience=60):
+def sum_series(term, cfg=DEFAULT_CONFIG):
     """Sum term(0) + term(1) + ... for eventually geometrically decaying terms.
 
-    The running tail bound is the geometric-ratio estimate from the last two
-    terms; summation stops once it drops below tolerance.  If the empirical
-    ratio stays >= 1 for `patience` consecutive terms, ConvergenceError.
+    Stops at k >= 2 once the geometric tail of the last two terms is within
+    the target, or at two zero terms in a row; the estimate adds the
+    rounding eps * sum |t_k|.  ConvergenceError if that rounding exceeds the
+    target (the terms cancel), if a term overflows, or after _MAX_TERMS.
     """
     total = 0.0 + 0.0j
-    prev_mag = None
-    stalled = 0
-    zeros = 0
-    for k in range(max_terms):
-        t = complex(term(k))
+    abs_sum = 0.0
+    prev_mag = math.inf
+    for k in range(_MAX_TERMS):
+        try:
+            t = complex(term(k))
+            mag = abs(t)
+        except OverflowError:
+            mag = math.inf
+        abs_sum += mag
+        if not math.isfinite(abs_sum):
+            raise ConvergenceError("series term %d overflows or is not finite" % k)
         total += t
-        mag = abs(t)
-        if mag == 0.0:
-            zeros += 1
-            if zeros >= 2 and k >= 1:
-                return EvalResult(total, 0.0, "series-geometric-tail", k + 1)
-            prev_mag = mag
-            continue
-        zeros = 0
-        if prev_mag is not None and prev_mag > 0.0:
+        tail = math.inf
+        if mag == 0.0 == prev_mag:
+            tail = 0.0
+        elif k >= 2 and 0.0 < mag < prev_mag:
             ratio = mag / prev_mag
-            if ratio < 1.0:
-                stalled = 0
-                tail = mag * ratio / (1.0 - ratio)
-                if k >= 2 and tail <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-                    return EvalResult(total, tail, "series-geometric-tail", k + 1)
-            else:
-                stalled += 1
-                if stalled >= patience:
-                    raise ConvergenceError(
-                        "series terms failed to decay for %d consecutive terms"
-                        % patience)
+            tail = mag * ratio / (1.0 - ratio)
         prev_mag = mag
-    raise ConvergenceError("series did not converge within %d terms" % max_terms)
+        target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        if tail <= target:
+            rounding = _EPS * abs_sum
+            if rounding > target:
+                raise ConvergenceError("series terms cancel: rounding %.3g exceeds the "
+                                       "target %.3g" % (rounding, target))
+            return EvalResult(total, tail + rounding, "series-geometric-tail", k + 1)
+    raise ConvergenceError("series did not converge within %d terms" % _MAX_TERMS)
 
 
 def log_gamma(x: float) -> float:

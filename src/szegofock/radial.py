@@ -122,10 +122,6 @@ def szego_radial_via_laplace(alpha, p1: BoundaryPoint, p2: BoundaryPoint,
     log_zw = cmath.log(zw) if zw != 0.0 else None
     ln2 = math.log(2.0)
     log_pref = math.log(alpha / TWO_PI)
-    # term magnitudes grow like |q|^k (k+1) until k ~ |q|/(1-|q|); the
-    # patience window must outlast that growth phase
-    q_mag = abs(zw * A ** (-2.0 / alpha))
-    patience = min(90_000, max(60, int(6.0 / max(1e-12, 1.0 - q_mag))))
 
     def term(k):
         if log_zw is None and k > 0:
@@ -136,7 +132,7 @@ def szego_radial_via_laplace(alpha, p1: BoundaryPoint, p2: BoundaryPoint,
             log_t += k * log_zw
         return cmath.exp(log_t)
 
-    res = sum_series(term, cfg, patience=patience)
+    res = sum_series(term, cfg)
     return EvalResult(res.value, res.abs_err_estimate, "laplace-termwise", res.n_evals)
 
 

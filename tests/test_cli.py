@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from szegofock import CaseResult, VerificationReport
+from szegofock import CaseResult, VerificationReport, bergman_gaussian_closed
 from szegofock.cli import GRAMMAR, build_parser, run
 
 PI = math.pi
@@ -29,6 +29,45 @@ def test_bergman_radial_example():
     rec = json.loads(out)[0]
     assert rec["value_re"] == pytest.approx(2.0 / PI, rel=1e-9)
     assert rec["method"] == "radial-series"
+
+
+@pytest.mark.parametrize("alpha, tau, z, w, code", [
+    # the terms grow for about 160 terms before they peak
+    ("3", "2", "3,0", "3,0", 0),
+    # the terms cancel below the tolerance
+    ("2", "1", "2.7,0", "-2.7,0", 1),
+])
+def test_bergman_radial_series_exit_codes(alpha, tau, z, w, code):
+    got, out, err = _run(["bergman", "--weight", "radial:alpha=" + alpha, "--tau", tau,
+                          "--z", z, "--w", w])
+    assert got == code
+    if code:
+        assert err.startswith("ConvergenceError:")
+    else:
+        assert json.loads(out)[0]["method"] == "radial-series"
+
+
+def test_bergman_gaussian_closed_method():
+    code, out, _ = _run(["bergman", "--weight", "gaussian", "--tau", "1",
+                         "--z", "0.3,0.1", "--w", "-0.2,0.4", "--method", "closed"])
+    assert code == 0
+    rec = json.loads(out)[0]
+    assert rec["method"] == "closed"
+    closed = bergman_gaussian_closed(1.0, 0.3 + 0.1j, -0.2 + 0.4j)
+    assert complex(rec["value_re"], rec["value_im"]) == closed
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["bergman", "--weight", "gaussian", "--tau", "1", "--z", "a,0", "--w", "0,0"],
+     "re,im pair"),
+    (["szego", "--weight", "gaussian", "--zt", "1,x,0", "--ws", "0,0,0"], "re,im,t triple"),
+])
+def test_malformed_number_exits_2_with_grammar(argv, what):
+    code, out, err = _run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: expected " + what)
+    assert "subcommands:" in err
 
 
 def test_szego_gaussian_closed_example():

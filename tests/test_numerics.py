@@ -84,6 +84,29 @@ def test_series_divergence_detected(cfg):
         sum_series(lambda k: 1.0, cfg)
 
 
+def test_series_cancellation_raises(cfg):
+    # e^-20 = 2.06e-9 from terms up to 4.3e7: their rounding, eps * sum |t_k|
+    # = 1.1e-7, is above the 1e-10 target
+    with pytest.raises(ConvergenceError, match="cancel"):
+        sum_series(lambda k: (-20.0) ** k / math.factorial(k) if k < 170 else 0.0, cfg)
+
+
+def test_series_overflowing_term_raises(cfg):
+    def term(k):
+        if k == 5:
+            raise OverflowError("complex exponentiation")
+        return 2.0 ** k
+
+    with pytest.raises(ConvergenceError, match="term 5 overflows"):
+        sum_series(term, cfg)
+
+
+def test_plane_polar_angular_cap(cfg):
+    # an angular peak of width 1e-3 stays unresolved at 1024 nodes
+    with pytest.raises(ConvergenceError, match="1024"):
+        integrate_plane_polar(lambda r, th: np.exp(-r) * np.exp(1e6 * (np.cos(th) - 1.0)), cfg)
+
+
 def test_log_gamma_examples():
     assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
     assert log_gamma(0.5) == pytest.approx(math.log(SQRT_PI), rel=1e-13)

@@ -9,6 +9,7 @@ from szegofock import (
     BoundaryPoint,
     ConvergenceError,
     DomainError,
+    EvalResult,
     NearSingular,
     QuadConfig,
     SingularPoint,
@@ -1182,6 +1183,8 @@ _GRID = np.linspace(-4.0, 4.0, 17)
                  id="BoundaryPoint-inf-t"),
     pytest.param(lambda: profile_power(math.nan), DomainError, "finite",
                  id="WeightSpec-nan-alpha"),
+    pytest.param(lambda: EvalResult(1.0, -1e-12, "closed", 0), DomainError, "non-negative",
+                 id="EvalResult-negative-estimate"),
 ])
 def test_entry_points_reject_invalid_input(call, error, match):
     with warnings.catch_warnings():

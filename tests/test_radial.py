@@ -1,10 +1,12 @@
 import cmath
 import math
+import sys
 
 import pytest
 
 from szegofock import (
     BoundaryPoint,
+    ConvergenceError,
     DomainError,
     NearSingular,
     SingularPoint,
@@ -75,6 +77,99 @@ def test_scaling_law(rng, tight):
         lhs = bergman_radial_series(alpha, tau, z, w, tight).value
         rhs = tau ** (2.0 / alpha) * bergman_radial_series(alpha, 1.0, s * z, s * w, tight).value
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-13)
+
+
+def _mp_radial_series(mpmath, alpha, tau, z, w):
+    """The kernel series summed in mpmath at 40 digits, past its peak term."""
+    with mpmath.workdps(40):
+        zw = mpmath.mpc(z) * mpmath.conj(mpmath.mpc(w))
+        a, two_tau = mpmath.mpf(alpha), 2 * mpmath.mpf(tau)
+        total, prev = mpmath.mpc(0), mpmath.inf
+        for k in range(5000):
+            x = 2 * (k + 1) / a
+            t = a / (2 * mpmath.pi) * two_tau ** x / mpmath.gamma(x) * zw ** k
+            total += t
+            if abs(t) < prev and abs(t) <= mpmath.mpf(10) ** -40 * abs(total):
+                return complex(total)
+            prev = abs(t)
+    raise AssertionError("oracle series did not converge")
+
+
+def _mp_szego_radial(mpmath, alpha, p1, p2):
+    """The closed boundary kernel evaluated in mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        z, w = mpmath.mpc(p1.z), mpmath.mpc(p2.z)
+        A = (abs(z) ** a + abs(w) ** a + 1j * (mpmath.mpf(p2.t) - mpmath.mpf(p1.t))) / 2
+        q = z * mpmath.conj(w) * A ** (-2 / a)
+        return complex(A ** (-1 - 2 / a) * (1 - q) ** -2 / (2 * mpmath.pi))
+
+
+# The estimate charges the summation's rounding, eps * sum |t_k|, but not the
+# terms' own: where the first term dominates (z or w near 0) the error is up
+# to about 7 ulps of the value against an estimate of about 1.
+_TERM_ROUNDING = 8.0 * sys.float_info.epsilon
+
+
+def _assert_honest(res, ref, cfg):
+    err = abs(res.value - ref)
+    assert err <= res.abs_err_estimate + _TERM_ROUNDING * abs(ref)
+    assert res.abs_err_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+
+
+def test_bergman_series_late_peak_against_mpmath(cfg):
+    # alpha = 3 at z = w = 3: the terms grow for about 160 terms to 1e47
+    mpmath = pytest.importorskip("mpmath")
+    res = bergman_radial_series(3, 2, 3, 3, cfg)
+    _assert_honest(res, _mp_radial_series(mpmath, 3, 2, 3, 3), cfg)
+
+
+def test_bergman_series_cancellation_raises(cfg):
+    # terms up to 1.4e5 cancel to 3e-7: rounding 3e-10 against a 1e-10 target
+    with pytest.raises(ConvergenceError, match="cancel"):
+        bergman_radial_series(2, 1, 2.7, -2.7, cfg)
+
+
+def test_bergman_series_estimate_honest_property(cfg):
+    # the benchmark's series region: tau in [0.4, 2], z and w in the disc of
+    # radius 2^(1/alpha), so 2 tau |z w|^(alpha/2) <= 8
+    hypothesis = pytest.importorskip("hypothesis")
+    mpmath = pytest.importorskip("mpmath")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @hypothesis.given(alpha=st.sampled_from([1.0, 2.0, 3.0]), tau=st.floats(0.4, 2.0),
+                      rz=st.floats(0.0, 1.0), rw=st.floats(0.0, 1.0),
+                      az=st.floats(-math.pi, math.pi), aw=st.floats(-math.pi, math.pi))
+    def check(alpha, tau, rz, rw, az, aw):
+        radius = 2.0 ** (1.0 / alpha)
+        z, w = cmath.rect(radius * rz, az), cmath.rect(radius * rw, aw)
+        res = bergman_radial_series(alpha, tau, z, w, cfg)
+        _assert_honest(res, _mp_radial_series(mpmath, alpha, tau, z, w), cfg)
+
+    check()
+
+
+def test_via_laplace_estimate_honest_property(cfg):
+    # criterion 03's draws with |q| <= 0.99, the benchmark's Laplace region
+    hypothesis = pytest.importorskip("hypothesis")
+    mpmath = pytest.importorskip("mpmath")
+    st = hypothesis.strategies
+    box = st.floats(-1.5, 1.5)
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @hypothesis.given(alpha=st.sampled_from([1.0, 2.0, 3.0]), zx=box, zy=box, wx=box, wy=box,
+                      t=box, s=box)
+    def check(alpha, zx, zy, wx, wy, t, s):
+        z, w = complex(zx, zy), complex(wx, wy)
+        hypothesis.assume(abs(z) ** alpha + abs(w) ** alpha >= 0.2)
+        A = 0.5 * (abs(z) ** alpha + abs(w) ** alpha + 1j * (s - t))
+        hypothesis.assume(abs(z * w.conjugate() * A ** (-2.0 / alpha)) <= 0.99)
+        p1, p2 = BoundaryPoint(z, t), BoundaryPoint(w, s)
+        res = szego_radial_via_laplace(alpha, p1, p2, cfg)
+        _assert_honest(res, _mp_szego_radial(mpmath, alpha, p1, p2), cfg)
+
+    check()
 
 
 def test_szego_closed_examples():
