@@ -21,8 +21,9 @@ import numpy as np
 
 from .boundary import BoundaryPoint
 from .errors import SzegofockError
-from .numerics import DEFAULT_CONFIG, EvalResult, QuadConfig
+from .numerics import DEFAULT_CONFIG, TWO_PI, EvalResult, QuadConfig
 from .profile import (
+    _gaussian_boundary_scale,
     bergman_gaussian_closed,
     bergman_profile,
     duality_finiteness_criterion,
@@ -36,7 +37,7 @@ from .radial import bergman_radial_series, szego_radial_closed, szego_radial_via
 from .verify import SUITE_NAMES, run_suite
 from .weights import (
     WEIGHT_GRAMMAR,
-    WeightFamily,
+    gaussian,
     inverse_derivative,
     parse_weight,
     young_conjugate_closed,
@@ -85,51 +86,61 @@ def _record(command, params, value, abs_err, method):
             "abs_err": float(abs_err), "method": method}
 
 
-def _exact(value):
-    """A closed form's value, with its roundoff as the error estimate."""
-    return EvalResult(value, 1e-15 * abs(value), "closed", 0)
+def _closed(value, cond):
+    """A closed form's value, charged 8e-16 (1 + cond) |value| for its rounding as
+    `szego_radial_closed` is, cond being what the rounding of its inputs and steps
+    is amplified by, and two ulps of 0 for roundings below the normal range."""
+    err = 8e-16 * (1.0 + cond) * abs(value) if value else 0.0
+    return EvalResult(value, err + 1e-323, "closed", 0)
 
 
-_RADIAL = WeightFamily.RADIAL_POWER
-_PROFILES = (WeightFamily.PROFILE_POWER, WeightFamily.GAUSSIAN_PROFILE)
-_GAUSSIAN = WeightFamily.GAUSSIAN_PROFILE
+def _bergman_gaussian(spec, tau, z, w, cfg):  # (tau / 2 pi) e^X, X = tau u^2 / 4
+    u = z + w.conjugate()
+    return _closed(bergman_gaussian_closed(tau, z, w), abs(0.25 * tau * u * u))
 
-# --method -> ({weight family: call}, refusal for any other family); with no
-# --method, the first method that serves the weight's family runs.  The
-# calls take (spec, tau, z, w, cfg) for bergman, (spec, p1, p2, cfg) for szego.
+
+def _szego_gaussian(spec, p1, p2, cfg):  # terms up to `scale` cancel in E, and E^-2 doubles it
+    value = szego_gaussian_closed(p1, p2)  # (1 / 2 pi) E^-2, so 1 / |E| = sqrt(2 pi |value|)
+    return _closed(value, 2.0 * _gaussian_boundary_scale(p1, p2) * math.sqrt(TWO_PI * abs(value)))
+
+
+# --method -> ({weight kind: call}, refusal for any other kind); with no
+# --method, the first method that serves the weight's kind runs.  The kind
+# is the family, or gaussian for the alpha = 2 profile, which has closed forms.
+# The calls take (spec, tau, z, w, cfg) for bergman, (spec, p1, p2, cfg) for szego.
 _BERGMAN_METHODS = {
-    "series": ({_RADIAL: lambda spec, *a: bergman_radial_series(spec.alpha, *a)},
+    "series": ({"radial": lambda spec, *a: bergman_radial_series(spec.alpha, *a)},
                "method series requires a radial weight"),
-    "quadrature": (dict.fromkeys(_PROFILES, bergman_profile),
+    "quadrature": (dict.fromkeys(("profile", "gaussian"), bergman_profile),
                    "method quadrature requires a profile weight"),
-    "closed": ({_GAUSSIAN: lambda spec, tau, z, w, cfg:
-                _exact(bergman_gaussian_closed(tau, z, w))},
+    "closed": ({"gaussian": _bergman_gaussian},
                "method closed is valid only for the gaussian weight"),
 }
 _SZEGO_METHODS = {
-    "closed": ({_RADIAL: lambda spec, p1, p2, cfg: szego_radial_closed(spec.alpha, p1, p2),
-                _GAUSSIAN: lambda spec, p1, p2, cfg: _exact(szego_gaussian_closed(p1, p2))},
-               "no closed form for profile power weights"),
-    "laplace": ({_RADIAL: lambda spec, *a: szego_radial_via_laplace(spec.alpha, *a)},
+    "closed": ({"radial": lambda spec, p1, p2, cfg: szego_radial_closed(spec.alpha, p1, p2),
+                "gaussian": _szego_gaussian},
+               "no closed form for profile power weights other than the gaussian"),
+    "laplace": ({"radial": lambda spec, *a: szego_radial_via_laplace(spec.alpha, *a)},
                 "method laplace requires a radial weight"),
-    "triple": (dict.fromkeys(_PROFILES, szego_profile),
+    "triple": (dict.fromkeys(("profile", "gaussian"), szego_profile),
                "method triple requires a profile weight"),
 }
 
 
-def _method_call(methods, method, family):
+def _method_call(methods, method, spec):
+    kind = "gaussian" if spec == gaussian() else spec.family.value
     if method is None:
-        method = next(m for m, (calls, _) in methods.items() if family in calls)
+        method = next(m for m, (calls, _) in methods.items() if kind in calls)
     calls, refusal = methods[method]
-    if family not in calls:
+    if kind not in calls:
         raise UsageError(refusal)
-    return calls[family]
+    return calls[kind]
 
 
 def _cmd_bergman(args, cfg):
     spec = parse_weight(args.weight)
     z, w = _complex(args.z), _complex(args.w)
-    res = _method_call(_BERGMAN_METHODS, args.method, spec.family)(spec, args.tau, z, w, cfg)
+    res = _method_call(_BERGMAN_METHODS, args.method, spec)(spec, args.tau, z, w, cfg)
     params = {"weight": args.weight, "tau": args.tau, "z": args.z, "w": args.w}
     return [_record("bergman", params, res.value, res.abs_err_estimate, res.method)], ()
 
@@ -137,7 +148,7 @@ def _cmd_bergman(args, cfg):
 def _cmd_szego(args, cfg):
     spec = parse_weight(args.weight)
     p1, p2 = _boundary(args.zt), _boundary(args.ws)
-    res = _method_call(_SZEGO_METHODS, args.method, spec.family)(spec, p1, p2, cfg)
+    res = _method_call(_SZEGO_METHODS, args.method, spec)(spec, p1, p2, cfg)
     params = {"weight": args.weight, "zt": args.zt, "ws": args.ws}
     return [_record("szego", params, res.value, res.abs_err_estimate, res.method)], ()
 
@@ -146,8 +157,9 @@ def _cmd_conjugate(args, cfg):
     spec = parse_weight(args.weight)
     params = {"weight": args.weight, "eta": args.eta}
     if args.method == "closed":
-        value = young_conjugate_closed(spec, args.eta)
-        return [_record("conjugate", params, value, 0.0, "closed")], ()
+        res = _closed(young_conjugate_closed(spec, args.eta),
+                      abs(spec.conjugate_alpha * math.log(abs(args.eta) or 1.0)))
+        return [_record("conjugate", params, res.value, res.abs_err_estimate, "closed")], ()
     tol = max(cfg.abs_tol, 1e-12)
     value = young_conjugate_numeric(spec, args.eta, tol)
     return [_record("conjugate", params, value, tol, "numeric")], ()
@@ -155,8 +167,10 @@ def _cmd_conjugate(args, cfg):
 
 def _cmd_mu(args, cfg):
     spec = parse_weight(args.weight)
-    value = inverse_derivative(spec, args.eta)
-    return [_record("mu", {"weight": args.weight, "eta": args.eta}, value, 0.0, "closed")], ()
+    res = _closed(inverse_derivative(spec, args.eta),
+                  abs(math.log(abs(args.eta) or 1.0) / (spec.alpha - 1.0)))
+    return [_record("mu", {"weight": args.weight, "eta": args.eta},
+                    res.value, res.abs_err_estimate, "closed")], ()
 
 
 def _cmd_inner(args, cfg):

@@ -44,7 +44,9 @@ exact for the Gaussian profile (`laplace_asymptotic` also reports the
 ratio against the reciprocal prefactor orientation (tau p''/2 pi)^{1/2}
 that circulates in print, which fails the Gaussian check).
 
-For the Gaussian profile everything has closed forms, and the inverse
+The Gaussian is the profile a = 2.  Its kernels are closed, K_tau = (tau /
+2 pi) e^{tau u^2 / 4} and S = (1 / 2 pi) E^-2, E = u^2 / 4 - R with the
+rate R = p(z) + p(w) + i(s-t) of `boundary.boundary_rate`, and the inverse
 direction (recovering K_tau from the boundary kernel by a Plancherel-type
 double integral) takes Gaussian dampers e^{-eps s^2} e^{-eps t^2}, a Laplace
 identity for the causal factor that leaves the s integral in closed form, and
@@ -59,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boundary import BoundaryPoint
+from .boundary import BoundaryPoint, boundary_rate
 from .errors import ConvergenceError, DomainError, NearSingular, SingularPoint
 from .numerics import (
     DEFAULT_CONFIG,
@@ -74,6 +76,7 @@ from .weights import (
     WeightSpec,
     conjugate_spec,
     eval_weight,
+    gaussian,
     inverse_derivative,
     profile_dp,
     profile_p,
@@ -599,18 +602,19 @@ def bergman_gaussian_closed(tau, z, w) -> complex:
 
 
 def _gaussian_boundary_expression(p1: BoundaryPoint, p2: BoundaryPoint) -> complex:
-    z, w = p1.z, p2.z
-    return (0.25 * (z + w.conjugate()) ** 2
-            - 0.125 * (z + z.conjugate()) ** 2
-            - 0.125 * (w + w.conjugate()) ** 2
-            - 1j * (p2.t - p1.t))
+    """E = u^2 / 4 - R, u = z + conj w, R the rate of the Gaussian weight."""
+    return 0.25 * (p1.z + p2.z.conjugate()) ** 2 - boundary_rate(gaussian(), p1, p2)
+
+
+def _gaussian_boundary_scale(p1: BoundaryPoint, p2: BoundaryPoint) -> float:
+    """1 + |z|^2 + |w|^2 + |s - t|, a bound on the size of the terms that cancel in E."""
+    return 1.0 + abs(p1.z) ** 2 + abs(p2.z) ** 2 + abs(p2.t - p1.t)
 
 
 def szego_gaussian_closed(p1: BoundaryPoint, p2: BoundaryPoint) -> complex:
     """Closed Gaussian boundary kernel (1/2 pi) E^{-2}; SingularPoint if E = 0."""
     expr = _gaussian_boundary_expression(p1, p2)
-    scale = 1.0 + abs(p1.z) ** 2 + abs(p2.z) ** 2 + abs(p2.t - p1.t)
-    if abs(expr) < 1e-12 * scale:
+    if abs(expr) < 1e-12 * _gaussian_boundary_scale(p1, p2):
         raise SingularPoint("boundary diagonal: defining expression vanishes")
     return (1.0 / TWO_PI) * expr ** -2
 
@@ -656,7 +660,7 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     _require_profile(spec)
     z, w = p1.z, p2.z
     a = spec.alpha
-    rate = eval_weight(spec, z) + eval_weight(spec, w) + 1j * (p2.t - p1.t)
+    rate = boundary_rate(spec, p1, p2)
     u = z + w.conjugate()
     growth = 2.0 * (0.5 * (u if u.real >= 0.0 else -u)) ** a / a - rate
     steepest = cmath.phase(-growth.conjugate())
@@ -882,11 +886,11 @@ def bergman_from_szego_gaussian(tau, z, w, epsilon,
     eps = float(epsilon)
     if not 0.0 < eps < math.inf:
         raise DomainError("epsilon must be positive and finite")
-    z, w = complex(z), complex(w)
-    pz, pw = z.real ** 2 / 2.0, w.real ** 2 / 2.0
-    base = _gaussian_boundary_expression(BoundaryPoint(z, 0.0), BoundaryPoint(w, 0.0))
+    p1, p2 = BoundaryPoint(z, 0.0), BoundaryPoint(w, 0.0)
+    pzw = boundary_rate(gaussian(), p1, p2).real  # p(z) + p(w)
+    base = _gaussian_boundary_expression(p1, p2)
     delta = _INTERIOR_SHIFT
-    a = pw + _CAUSAL_SHIFT
+    a = eval_weight(gaussian(), p2.z) + _CAUSAL_SHIFT
     V = math.sqrt(2.0 * _EXP_CUTOFF / eps) + 2.0
     lam_max = math.sqrt(8.0 * _EXP_CUTOFF * eps)
     h = min(1.0, 2.0 / tau)
@@ -906,7 +910,7 @@ def bergman_from_szego_gaussian(tau, z, w, epsilon,
 
     value, mass, n_evals = damped(h, _LAMBDA_PANELS)
     coarse, _, n_coarse = damped(2.0 * h, _LAMBDA_PANELS // 2)
-    scale = math.exp(tau * (pz + pw)) / TWO_PI / _PLANCHEREL_NORM * math.sqrt(0.5 * math.pi / eps)
+    scale = math.exp(tau * pzw) / TWO_PI / _PLANCHEREL_NORM * math.sqrt(0.5 * math.pi / eps)
     correction = 1.0 + _causal_deficit_slope(tau, a, base - delta) * math.sqrt(eps)
     err = abs(value - coarse) + 50.0 * np.finfo(float).eps * mass
     return EvalResult(scale * value / correction, scale * err / abs(correction),

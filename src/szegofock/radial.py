@@ -15,7 +15,7 @@ Integrating K_tau e^{-tau(p(z)+p(w))} e^{-i tau (s-t)} over tau in
 (0, inf) termwise gives the boundary kernel in closed form:
 
     S((z,t),(w,s)) = (1 / 2 pi) A^(-1-2/alpha) (1 - z conj(w) A^(-2/alpha))^-2,
-    A = (|z|^alpha + |w|^alpha + i(s-t)) / 2,
+    A = R / 2,   R = |z|^alpha + |w|^alpha + i(s-t) (`boundary.boundary_rate`),
 
 with complex powers on the principal branch.  `szego_radial_via_laplace`
 keeps the termwise Laplace-transform route (each term through log-gamma)
@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .boundary import BoundaryPoint
+from .boundary import BoundaryPoint, boundary_rate
 from .errors import DomainError, NearSingular, SingularPoint
 from .numerics import (
     DEFAULT_CONFIG,
@@ -39,6 +39,7 @@ from .numerics import (
     log_gamma,
     sum_series,
 )
+from .weights import radial_power
 
 # kernel genuinely blows up on the boundary diagonal; these are the
 # float-level guards around it
@@ -80,21 +81,22 @@ def bergman_radial_series(alpha, tau, z, w, cfg: QuadConfig = DEFAULT_CONFIG) ->
 
 
 def szego_radial_closed(alpha, p1: BoundaryPoint, p2: BoundaryPoint) -> EvalResult:
-    """Closed geometric-sum form of the boundary kernel for radial weights."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < math.inf:
-        raise DomainError("szego_radial_closed requires finite alpha > 0")
-    A = 0.5 * (abs(p1.z) ** alpha + abs(p2.z) ** alpha + 1j * (p2.t - p1.t))
+    """Closed geometric-sum form of the boundary kernel for radial weights; its
+    estimate charges 8e-16 |S| a unit of relative rounding: A carries g units
+    into the powers A^-c, which scale them by c, and 1 - q divides q's by |1 - q|."""
+    spec = radial_power(alpha)
+    c = 2.0 / spec.alpha
+    A = 0.5 * boundary_rate(spec, p1, p2)
     if abs(A) < _A_FLOOR:
         raise SingularPoint("A = 0: coincident boundary point with p = 0")
-    zw = p1.z * p2.z.conjugate()
-    q = zw * A ** (-2.0 / alpha)
+    q = p1.z * p2.z.conjugate() * A ** -c
     one_minus_q = 1.0 - q
     if abs(one_minus_q) < _GEOMETRIC_TOL:
         raise SingularPoint("boundary diagonal: geometric factor diverges")
-    value = (1.0 / TWO_PI) * A ** (-1.0 - 2.0 / alpha) * one_minus_q ** -2
-    err = 8e-16 * abs(value) * (1.0 + 2.0 / abs(one_minus_q))
-    return EvalResult(value, err, "closed", 0)
+    value = (1.0 / TWO_PI) * A ** (-1.0 - c) * one_minus_q ** -2
+    g = 2.0 * (1.0 + spec.alpha) + abs(cmath.log(A))
+    cond = (1.0 + c) * g + 2.0 * abs(q) * (1.0 + c * g) / abs(one_minus_q)
+    return EvalResult(value, 8e-16 * abs(value) * (1.0 + cond), "closed", 0)
 
 
 def szego_radial_via_laplace(alpha, p1: BoundaryPoint, p2: BoundaryPoint,
@@ -108,15 +110,14 @@ def szego_radial_via_laplace(alpha, p1: BoundaryPoint, p2: BoundaryPoint,
     gamma function and summed numerically.  Must agree with
     szego_radial_closed within combined error estimates.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < math.inf:
-        raise DomainError("szego_radial_via_laplace requires finite alpha > 0")
-    damping = abs(p1.z) ** alpha + abs(p2.z) ** alpha
-    if damping < _DAMPING_FLOOR:
+    spec = radial_power(alpha)
+    alpha = spec.alpha
+    R = boundary_rate(spec, p1, p2)
+    if R.real < _DAMPING_FLOOR:
         raise NearSingular(
             "p(z) + p(w) = %.3g below the damping floor %.3g; the tau "
-            "integral is not absolutely damped" % (damping, _DAMPING_FLOOR))
-    A = 0.5 * (abs(p1.z) ** alpha + abs(p2.z) ** alpha + 1j * (p2.t - p1.t))
+            "integral is not absolutely damped" % (R.real, _DAMPING_FLOOR))
+    A = 0.5 * R
     zw = p1.z * p2.z.conjugate()
     log2A = cmath.log(2.0 * A)
     log_zw = cmath.log(zw) if zw != 0.0 else None

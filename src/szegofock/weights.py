@@ -1,10 +1,14 @@
 """Weight families, their derivatives, Young conjugates, and mu = (p')^{-1}.
 
-Three families are supported:
+Two families are supported:
 
 * ``radial:alpha=a``  -- p(z) = |z|^a, a > 0 (rotation invariant),
-* ``profile:alpha=a`` -- p(z) = |Re z|^a / a, a > 1 (depends on Re z only),
-* ``gaussian``        -- p(z) = (Re z)^2 / 2, identical to profile with a = 2.
+* ``profile:alpha=a`` -- p(z) = |Re z|^a / a, a > 1 (depends on Re z only).
+
+The Gaussian p(z) = (Re z)^2 / 2 is the profile with a = 2: ``gaussian()``
+and the weight string ``gaussian`` name it, and ``format_weight`` prints it
+so.  This module is the one place a weight formula is written; the
+boundary kernels see the weight only through `boundary.boundary_rate`.
 
 Everything in this module is a pure function of its arguments; WeightSpec
 instances are immutable and safe to share across threads.
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,44 +29,31 @@ from .errors import ConvergenceError, DomainError, UnsupportedWeight
 # formula downstream, so profile exponents this close to 1 are rejected.
 MIN_PROFILE_ALPHA = 1.0 + 1e-6
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 class WeightFamily(Enum):
     RADIAL_POWER = "radial"
     PROFILE_POWER = "profile"
-    GAUSSIAN_PROFILE = "gaussian"
 
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """A weight family together with its exponent.
-
-    For GAUSSIAN_PROFILE the exponent is fixed at 2; the family evaluates
-    identically to PROFILE_POWER with alpha = 2.
-    """
+    """A weight family together with its exponent."""
 
     family: WeightFamily
-    alpha: float = 2.0
+    alpha: float
 
     def __post_init__(self):
         a = float(self.alpha)
         if not math.isfinite(a):
-            raise DomainError("weight exponent must be finite")
-        if self.family is WeightFamily.RADIAL_POWER:
-            if a <= 0.0:
-                raise DomainError("radial weight requires alpha > 0")
-        elif self.family is WeightFamily.PROFILE_POWER:
-            if a < MIN_PROFILE_ALPHA:
-                raise DomainError(
-                    "profile weight requires alpha >= %g" % MIN_PROFILE_ALPHA
-                )
-        elif self.family is WeightFamily.GAUSSIAN_PROFILE:
-            object.__setattr__(self, "alpha", 2.0)
+            raise DomainError("weight exponent alpha must be finite")
+        if self.family is WeightFamily.RADIAL_POWER and a <= 0.0:
+            raise DomainError("radial weight requires alpha > 0")
+        if self.is_profile and a < MIN_PROFILE_ALPHA:
+            raise DomainError("profile weight requires alpha >= %g" % MIN_PROFILE_ALPHA)
 
     @property
     def is_profile(self) -> bool:
-        return self.family in (WeightFamily.PROFILE_POWER, WeightFamily.GAUSSIAN_PROFILE)
+        return self.family is WeightFamily.PROFILE_POWER
 
     @property
     def conjugate_alpha(self) -> float:
@@ -79,7 +71,8 @@ def profile_power(alpha) -> WeightSpec:
 
 
 def gaussian() -> WeightSpec:
-    return WeightSpec(WeightFamily.GAUSSIAN_PROFILE)
+    """p(z) = (Re z)^2 / 2: the profile weight with alpha = 2."""
+    return profile_power(2.0)
 
 
 def _require_profile(spec: WeightSpec):
@@ -97,8 +90,7 @@ _POWERS = {1.5: (lambda t: t * np.sqrt(t), np.sqrt), 2.0: (np.square, lambda t: 
 def profile_p(spec: WeightSpec, x):
     """p(x) = |x|^alpha / alpha of a profile family, on scalars or arrays.
 
-    No family check: this runs inside the inner-integral loops, and the
-    Gaussian's alpha is pinned to 2 by WeightSpec.
+    No family check: this runs inside the inner-integral loops.
     """
     a = spec.alpha
     return (_POWERS[a][0](np.abs(x)) if a in _POWERS else np.abs(x) ** a) / a
@@ -131,26 +123,26 @@ def weight_derivatives(spec: WeightSpec, x: float) -> tuple[float, float]:
     if not math.isfinite(x):
         raise DomainError("x must be finite")
     a = spec.alpha
-    ax = abs(x)
-    if ax == 0.0:
-        if a < 2.0:
-            raise DomainError("p'' is singular at x = 0 for alpha < 2")
-        p2 = 1.0 if a == 2.0 else 0.0
-        return 0.0, p2
-    return float(profile_dp(spec, x)), (a - 1.0) * ax ** (a - 2.0)
+    if x == 0.0 and a < 2.0:
+        raise DomainError("p'' is singular at x = 0 for alpha < 2")
+    return float(profile_dp(spec, x)), (a - 1.0) * abs(x) ** (a - 2.0)
+
+
+def _eta_power(eta, exponent, name) -> float:
+    """|eta|^exponent; DomainError where eta is not finite or the power overflows."""
+    eta = float(eta)
+    if not math.isfinite(eta):
+        raise DomainError("eta must be finite")
+    try:
+        return abs(eta) ** exponent
+    except OverflowError:
+        raise DomainError("%s overflows the float range" % name) from None
 
 
 def young_conjugate_closed(spec: WeightSpec, eta: float) -> float:
     """p*(eta) = sup_{x>=0} [x|eta| - p(x)] = |eta|^alpha'/alpha'."""
-    _require_profile(spec)
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise DomainError("eta must be finite")
     ap = spec.conjugate_alpha
-    try:
-        return abs(eta) ** ap / ap
-    except OverflowError:
-        raise DomainError("p*(eta) overflows the float range") from None
+    return _eta_power(eta, ap, "p*(eta)") / ap
 
 
 def inverse_derivative(spec: WeightSpec, eta: float) -> float:
@@ -160,61 +152,38 @@ def inverse_derivative(spec: WeightSpec, eta: float) -> float:
     x = mu(eta), and p'(mu(eta)) = |eta|.
     """
     _require_profile(spec)
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise DomainError("eta must be finite")
-    try:
-        return abs(eta) ** (1.0 / (spec.alpha - 1.0))
-    except OverflowError:
-        raise DomainError("mu(eta) overflows the float range") from None
+    return _eta_power(eta, 1.0 / (spec.alpha - 1.0), "mu(eta)")
 
 
 def young_conjugate_numeric(spec: WeightSpec, eta: float, tol: float) -> float:
-    """Locate sup_{x>=0} [x|eta| - p(x)] by bracketing and golden-section.
+    """sup_{x>=0} [x|eta| - p(x)] at the root of p'(x) = |eta|, found by bisection.
 
-    The bracket [0, max(1, 2 mu(eta))] always contains the unique
-    stationary point since p is strictly convex on these families.
-    Agrees with young_conjugate_closed to within tol.
+    p' increases, so the bracket [0, max(1, 2 mu(eta))] holds the root, and
+    it is halved until its ends are adjacent floats; the value is taken at
+    the better end.  The rounding in forming x|eta| - p(x) is then what is
+    left, about 4 eps (x|eta| + p(x)); ConvergenceError where that floor
+    exceeds tol, so a returned value is within tol of young_conjugate_closed.
     """
     _require_profile(spec)
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
     e = abs(eta)
-    mu = inverse_derivative(spec, e)
-
-    def g(x):
-        return x * e - float(profile_p(spec, x))
-
-    lo, hi = 0.0, max(1.0, 2.0 * mu)
-    # value error ~ |g''| * width^2 / 8; g'' = -p'' is bounded on the bracket
-    p2_cap = max(1.0, (spec.alpha - 1.0) * max(1.0, hi) ** max(spec.alpha - 2.0, 0.0))
-    xtol = max(1e-13, math.sqrt(8.0 * tol / p2_cap) / 4.0)
-
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    gc, gd = g(c), g(d)
-    for _ in range(300):
-        if hi - lo <= xtol:
-            break
-        if gc >= gd:
-            hi, d, gd = d, c, gc
-            c = hi - _GOLDEN * (hi - lo)
-            gc = g(c)
+    lo, hi = 0.0, max(1.0, 2.0 * inverse_derivative(spec, e))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if profile_dp(spec, mid) < e:
+            lo = mid
         else:
-            lo, c, gc = c, d, gd
-            d = lo + _GOLDEN * (hi - lo)
-            gd = g(d)
-    else:
-        raise ConvergenceError("golden-section bracket did not reach tolerance")
-    best = max(gc, gd, g(0.5 * (lo + hi)), 0.0)
-    return best
+            hi = mid
+    value, x = max((x * e - float(profile_p(spec, x)), x) for x in (lo, hi))
+    floor = 4.0 * sys.float_info.epsilon * (x * e + float(profile_p(spec, x)))
+    if not floor <= tol:
+        raise ConvergenceError("p*(eta) = %.17g carries rounding %.3g above tol %.3g"
+                               % (value, floor, tol))
+    return value
 
 
 def conjugate_spec(spec: WeightSpec) -> WeightSpec:
     """The weight whose profile is p*: profile(alpha) -> profile(alpha')."""
-    _require_profile(spec)
-    if spec.family is WeightFamily.GAUSSIAN_PROFILE:
-        return spec
     return profile_power(spec.conjugate_alpha)
 
 
@@ -243,6 +212,8 @@ def parse_weight(text: str) -> WeightSpec:
 
 
 def format_weight(spec: WeightSpec) -> str:
-    if spec.family is WeightFamily.GAUSSIAN_PROFILE:
+    """The weight string parse_weight reads back as spec: the alpha = 2
+    profile is ``gaussian``, and alpha the shortest repr that round-trips."""
+    if spec == gaussian():
         return "gaussian"
-    return "%s:alpha=%g" % (spec.family.value, spec.alpha)
+    return "%s:alpha=%s" % (spec.family.value, repr(float(spec.alpha)).removesuffix(".0"))

@@ -144,6 +144,99 @@ def test_default_methods():
     assert json.loads(out)[0]["method"] == "closed"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bergman", "--tau", "1.3", "--z", "0.3,0.1", "--w", "-0.2,0.4"],
+    ["bergman", "--tau", "1.3", "--z", "0.3,0.1", "--w", "-0.2,0.4", "--method", "closed"],
+    ["szego", "--zt", "1,0,0", "--ws", "0,0,0.5"],
+    ["conjugate", "--eta", "-2.5"],
+    ["conjugate", "--eta", "-2.5", "--method", "numeric"],
+    ["mu", "--eta", "3"],
+    ["inner-integral", "--tau", "1", "--eta", "0.5"],
+    ["bounds", "--tau", "1", "--lambda", "1.5", "--eta-grid", "-2:2:5"],
+    ["asymptotics", "--eta", "1", "--tau-grid", "1:10:3"],
+])
+def test_profile_alpha_2_is_the_gaussian(argv):
+    # the same records, method defaults and refusals under either name
+    outs = []
+    for weight in ("gaussian", "profile:alpha=2"):
+        code, out, err = _run([argv[0], "--weight", weight, *argv[1:]])
+        assert (code, err) == (0, "")
+        recs = json.loads(out)
+        for rec in recs:
+            assert rec["params"].pop("weight") == weight
+        outs.append(recs)
+    assert outs[0] == outs[1]
+    if argv[0] == "szego":
+        assert outs[0][0]["method"] == "closed"
+
+
+def _pair(z):
+    return "%r,%r" % (z.real, z.imag)
+
+
+def test_closed_records_cover_their_error(rng):
+    # every closed record's abs_err against 40-digit mpmath at the same
+    # floats, including points where a flat 1e-15 |v| or 0 falls short: the
+    # Gaussian Bergman kernel at exponent 122, the Gaussian Szego kernel at
+    # |E| = 1e-5, and p* at alpha 3, eta 1000; half the Szego points lie
+    # near the boundary diagonal, and a third are radial at alpha 0.5
+    mpmath = pytest.importorskip("mpmath")
+    mpc, mpf, conj = mpmath.mpc, mpmath.mpf, mpmath.conj
+    checked = []
+
+    def check(argv, exact):
+        code, out, _ = _run(argv)
+        if code == 0:
+            rec = json.loads(out)[0]
+            assert rec["method"] == "closed"
+            with mpmath.workdps(40):
+                err = abs(mpc(rec["value_re"], rec["value_im"]) - exact())
+            assert err <= rec["abs_err"], (argv, float(err), rec["abs_err"])
+            checked.append(argv[0])
+
+    def bergman(tau, z, w):
+        u = mpc(z) + conj(mpc(w))
+        return mpf(tau) / (2 * mpmath.pi) * mpmath.exp(mpf(tau) * u * u / 4)
+
+    def szego(alpha, z, t, w, s):
+        z, w, gap = mpc(z), mpc(w), 1j * (mpf(s) - mpf(t))
+        if alpha is None:  # the Gaussian: (1 / 2 pi) E^-2, E = u^2 / 4 - R
+            E = (z + conj(w)) ** 2 / 4 - mpmath.re(z) ** 2 / 2 - mpmath.re(w) ** 2 / 2 - gap
+            return 1 / (2 * mpmath.pi * E ** 2)
+        a = mpf(alpha)
+        A = (abs(z) ** a + abs(w) ** a + gap) / 2
+        q = z * conj(w) * A ** (-2 / a)
+        return A ** (-1 - 2 / a) * (1 - q) ** -2 / (2 * mpmath.pi)
+
+    bergman_points = [(1.3, 10.3 + 0.7j, 9.1 - 0.4j)] + [
+        (float(rng.uniform(0.05, 3.0)), complex(*rng.uniform(-12, 12, 2)),
+         complex(*rng.uniform(-12, 12, 2))) for _ in range(60)]
+    for tau, z, w in bergman_points:
+        check(["bergman", "--weight", "gaussian", "--tau", repr(tau), "--z", _pair(z),
+               "--w", _pair(w), "--method", "closed"], lambda: bergman(tau, z, w))
+    z0 = 1.7 + 0.2j
+    szego_points = [(z0, 0.3, z0 + 1e-4, 0.30001)]
+    for k in range(60):
+        z, t = complex(*rng.uniform(-3, 3, 2)), float(rng.uniform(-2, 2))
+        gap = 10.0 ** rng.uniform(-7, -1) if k % 2 else 3.0  # half near the diagonal
+        szego_points.append((z, t, z + complex(*(gap * rng.uniform(-1, 1, 2))),
+                             t + float(gap * rng.uniform(-1, 1))))
+    for k, (z, t, w, s) in enumerate(szego_points):
+        alpha = [None, 0.5, float(rng.uniform(0.3, 6.0))][k % 3]
+        weight = "gaussian" if alpha is None else "radial:alpha=%r" % alpha
+        check(["szego", "--weight", weight, "--zt", "%s,%r" % (_pair(z), t),
+               "--ws", "%s,%r" % (_pair(w), s)], lambda: szego(alpha, z, t, w, s))
+    power_points = [(3.0, 1000.0)] + [
+        (float(rng.uniform(1.01, 7.0)), float(10.0 ** rng.uniform(-300, 300)))
+        for _ in range(60)]
+    for alpha, eta in power_points:
+        a = mpf(alpha)
+        for command, exact in (("conjugate", lambda: mpf(eta) ** (a / (a - 1)) * (a - 1) / a),
+                               ("mu", lambda: mpf(eta) ** (1 / (a - 1)))):
+            check([command, "--weight", "profile:alpha=%r" % alpha, "--eta", repr(-eta)], exact)
+    assert len(checked) > 220  # the rest overflow the float range and exit 1
+
+
 def test_grid_commands():
     code, out, _ = _run(["bounds", "--weight", "profile:alpha=2", "--tau", "1",
                          "--lambda", "1.5", "--eta-grid", "-4:4:17",

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from szegofock import (
+    ConvergenceError,
     DomainError,
     UnsupportedWeight,
+    WeightFamily,
     conjugate_spec,
     eval_weight,
     format_weight,
@@ -30,11 +32,12 @@ def test_profile_imaginary_part_ignored():
     assert eval_weight(spec, -1.5 + 7j) == eval_weight(spec, -1.5)
 
 
-def test_gaussian_equals_quadratic_profile_pointwise():
-    g = gaussian()
-    p2 = profile_power(2.0)
-    for x in np.linspace(-4, 4, 33):
-        assert eval_weight(g, x) == pytest.approx(eval_weight(p2, x), abs=1e-15)
+def test_gaussian_is_the_quadratic_profile():
+    # one spec, so every consumer treats both names alike
+    assert gaussian() == profile_power(2.0)
+    assert format_weight(profile_power(2.0)) == "gaussian"
+    assert parse_weight("profile:alpha=2") == parse_weight("gaussian")
+    assert [f.value for f in WeightFamily] == ["radial", "profile"]
 
 
 def test_constructor_validation():
@@ -71,6 +74,30 @@ def test_young_conjugate_numeric_examples():
     assert young_conjugate_numeric(profile_power(2), 3.0, 1e-9) == pytest.approx(4.5, abs=1e-9)
     expected = 2.0 ** 1.5 / 1.5
     assert young_conjugate_numeric(profile_power(3), 2.0, 1e-9) == pytest.approx(expected, abs=1e-9)
+    # the rounding of x|eta| - p(x) alone passes tol: 4 eps * 1.5e10 at the Gaussian
+    with pytest.raises(ConvergenceError, match="rounding"):
+        young_conjugate_numeric(gaussian(), 1e5, 1e-10)
+
+
+def test_young_conjugate_numeric_within_tol_or_raises(rng):
+    # against 40-digit mpmath, over alpha in [1.01, 7] and |eta| up to 1e5,
+    # with points where the value's rounding nears or passes tol:
+    # (2, 1e5), (1.5, 300), (4, 5e4)
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(2.0, 1e5, 1e-12), (1.5, 300.0, 1e-12), (4.0, 5e4, 1e-12), (3.0, 1000.0, 1e-10)]
+    cases += [(float(rng.uniform(1.01, 7.0)), float(10.0 ** rng.uniform(-8.0, 5.0)),
+               float(10.0 ** rng.uniform(-13.0, -6.0))) for _ in range(400)]
+    returned = 0
+    with mpmath.workdps(40):
+        for alpha, eta, tol in cases:
+            try:
+                value = young_conjugate_numeric(profile_power(alpha), -eta, tol)
+            except (ConvergenceError, DomainError):
+                continue
+            ap = mpmath.mpf(alpha) / (mpmath.mpf(alpha) - 1)
+            assert abs(value - mpmath.mpf(eta) ** ap / ap) <= tol, (alpha, eta, tol)
+            returned += 1
+    assert returned >= 300
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 4.0])
@@ -168,11 +195,21 @@ def test_profile_powers_elsewhere_stay_pow(rng):
 
 
 def test_parse_and_format_weights():
-    for text in ("radial:alpha=2", "profile:alpha=3", "gaussian"):
-        spec = parse_weight(text)
-        assert parse_weight(format_weight(spec)) == spec
+    for text in ("radial:alpha=2", "profile:alpha=3", "gaussian", "radial:alpha=0.5",
+                 "profile:alpha=2.5000001"):
+        assert format_weight(parse_weight(text)) == text
     assert parse_weight("radial:alpha=0.5").alpha == 0.5
     for bad in ("", "radial", "radial:alpha=", "radial:alpha=x", "profile:alpha=1",
                 "gauss", "radial:alpha=-2"):
         with pytest.raises(ValueError):
             parse_weight(bad)
+
+
+def test_format_weight_round_trips(rng):
+    # six significant digits would print 1.0000015 as 1 (rejected) and 1/3 as 0.333333
+    specs = [profile_power(1.0000015), radial_power(1.0 / 3.0), profile_power(2.5000001)]
+    specs += [radial_power(10.0 ** rng.uniform(-3.0, 3.0)) for _ in range(200)]
+    specs += [profile_power(1.0 + 10.0 ** rng.uniform(-5.9, 2.0)) for _ in range(200)]
+    specs += [radial_power(float(k)) for k in range(1, 8)]
+    for spec in specs:
+        assert parse_weight(format_weight(spec)) == spec
