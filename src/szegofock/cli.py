@@ -21,9 +21,8 @@ import numpy as np
 
 from .boundary import BoundaryPoint
 from .errors import SzegofockError
-from .numerics import DEFAULT_CONFIG, TWO_PI, EvalResult, QuadConfig
+from .numerics import DEFAULT_CONFIG, QuadConfig, closed_result
 from .profile import (
-    _gaussian_boundary_scale,
     bergman_gaussian_closed,
     bergman_profile,
     duality_finiteness_criterion,
@@ -86,24 +85,6 @@ def _record(command, params, value, abs_err, method):
             "abs_err": float(abs_err), "method": method}
 
 
-def _closed(value, cond):
-    """A closed form's value, charged 8e-16 (1 + cond) |value| for its rounding as
-    `szego_radial_closed` is, cond being what the rounding of its inputs and steps
-    is amplified by, and two ulps of 0 for roundings below the normal range."""
-    err = 8e-16 * (1.0 + cond) * abs(value) if value else 0.0
-    return EvalResult(value, err + 1e-323, "closed", 0)
-
-
-def _bergman_gaussian(spec, tau, z, w, cfg):  # (tau / 2 pi) e^X, X = tau u^2 / 4
-    u = z + w.conjugate()
-    return _closed(bergman_gaussian_closed(tau, z, w), abs(0.25 * tau * u * u))
-
-
-def _szego_gaussian(spec, p1, p2, cfg):  # terms up to `scale` cancel in E, and E^-2 doubles it
-    value = szego_gaussian_closed(p1, p2)  # (1 / 2 pi) E^-2, so 1 / |E| = sqrt(2 pi |value|)
-    return _closed(value, 2.0 * _gaussian_boundary_scale(p1, p2) * math.sqrt(TWO_PI * abs(value)))
-
-
 # --method -> ({weight kind: call}, refusal for any other kind); with no
 # --method, the first method that serves the weight's kind runs.  The kind
 # is the family, or gaussian for the alpha = 2 profile, which has closed forms.
@@ -113,12 +94,12 @@ _BERGMAN_METHODS = {
                "method series requires a radial weight"),
     "quadrature": (dict.fromkeys(("profile", "gaussian"), bergman_profile),
                    "method quadrature requires a profile weight"),
-    "closed": ({"gaussian": _bergman_gaussian},
+    "closed": ({"gaussian": lambda spec, tau, z, w, cfg: bergman_gaussian_closed(tau, z, w)},
                "method closed is valid only for the gaussian weight"),
 }
 _SZEGO_METHODS = {
     "closed": ({"radial": lambda spec, p1, p2, cfg: szego_radial_closed(spec.alpha, p1, p2),
-                "gaussian": _szego_gaussian},
+                "gaussian": lambda spec, p1, p2, cfg: szego_gaussian_closed(p1, p2)},
                "no closed form for profile power weights other than the gaussian"),
     "laplace": ({"radial": lambda spec, *a: szego_radial_via_laplace(spec.alpha, *a)},
                 "method laplace requires a radial weight"),
@@ -157,8 +138,8 @@ def _cmd_conjugate(args, cfg):
     spec = parse_weight(args.weight)
     params = {"weight": args.weight, "eta": args.eta}
     if args.method == "closed":
-        res = _closed(young_conjugate_closed(spec, args.eta),
-                      abs(spec.conjugate_alpha * math.log(abs(args.eta) or 1.0)))
+        res = closed_result(young_conjugate_closed(spec, args.eta),  # cond: the power's log size
+                            abs(spec.conjugate_alpha * math.log(abs(args.eta) or 1.0)))
         return [_record("conjugate", params, res.value, res.abs_err_estimate, "closed")], ()
     tol = max(cfg.abs_tol, 1e-12)
     value = young_conjugate_numeric(spec, args.eta, tol)
@@ -167,8 +148,8 @@ def _cmd_conjugate(args, cfg):
 
 def _cmd_mu(args, cfg):
     spec = parse_weight(args.weight)
-    res = _closed(inverse_derivative(spec, args.eta),
-                  abs(math.log(abs(args.eta) or 1.0) / (spec.alpha - 1.0)))
+    res = closed_result(inverse_derivative(spec, args.eta),  # cond: the power's log size
+                        abs(math.log(abs(args.eta) or 1.0) / (spec.alpha - 1.0)))
     return [_record("mu", {"weight": args.weight, "eta": args.eta},
                     res.value, res.abs_err_estimate, "closed")], ()
 

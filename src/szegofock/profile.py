@@ -65,9 +65,11 @@ from .boundary import BoundaryPoint, boundary_rate
 from .errors import ConvergenceError, DomainError, NearSingular, SingularPoint
 from .numerics import (
     DEFAULT_CONFIG,
+    EPS,
     TWO_PI,
     EvalResult,
     QuadConfig,
+    closed_result,
     gk15_composite,
     integrate_interval,
     integrate_real_line,
@@ -260,8 +262,8 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
     peak = 2.0 * abs_x ** ap / ap
     L = mu + _decay_length(a) + 1.0
     far, origin, center = None, 0.0, c
-    if 2.0 * x_max ** ap * math.ulp(1.0) > 0.01 * rtol:
-        far = peak * (ap * math.ulp(1.0)) > 0.01 * rtol
+    if 2.0 * x_max ** ap * EPS > 0.01 * rtol:
+        far = peak * (ap * EPS) > 0.01 * rtol
         origin = np.where(far, c, 0.0)
         center = c - origin
         # far rows start at ~10 peak widths (2 p''(mu))^(-1/2)
@@ -409,7 +411,7 @@ def inner_integral(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CONFIG)
         value = math.exp(log_i)
     except OverflowError:
         raise DomainError("I(eta, tau) overflows the float range: log I = %.6g" % log_i) from None
-    err = value * (rtol + 32.0 * math.ulp(1.0) * abs(log_i))
+    err = value * (rtol + 32.0 * EPS * abs(log_i))
     rule = "trapezoid-batch" if spec.alpha % 2.0 == 0.0 else "gauss-legendre-batch"
     return EvalResult(value, err, rule, n_evals)
 
@@ -587,18 +589,16 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
     return vals, n_evals, err
 
 
-def bergman_gaussian_closed(tau, z, w) -> complex:
-    """(tau / 2 pi) exp((tau/4)(z + conj w)^2), the Gaussian-profile kernel."""
+def bergman_gaussian_closed(tau, z, w) -> EvalResult:
+    """(tau / 2 pi) e^X, X = (tau/4)(z + conj w)^2, the Gaussian-profile kernel;
+    cond = |X|, the size of the exponent whose rounding e^X carries."""
     tau = _check_tau(tau)
     u = complex(z) + complex(w).conjugate()
     if not cmath.isfinite(u):
         raise DomainError("bergman_gaussian_closed requires finite z and w")
+    X = 0.25 * tau * u * u
     with np.errstate(over="ignore", invalid="ignore"):
-        value = (tau / TWO_PI) * np.exp(0.25 * tau * u * u)
-    if not cmath.isfinite(value):
-        raise DomainError("the Gaussian kernel overflows the float range: "
-                          "Re log K = %.6g" % (math.log(tau / TWO_PI) + (0.25 * tau * u * u).real))
-    return value
+        return closed_result((tau / TWO_PI) * np.exp(X), abs(X))
 
 
 def _gaussian_boundary_expression(p1: BoundaryPoint, p2: BoundaryPoint) -> complex:
@@ -606,17 +606,19 @@ def _gaussian_boundary_expression(p1: BoundaryPoint, p2: BoundaryPoint) -> compl
     return 0.25 * (p1.z + p2.z.conjugate()) ** 2 - boundary_rate(gaussian(), p1, p2)
 
 
-def _gaussian_boundary_scale(p1: BoundaryPoint, p2: BoundaryPoint) -> float:
-    """1 + |z|^2 + |w|^2 + |s - t|, a bound on the size of the terms that cancel in E."""
-    return 1.0 + abs(p1.z) ** 2 + abs(p2.z) ** 2 + abs(p2.t - p1.t)
-
-
-def szego_gaussian_closed(p1: BoundaryPoint, p2: BoundaryPoint) -> complex:
-    """Closed Gaussian boundary kernel (1/2 pi) E^{-2}; SingularPoint if E = 0."""
-    expr = _gaussian_boundary_expression(p1, p2)
-    if abs(expr) < 1e-12 * _gaussian_boundary_scale(p1, p2):
+def szego_gaussian_closed(p1: BoundaryPoint, p2: BoundaryPoint) -> EvalResult:
+    """Closed Gaussian boundary kernel S = (1/2 pi) E^{-2}; SingularPoint if E = 0.
+    cond = 2 scale sqrt(2 pi |S|) = 2 scale / |E|: terms up to scale = 1 + |z|^2
+    + |w|^2 + |s - t| cancel in E, and E^-2 doubles its relative rounding."""
+    try:
+        expr = _gaussian_boundary_expression(p1, p2)
+        scale = 1.0 + abs(p1.z) ** 2 + abs(p2.z) ** 2 + abs(p2.t - p1.t)
+    except OverflowError:
+        raise DomainError("the terms of E = u^2 / 4 - R overflow the float range") from None
+    if abs(expr) < 1e-12 * scale:
         raise SingularPoint("boundary diagonal: defining expression vanishes")
-    return (1.0 / TWO_PI) * expr ** -2
+    value = (1.0 / TWO_PI) * expr ** -2
+    return closed_result(value, 2.0 * scale * math.sqrt(TWO_PI * abs(value)))
 
 
 def _extrapolate_to_zero(xs, ys, powers):
@@ -647,8 +649,8 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     among _RAY_ANGLES evenly spaced angles, or, where none of them decays,
     among as many in the first step.  With no decaying envelope there the
     configuration is at or near the boundary diagonal, and NearSingular
-    is raised.  The ray is cut where that
-    envelope has fallen well below the absolute tolerance: it bounds the
+    is raised; DomainError where R or E overflows.  The ray is cut where
+    that envelope has fallen well below the absolute tolerance: it bounds the
     integrand, since |K_1(v)| <= K_1(Re v), where e^{tau E} is the rate
     only while the saddle of the x integral governs it (for a > 2 and
     nearly imaginary u, Re E can be positive on a bounded integrand).  The
@@ -662,7 +664,10 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     a = spec.alpha
     rate = boundary_rate(spec, p1, p2)
     u = z + w.conjugate()
-    growth = 2.0 * (0.5 * (u if u.real >= 0.0 else -u)) ** a / a - rate
+    try:
+        growth = 2.0 * (0.5 * (u if u.real >= 0.0 else -u)) ** a / a - rate
+    except OverflowError:
+        raise DomainError("the growth rate E overflows the float range") from None
     steepest = cmath.phase(-growth.conjugate())
     for top in (steepest, steepest / (_RAY_ANGLES - 1)):  # the grid, then its first step
         omegas = np.exp(1j * np.linspace(0.0, top, _RAY_ANGLES))
@@ -720,6 +725,7 @@ class BoundsReport:
 
 
 _SLOPE_TOL = 1e-3
+_FINAL_TOL = 0.02  # `laplace_asymptotic` converged: |ratio - 1| at the last tau below this
 
 
 def _end_slopes(xs, gap):
@@ -780,12 +786,10 @@ class AsymptoticsReport:
     ratios: np.ndarray
     converged: bool
     printed_prefactor_ratios: np.ndarray
-    final_tol: float
 
 
 def laplace_asymptotic(spec: WeightSpec, eta, tau_grid,
-                       cfg: QuadConfig = DEFAULT_CONFIG,
-                       final_tol: float = 0.02) -> AsymptoticsReport:
+                       cfg: QuadConfig = DEFAULT_CONFIG) -> AsymptoticsReport:
     """Ratio of I(eta, tau) to (pi/(tau p''(mu)))^{1/2} exp(2 tau p*(eta)).
 
     Exact for the Gaussian profile; ratios approach 1 like 1/tau otherwise.
@@ -807,8 +811,8 @@ def laplace_asymptotic(spec: WeightSpec, eta, tau_grid,
     printed = np.exp(log_i - 0.5 * (np.log(taus) + math.log(p2d / TWO_PI)))
     dev = np.abs(ratios - 1.0)
     monotone = bool(np.all(dev[1:] <= dev[:-1] * 1.05 + 1e-12))
-    converged = monotone and bool(dev[-1] <= final_tol)
-    return AsymptoticsReport(taus, ratios, converged, printed, final_tol)
+    converged = monotone and bool(dev[-1] <= _FINAL_TOL)
+    return AsymptoticsReport(taus, ratios, converged, printed)
 
 
 # Plancherel-type inverse: fixed interior/causal regularisation scales.
@@ -912,7 +916,7 @@ def bergman_from_szego_gaussian(tau, z, w, epsilon,
     coarse, _, n_coarse = damped(2.0 * h, _LAMBDA_PANELS // 2)
     scale = math.exp(tau * pzw) / TWO_PI / _PLANCHEREL_NORM * math.sqrt(0.5 * math.pi / eps)
     correction = 1.0 + _causal_deficit_slope(tau, a, base - delta) * math.sqrt(eps)
-    err = abs(value - coarse) + 50.0 * np.finfo(float).eps * mass
+    err = abs(value - coarse) + 50.0 * EPS * mass
     return EvalResult(scale * value / correction, scale * err / abs(correction),
                       "plancherel-damped", n_evals + n_coarse)
 

@@ -35,6 +35,7 @@ from .numerics import (
     TWO_PI,
     EvalResult,
     QuadConfig,
+    closed_result,
     integrate_half_line,
     log_gamma,
     sum_series,
@@ -81,22 +82,24 @@ def bergman_radial_series(alpha, tau, z, w, cfg: QuadConfig = DEFAULT_CONFIG) ->
 
 
 def szego_radial_closed(alpha, p1: BoundaryPoint, p2: BoundaryPoint) -> EvalResult:
-    """Closed geometric-sum form of the boundary kernel for radial weights; its
-    estimate charges 8e-16 |S| a unit of relative rounding: A carries g units
-    into the powers A^-c, which scale them by c, and 1 - q divides q's by |1 - q|."""
+    """Closed geometric-sum form of the boundary kernel for radial weights; cond
+    = (1 + c) g + 2 |q| (1 + c g) / |1 - q|: A carries g = 2 (1 + alpha) + |log A|
+    into the powers A^-c, which scale it by c, and 1 - q divides q's by |1 - q|."""
     spec = radial_power(alpha)
     c = 2.0 / spec.alpha
     A = 0.5 * boundary_rate(spec, p1, p2)
     if abs(A) < _A_FLOOR:
         raise SingularPoint("A = 0: coincident boundary point with p = 0")
-    q = p1.z * p2.z.conjugate() * A ** -c
-    one_minus_q = 1.0 - q
-    if abs(one_minus_q) < _GEOMETRIC_TOL:
-        raise SingularPoint("boundary diagonal: geometric factor diverges")
-    value = (1.0 / TWO_PI) * A ** (-1.0 - c) * one_minus_q ** -2
+    try:
+        q = p1.z * p2.z.conjugate() * A ** -c
+        one_minus_q = 1.0 - q
+        if abs(one_minus_q) < _GEOMETRIC_TOL:
+            raise SingularPoint("boundary diagonal: geometric factor diverges")
+        value = (1.0 / TWO_PI) * A ** (-1.0 - c) * one_minus_q ** -2
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError("the powers of A = R / 2 leave the float range") from None
     g = 2.0 * (1.0 + spec.alpha) + abs(cmath.log(A))
-    cond = (1.0 + c) * g + 2.0 * abs(q) * (1.0 + c * g) / abs(one_minus_q)
-    return EvalResult(value, 8e-16 * abs(value) * (1.0 + cond), "closed", 0)
+    return closed_result(value, (1.0 + c) * g + 2.0 * abs(q) * (1.0 + c * g) / abs(one_minus_q))
 
 
 def szego_radial_via_laplace(alpha, p1: BoundaryPoint, p2: BoundaryPoint,

@@ -193,7 +193,7 @@ def _crosscheck_suite(cfg):
     tight = _tighten(cfg)
     for tau, z, w in ((1.0, 0.0j, 0.0j), (1.0, 1.0 + 0.0j, 1.0 + 0.0j),
                       (2.0, 1.0 + 1.0j, 1.0 - 1.0j), (0.5, 0.5 + 0.0j, -0.25 + 0.5j)):
-        closed = bergman_gaussian_closed(tau, z, w)
+        closed = bergman_gaussian_closed(tau, z, w).value
         quad = bergman_profile(gspec, tau, z, w, tight).value
         cases.append(_case(
             "bergman-quadrature-vs-closed[tau=%g z=%s w=%s]" % (tau, z, w),
@@ -204,14 +204,14 @@ def _crosscheck_suite(cfg):
                          (-0.5 + 0.0j, 0.75 + 0.0j, 0.0, 0.4)):
         p1 = BoundaryPoint(z, t)
         p2 = BoundaryPoint(w, s)
-        closed = szego_gaussian_closed(p1, p2)
+        closed = szego_gaussian_closed(p1, p2).value
         triple = szego_profile(gspec, p1, p2, loose).value
         cases.append(_case(
             "szego-triple-vs-closed[z=%s w=%s s-t=%g]" % (z, w, s - t),
             closed, triple, 1e-4 * abs(closed)))
 
     for tau, z, w in ((1.0, 0.0j, 0.0j), (1.0, 1.0 + 0.0j, 1.0 + 0.0j)):
-        closed = bergman_gaussian_closed(tau, z, w)
+        closed = bergman_gaussian_closed(tau, z, w).value
         inv = bergman_roundtrip_extrapolated(tau, z, w, cfg).value
         cases.append(_case(
             "inverse-roundtrip[tau=%g z=%s w=%s]" % (tau, z, w),

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, UnsupportedWeight
+from .numerics import EPS
 
 # alpha' -> infinity as alpha -> 1+, which destabilises every conjugate
 # formula downstream, so profile exponents this close to 1 are rejected.
@@ -103,13 +103,21 @@ def profile_dp(spec: WeightSpec, x):
 
 
 def eval_weight(spec: WeightSpec, z) -> float:
-    """Evaluate p(z).  Profile families depend on Re z only."""
+    """Evaluate p(z); DomainError where z or p(z) is not finite.  Profile
+    families depend on Re z only."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError("z must be finite")
-    if spec.family is WeightFamily.RADIAL_POWER:
-        return abs(z) ** spec.alpha
-    return float(profile_p(spec, z.real))
+    try:
+        if spec.family is WeightFamily.RADIAL_POWER:
+            return abs(z) ** spec.alpha
+        with np.errstate(over="ignore"):
+            p = float(profile_p(spec, z.real))
+        if math.isfinite(p):
+            return p
+    except OverflowError:
+        pass
+    raise DomainError("p(z) overflows the float range")
 
 
 def weight_derivatives(spec: WeightSpec, x: float) -> tuple[float, float]:
@@ -175,7 +183,7 @@ def young_conjugate_numeric(spec: WeightSpec, eta: float, tol: float) -> float:
         else:
             hi = mid
     value, x = max((x * e - float(profile_p(spec, x)), x) for x in (lo, hi))
-    floor = 4.0 * sys.float_info.epsilon * (x * e + float(profile_p(spec, x)))
+    floor = 4.0 * EPS * (x * e + float(profile_p(spec, x)))
     if not floor <= tol:
         raise ConvergenceError("p*(eta) = %.17g carries rounding %.3g above tol %.3g"
                                % (value, floor, tol))

@@ -53,7 +53,7 @@ def test_bergman_gaussian_closed_method():
     assert code == 0
     rec = json.loads(out)[0]
     assert rec["method"] == "closed"
-    closed = bergman_gaussian_closed(1.0, 0.3 + 0.1j, -0.2 + 0.4j)
+    closed = bergman_gaussian_closed(1.0, 0.3 + 0.1j, -0.2 + 0.4j).value
     assert complex(rec["value_re"], rec["value_im"]) == closed
 
 
@@ -294,6 +294,28 @@ def test_overflowing_conjugate_exits_1(argv):
     code, _, err = _run(argv + ["--weight", "profile:alpha=1.001", "--eta", "3"])
     assert code == 1
     assert "DomainError" in err and "overflows" in err
+
+
+@pytest.mark.parametrize("weight, method, zt, ws", [
+    # p(z) overflows: in E = u^2 / 4 - R, in the float power, in numpy's product
+    ("gaussian", "closed", "1e200,0,0", "0,0,0"),
+    ("radial:alpha=2", "closed", "1e200,0,0", "0,0,0"),
+    ("radial:alpha=2", "laplace", "1e200,0,0", "0,0,0"),
+    ("profile:alpha=3", "triple", "1e200,0,0", "0,0,0"),
+    # p(z) = 0 but u^2 / 4 or the growth rate 2 (u/2)^a / a overflows
+    ("gaussian", "closed", "0,1e200,0", "0,0,0"),
+    ("profile:alpha=3", "triple", "0,1e120,0", "0,0,0"),
+    # A = 1e-100 i: A^4 underflows to 0, so A^-4 = 1 / A^4 divides by zero (alpha 0.5)
+    ("radial:alpha=0.5", "closed", "0,0,0", "0,0,2e-100"),
+])
+def test_overflowing_points_exit_1(weight, method, zt, ws):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(["szego", "--weight", weight, "--method", method,
+                               "--zt", zt, "--ws", ws])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("DomainError:") and "float range" in err
 
 
 @pytest.mark.parametrize("argv", [

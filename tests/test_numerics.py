@@ -14,6 +14,7 @@ from szegofock import (
     log_gamma,
     sum_series,
 )
+from szegofock.numerics import closed_result
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -23,6 +24,16 @@ def _check(res, expected, cfg):
     assert abs(res.value - expected) <= budget
     assert res.abs_err_estimate <= budget * 1.0000001
     assert res.n_evals > 0
+
+
+def test_closed_result_charges_its_cond_and_rejects_non_finite_values():
+    res = closed_result(-2.0 + 0j, 3.0)
+    assert (res.value, res.method, res.n_evals) == (-2.0, "closed", 0)
+    assert res.abs_err_estimate == 8e-16 * 4.0 * 2.0 + 1e-323
+    assert closed_result(0.0, 0.0).abs_err_estimate == 1e-323
+    for value in (math.inf, complex(0.0, -math.inf), complex(math.nan, 0.0)):
+        with pytest.raises(DomainError, match="overflows"):
+            closed_result(value, 0.0)
 
 
 def test_quad_config_validation():
