@@ -463,7 +463,7 @@ def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFI
 
 
 # `szego_profile`'s ray: the angles it tries, and the GK15 panels seeding
-# it, evenly spaced in r
+# it, evenly spaced in s = r^(1/a)
 _RAY_ANGLES = 33
 _RAY_SEEDS = 8
 
@@ -617,7 +617,7 @@ def szego_gaussian_closed(p1: BoundaryPoint, p2: BoundaryPoint) -> EvalResult:
         raise DomainError("the terms of E = u^2 / 4 - R overflow the float range") from None
     if abs(expr) < 1e-12 * scale:
         raise SingularPoint("boundary diagonal: defining expression vanishes")
-    value = (1.0 / TWO_PI) * expr ** -2
+    value = (1.0 / TWO_PI) * (1.0 / expr) ** 2  # underflows to 0 where E^2 overflows
     return closed_result(value, 2.0 * scale * math.sqrt(TWO_PI * abs(value)))
 
 
@@ -655,7 +655,8 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     only while the saddle of the x integral governs it (for a > 2 and
     nearly imaginary u, Re E can be positive on a bounded integrand).  The
     ray is integrated in s = r^(1/a), where the integrand is smooth at 0,
-    on GK15 panels seeded evenly in r.
+    on GK15 panels seeded evenly in s; at a decaying point each seed panel
+    meets the tolerance, so the call settles in one kernel batch.
     The error estimate adds the inner relative tolerance times |S| to the
     tau quadrature's own estimate.
     """
@@ -696,8 +697,9 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     decay = -envelope[k]
     r_max = (1.3 * math.log(1.0 / floor) + (1.0 + 2.0 / a) * math.log(1.0 + 1.0 / decay)
              + 10.0) / decay
-    edges = np.linspace(0.0, r_max, _RAY_SEEDS + 1)[1:-1] ** (1.0 / a)
-    res = integrate_interval(g, 0.0, r_max ** (1.0 / a), cfg, breakpoints=edges)
+    s_max = r_max ** (1.0 / a)
+    edges = np.linspace(0.0, s_max, _RAY_SEEDS + 1)[1:-1]
+    res = integrate_interval(g, 0.0, s_max, cfg, breakpoints=edges)
     err = res.abs_err_estimate + inner_rel_tol * abs(res.value)
     return EvalResult(omega * res.value, err, "triple-quadrature", n_evals + res.n_evals)
 
@@ -892,7 +894,11 @@ def bergman_from_szego_gaussian(tau, z, w, epsilon,
         raise DomainError("epsilon must be positive and finite")
     p1, p2 = BoundaryPoint(z, 0.0), BoundaryPoint(w, 0.0)
     pzw = boundary_rate(gaussian(), p1, p2).real  # p(z) + p(w)
-    base = _gaussian_boundary_expression(p1, p2)
+    try:
+        base = _gaussian_boundary_expression(p1, p2)
+        scale = math.exp(tau * pzw) / TWO_PI / _PLANCHEREL_NORM * math.sqrt(0.5 * math.pi / eps)
+    except OverflowError:
+        raise DomainError("E or e^{tau (p(z) + p(w))} overflows the float range") from None
     delta = _INTERIOR_SHIFT
     a = eval_weight(gaussian(), p2.z) + _CAUSAL_SHIFT
     V = math.sqrt(2.0 * _EXP_CUTOFF / eps) + 2.0
@@ -914,7 +920,6 @@ def bergman_from_szego_gaussian(tau, z, w, epsilon,
 
     value, mass, n_evals = damped(h, _LAMBDA_PANELS)
     coarse, _, n_coarse = damped(2.0 * h, _LAMBDA_PANELS // 2)
-    scale = math.exp(tau * pzw) / TWO_PI / _PLANCHEREL_NORM * math.sqrt(0.5 * math.pi / eps)
     correction = 1.0 + _causal_deficit_slope(tau, a, base - delta) * math.sqrt(eps)
     err = abs(value - coarse) + 50.0 * EPS * mass
     return EvalResult(scale * value / correction, scale * err / abs(correction),

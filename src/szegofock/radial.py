@@ -91,12 +91,14 @@ def szego_radial_closed(alpha, p1: BoundaryPoint, p2: BoundaryPoint) -> EvalResu
     if abs(A) < _A_FLOOR:
         raise SingularPoint("A = 0: coincident boundary point with p = 0")
     try:
-        q = p1.z * p2.z.conjugate() * A ** -c
+        # powers of reciprocals underflow to 0 where those of A overflow to NaN
+        inv = 1.0 / A
+        q = p1.z * p2.z.conjugate() * inv ** c
         one_minus_q = 1.0 - q
         if abs(one_minus_q) < _GEOMETRIC_TOL:
             raise SingularPoint("boundary diagonal: geometric factor diverges")
-        value = (1.0 / TWO_PI) * A ** (-1.0 - c) * one_minus_q ** -2
-    except (OverflowError, ZeroDivisionError):
+        value = (1.0 / TWO_PI) * inv ** (1.0 + c) * (1.0 / one_minus_q) ** 2
+    except OverflowError:
         raise DomainError("the powers of A = R / 2 leave the float range") from None
     g = 2.0 * (1.0 + spec.alpha) + abs(cmath.log(A))
     return closed_result(value, (1.0 + c) * g + 2.0 * abs(q) * (1.0 + c * g) / abs(one_minus_q))

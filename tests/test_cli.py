@@ -305,7 +305,7 @@ def test_overflowing_conjugate_exits_1(argv):
     # p(z) = 0 but u^2 / 4 or the growth rate 2 (u/2)^a / a overflows
     ("gaussian", "closed", "0,1e200,0", "0,0,0"),
     ("profile:alpha=3", "triple", "0,1e120,0", "0,0,0"),
-    # A = 1e-100 i: A^4 underflows to 0, so A^-4 = 1 / A^4 divides by zero (alpha 0.5)
+    # A = 1e-100 i at alpha 0.5: (1 / A)^4 overflows, as the kernel A^-5 does
     ("radial:alpha=0.5", "closed", "0,0,0", "0,0,2e-100"),
 ])
 def test_overflowing_points_exit_1(weight, method, zt, ws):
@@ -316,6 +316,20 @@ def test_overflowing_points_exit_1(weight, method, zt, ws):
     assert code == 1
     assert out == ""
     assert err.startswith("DomainError:") and "float range" in err
+
+
+@pytest.mark.parametrize("weight", ["gaussian", "radial:alpha=2"])
+def test_underflowing_closed_form_exits_0(weight):
+    # E^2 and A^2 overflow, but the kernel only underflows: it is about 1e-481
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = _run(["szego", "--weight", weight, "--zt", "0,1e120,0",
+                             "--ws", "0,0,1e-100"])
+    assert code == 0
+    rec = json.loads(out)[0]
+    assert rec["method"] == "closed"
+    assert rec["value_re"] == rec["value_im"] == 0.0
+    assert 0.0 < rec["abs_err"] <= 1e-300
 
 
 @pytest.mark.parametrize("argv", [

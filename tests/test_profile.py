@@ -794,13 +794,9 @@ def test_szego_profile_decaying_work_count(loose, monkeypatch):
     assert res.n_evals < 1_000_000
 
 
-@pytest.mark.parametrize("spec, p1, p2", [
-    (gaussian(), BoundaryPoint(0.72 + 0.07j, -0.35), BoundaryPoint(-0.98 + 0.06j, -0.47)),
-    (profile_power(3.0), BoundaryPoint(-0.71 + 0.13j, 0.39), BoundaryPoint(1.0 + 0.25j, 0.25)),
-], ids=["gaussian", "alpha3"])
-def test_szego_profile_batches_share_one_x_table(spec, p1, p2, loose, monkeypatch):
-    # on a decaying point the first batch of the tau rule spans the whole
-    # ray, so its x table serves every later batch: they compute no log J
+def _count_ray_batches(monkeypatch):
+    """Per top-level `_kernel_tau_batch` call of a `szego_profile` call, the
+    number of `_log_inner_batch` calls it made, halves included."""
     inner_calls, depth = [], [0]
     batch, inner = profile_module._kernel_tau_batch, profile_module._log_inner_batch
 
@@ -819,7 +815,39 @@ def test_szego_profile_batches_share_one_x_table(spec, p1, p2, loose, monkeypatc
 
     monkeypatch.setattr(profile_module, "_kernel_tau_batch", counted_batch)
     monkeypatch.setattr(profile_module, "_log_inner_batch", counted_inner)
-    szego_profile(spec, p1, p2, loose)
+    return inner_calls
+
+
+_DECAYING_POINTS = [
+    (gaussian(), BoundaryPoint(0.72 + 0.07j, -0.35), BoundaryPoint(-0.98 + 0.06j, -0.47)),
+    (profile_power(3.0), BoundaryPoint(-0.71 + 0.13j, 0.39), BoundaryPoint(1.0 + 0.25j, 0.25)),
+    (gaussian(), BoundaryPoint(-0.17120345235059753 + 0.3673585963815835j, -0.15931382414349093),
+     BoundaryPoint(-0.21577118468206113 + 0.3979232233211636j, -0.3657294302107026)),
+]
+
+
+@pytest.mark.parametrize("config", [
+    QuadConfig(abs_tol=1e-9, rel_tol=1e-6), QuadConfig(), QuadConfig(rel_tol=1e-10),
+], ids=["loose", "default", "rel1e-10"])
+@pytest.mark.parametrize("spec, p1, p2", _DECAYING_POINTS, ids=["gaussian", "alpha3", "abel"])
+def test_szego_profile_decaying_point_takes_one_batch(spec, p1, p2, config, monkeypatch):
+    # the ray's GK15 panels are seeded evenly in s, the variable integrated
+    # in, so each meets the tolerance and the tau rule takes one batch
+    inner_calls = _count_ray_batches(monkeypatch)
+    szego_profile(spec, p1, p2, config)
+    assert len(inner_calls) == 1
+
+
+@pytest.mark.parametrize("spec, p1, p2", [
+    _DECAYING_POINTS[0],
+    (profile_power(3.0), BoundaryPoint(0.41 + 0.02j, 0.06), BoundaryPoint(0.49 - 0.01j, 0.11)),
+], ids=["gaussian", "alpha3"])
+def test_szego_profile_batches_share_one_x_table(spec, p1, p2, monkeypatch):
+    # at criterion 04's tight config the tau rule refines after its first
+    # batch, which spans the whole ray, so its x table serves every later
+    # batch: they compute no log J
+    inner_calls = _count_ray_batches(monkeypatch)
+    szego_profile(spec, p1, p2, QuadConfig(abs_tol=1e-14, rel_tol=1e-11, max_subdivisions=4000))
     assert len(inner_calls) >= 2 and inner_calls[0] >= 1
     assert inner_calls[1:] == [0] * (len(inner_calls) - 1)
 
@@ -1022,6 +1050,15 @@ def test_roundtrip_recovers_closed_kernel(cfg):
         target = bergman_gaussian_closed(tau, z, w).value
         res = bergman_roundtrip_extrapolated(tau, z, w, cfg)
         assert abs(res.value - target) <= 1e-3 * abs(target)
+
+
+@pytest.mark.parametrize("z, w", [
+    (30.0, 30.0),  # e^{tau (p(z) + p(w))} = e^1800
+    (1e200j, 0.0),  # p(z) = 0 but E's u^2 overflows
+])
+def test_roundtrip_overflow_is_a_domain_error(z, w):
+    with pytest.raises(DomainError, match="float range"):
+        bergman_roundtrip_extrapolated(1.0, z, w)
 
 
 def test_roundtrip_hermitian_despite_asymmetric_integrand(cfg):
