@@ -31,12 +31,12 @@ a != 2.
 Every caller takes the inner integral I from one batched engine,
 `_log_inner_batch`, which computes log J alone, at x = tau^(1-1/a) eta: a
 nested trapezoid rule at even alpha, where the exponent is entire, and
-Gauss-Legendre panels split at r = 0 otherwise; DomainError where the term
-2 |x|^alpha' it forms passes e^700.  I is the exponential of twice tau
-times a smoothed conjugate of p; its growth is squeezed between scaled
-copies of the Young conjugate p*, which `sandwich_bounds_check` verifies
-on a grid, and for large tau it follows the classical Laplace-method
-asymptotic
+Gauss-Legendre panels split at r = 0 otherwise, run in y, r = -+y^2, below
+alpha 2; DomainError where the term 2 |x|^alpha' it forms passes e^700.
+I is the exponential of twice tau times a smoothed conjugate of p; its
+growth is squeezed between scaled copies of the Young conjugate p*, which
+`sandwich_bounds_check` verifies on a grid, and for large tau it follows
+the classical Laplace-method asymptotic
 
     I(eta, tau) ~ (pi / (tau p''(mu(eta))))^{1/2} exp(2 tau p*(eta)),
 
@@ -89,6 +89,7 @@ from .weights import (
 
 # decay (in the shifted exponent) required before a quadrature window is cut
 _EXP_CUTOFF = 45.0
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _SIDES = np.array([-1.0, 1.0])
 # the inner rule's retry at non-integer alpha: panels graded toward r = 0
 # by this ratio, this many on each side
@@ -146,6 +147,15 @@ def _leggauss(n):
         x[-1] = 0.0  # P_n is odd
     return (np.concatenate([-x, x[::-1][n % 2:]]),
             np.concatenate([w, w[::-1][n % 2:]]))
+
+
+@lru_cache(maxsize=32)
+def _unit_rule(n, squared):
+    """The order-n Gauss-Legendre rule on [0, 1]; squared, the same rule in
+    y for r = y^2: nodes y^2 and weights 2 y w."""
+    x, w = _leggauss(n)
+    y = 0.5 + 0.5 * x
+    return (y * y, y * w) if squared else (y, 0.5 * w)
 
 
 def _fit_window(decayed, L):
@@ -229,18 +239,22 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
     Bregman divergence of p.  Rows whose terms 2 |x c| round by more than
     rtol / 100 are far: they run in the offset r - c with D from
     `_bregman`, so a narrow peak at a huge c keeps its nodes; the others
-    run in r.  Each row's window [c - L, c + L] is fitted from its own
-    peak, from L = mu + the x = 0 decay length + 1 (10 peak widths for far
-    rows), until the exponent at both ends is below -45.  At even alpha the
-    exponent is entire, so one nested trapezoid rule on the window, its
-    middle node on the peak, converges geometrically (Trefethen & Weideman,
-    SIAM Review 56, 2014); each row climbs _R_ORDERS until two levels agree
-    to rtol.  Otherwise |r|^a is not smooth at r = 0: the window is split
-    there, and the Gauss-Legendre order climbs _GL_ORDERS until two orders
-    agree to rtol in the log of the row's shifted sum; a sum of 0, a window
-    too wide for its peak's nodes, goes on at once.  The rows left go on, at
-    non-integer alpha to one retry on panels graded toward r = 0, then to
-    their panels halved, up to _HALVINGS times.  Rows settle under
+    run in r.  Each row's window [c - L_-, c + L_+] is fitted from its own
+    peak, each side from mu + the x = 0 decay length + 1 (10 peak widths
+    for far rows), until the exponent at that end is below -45.  At even
+    alpha the exponent is entire, so one nested trapezoid rule on the
+    window converges geometrically (Trefethen & Weideman, SIAM Review 56,
+    2014); each row climbs _R_ORDERS until two levels agree to rtol.
+    Otherwise |r|^a is not smooth at r = 0: the window is split there (at
+    the peak if it does not hold r = 0), and the Gauss-Legendre order
+    climbs _GL_ORDERS until two orders agree to rtol in the log of the
+    row's shifted sum; a sum of 0, a window too wide for its peak's nodes,
+    goes on at once.  Below alpha 2 the two panels run from the split in
+    y, r = -+y^2, dr = 2 y dy, where |r|^a = y^(2a) is smooth (Davis &
+    Rabinowitz, Methods of Numerical Integration, 1984); above it the
+    substitution costs more than it saves.  The rows left go on, at
+    non-integer alpha to one retry on plain panels graded toward the split,
+    then to their panels halved, up to _HALVINGS times.  Rows settle under
     `_settle_rows`, and no row's window or panels depend on its batch, so
     neither do its value and work.
     ConvergenceError: a row unsettled at the last trapezoid level or halving.
@@ -271,18 +285,18 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
 
     def exponent(d, rows=slice(None)):  # the shifted exponent at d = r - origin, a row per x
         e = d * (2.0 * xs[rows, None])
-        e -= peak[rows, None] + 2.0 * profile_p(spec, d)
+        e -= peak[rows, None]
+        e -= profile_p(spec, d, 2.0)
         if far is not None:
             f = far[rows]
             e[f] = -2.0 * _bregman(spec, d[f], c[rows][f, None])
         return e
 
-    def decayed(L):
-        e = exponent(center[:, None] + L[:, None] * _SIDES)
-        return np.maximum(e[:, 0], e[:, 1]) <= -_EXP_CUTOFF
+    def decayed(L):  # each row's (left, right) half-widths
+        return exponent(center[:, None] + L * _SIDES) <= -_EXP_CUTOFF
 
-    L = _fit_window(decayed, L)
-    lo, hi = center - L, center + L
+    L = _fit_window(decayed, np.stack([L, L], axis=1))
+    lo, hi = center - L[:, 0], center + L[:, 1]
     n_evals = 0
     if a % 2.0 == 0.0:
         def trapezoid(k, idx, prev):
@@ -298,22 +312,26 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
         if left.any():
             raise ConvergenceError("inner-integral rule did not stabilise")
         return peak + np.log(sums) - np.log(tau) / a, n_evals
-    mid = np.clip(-origin, lo, hi)
+    mid = np.where((lo < -origin) & (-origin < hi), -origin, center)  # r = 0, else the peak
     log_j = np.empty_like(xs)
 
-    def settle(rows, edges):
+    def settle(rows, edges, squared=False):
         """Run the order ladder on rows with their panel edges (a row of
-        `edges` per panel end); store the settled, return the others."""
+        `edges` per panel end); store the settled, return the others.
+        squared: edges [lo, mid, hi], each panel run from mid in y, r = mid -+ y^2."""
 
         def level(k, idx, prev):
             nonlocal n_evals
-            x, wq = _leggauss(_GL_ORDERS[k])
-            vals, sel = 0.0, rows[idx]
-            for lft, rgt in zip(edges[:-1, idx], edges[1:, idx]):
-                half = 0.5 * (rgt - lft)
-                R = 0.5 * (lft + rgt)[:, None] + half[:, None] * x[None, :]
-                e = exponent(R, sel)
-                vals = vals + (np.exp(e, out=e) @ wq) * half
+            q, wq = _unit_rule(_GL_ORDERS[k], squared)
+            ends, vals, sel = edges[:, idx], 0.0, rows[idx]
+            starts, stops = (ends[[1, 1]], ends[[0, 2]]) if squared else (ends[:-1], ends[1:])
+            for start, stop in zip(starts, stops):
+                width = stop - start
+                d = np.multiply.outer(width, q)
+                d += start[:, None]
+                e = exponent(d, sel)
+                # summed a row at a time: a matrix product's rounding depends on the batch
+                vals = vals + np.einsum("ij,j->i", np.exp(e, out=e), wq) * np.abs(width)
                 n_evals += e.size
             with np.errstate(divide="ignore"):  # a window too wide for its peak's nodes
                 return np.log(vals), rtol
@@ -322,7 +340,7 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
         log_j[rows[~left]] = peak[rows[~left]] + log_vals[~left]
         return rows[left], edges[:, left]
 
-    rows, edges = settle(np.arange(xs.size), np.array([lo, mid, hi]))
+    rows, edges = settle(np.arange(xs.size), np.array([lo, mid, hi]), 1.0 < a < 2.0)
     if rows.size and not a.is_integer():
         g = _GRADE_RATIO ** np.arange(_GRADE_PANELS + 1)
         lo, mid, hi = edges
@@ -437,6 +455,7 @@ def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFI
     L1 norm.  Where the terms cancel (large Im u) that norm can exceed |K|
     by more than rel_tol / rtol: the row is rerun once at an rtol scaled to
     the tolerance, and ConvergenceError is raised if it still misses.
+    DomainError where K_tau(u) passes the float range.
     """
     _require_profile(spec)
     tau = _check_tau(tau)
@@ -533,6 +552,10 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
     vr, osc = v.real, np.abs(v.imag)
     x_star = profile_dp(spec, 0.5 * vr)
     peak = x_star * vr - _log_inner_floor(spec, x_star)
+    log_scale = peak + log_factor + (2.0 / a) * np.log(taus) - math.log(TWO_PI)
+    # checked before the x rule, which cannot settle once x* is that large
+    if not np.all(np.isfinite(peak) & (log_scale.real < _LOG_FLOAT_MAX)):
+        raise DomainError("K_tau(u) overflows the float range")
     ends = np.array([x_star.min(), x_star.max()])
 
     def decayed(xs):
@@ -575,7 +598,7 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
 
     vals, diffs, unsettled = _settle_rows(taus.size, level, len(_X_ORDERS))
     rest = np.flatnonzero(unsettled)
-    scale = np.exp(peak + log_factor + (2.0 / a) * np.log(taus) - math.log(TWO_PI))
+    scale = np.exp(log_scale)
     vals, err = scale * vals, np.abs(scale) * (diffs + rtol * l1)
     if taus.size == 1 and rest.size:
         raise ConvergenceError("tau-batched kernel rule did not stabilise")
@@ -763,6 +786,8 @@ def sandwich_bounds_check(spec: WeightSpec, tau, lam, eta_grid,
     if not 0.0 < lam < math.inf:
         raise DomainError("lam must be positive and finite")
     etas = np.asarray(eta_grid, dtype=float)
+    if etas.size < 2:
+        raise DomainError("the eta grid needs at least 2 points for its end trends")
     rtol = max(1e-8, 0.01 * cfg.rel_tol)  # gap slopes are judged at 1e-3
 
     def gaps(s: WeightSpec):
@@ -807,6 +832,8 @@ def laplace_asymptotic(spec: WeightSpec, eta, tau_grid,
         raise DomainError("degenerate maximizer: p'' vanishes at mu(eta)")
     pstar = young_conjugate_closed(spec, eta)
     taus = np.array([_check_tau(tau) for tau in np.ravel(tau_grid)])
+    if not taus.size:
+        raise DomainError("the tau grid is empty")
     log_i, _ = _log_inner_batch(spec, taus, np.full(taus.size, eta), max(1e-9, 0.01 * cfg.rel_tol))
     log_i -= 2.0 * taus * pstar
     ratios = np.exp(log_i - 0.5 * (math.log(math.pi / p2d) - np.log(taus)))

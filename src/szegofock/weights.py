@@ -87,13 +87,13 @@ _POWERS = {1.5: (lambda t: t * np.sqrt(t), np.sqrt), 2.0: (np.square, lambda t: 
            4.0: (lambda t: np.square(t * t), lambda t: t * t * t)}
 
 
-def profile_p(spec: WeightSpec, x):
-    """p(x) = |x|^alpha / alpha of a profile family, on scalars or arrays.
+def profile_p(spec: WeightSpec, x, scale=1.0):
+    """scale p(x), p(x) = |x|^alpha / alpha of a profile family, on scalars or arrays.
 
     No family check: this runs inside the inner-integral loops.
     """
     a = spec.alpha
-    return (_POWERS[a][0](np.abs(x)) if a in _POWERS else np.abs(x) ** a) / a
+    return (_POWERS[a][0](np.abs(x)) if a in _POWERS else np.abs(x) ** a) / (a / scale)
 
 
 def profile_dp(spec: WeightSpec, x):

@@ -288,6 +288,15 @@ def test_inner_integral_overflow_exits_1():
     assert "DomainError" in err and "overflows" in err
 
 
+def test_bergman_profile_overflow_exits_1():
+    # K_tau(0.3) at tau = 1e12 passes the float range: a DomainError, not a
+    # ConvergenceError from an x rule that cannot settle
+    code, out, err = _run(["bergman", "--weight", "profile:alpha=3", "--tau", "1e12",
+                           "--z", "0.15,0", "--w", "0.15,0"])
+    assert code == 1 and out == ""
+    assert err.startswith("DomainError:") and "overflows" in err
+
+
 @pytest.mark.parametrize("argv", [["mu"], ["conjugate"], ["inner-integral", "--tau", "1"]])
 def test_overflowing_conjugate_exits_1(argv):
     # mu(3) = 3^1000 and p*(3) = 3^1001 / 1001 at alpha = 1.001

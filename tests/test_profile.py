@@ -360,6 +360,18 @@ def test_bergman_profile_overflow_raises(cfg):
         bergman_profile(gaussian(), 1.0, 30.0, 30.0, cfg)
 
 
+@pytest.mark.parametrize("weight", PROFILE_WEIGHTS)
+@pytest.mark.parametrize("tau", [1e12, 1e15, 1e20, 1e300])
+def test_bergman_profile_large_tau_overflow_is_a_domain_error(weight, tau, cfg):
+    # K_tau(0.3) passes the float range from tau ~ 1e7; where x* is huge the x
+    # rule cannot settle, nor at tau = 1e300 its window close, so the row's
+    # scale is checked before either runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows the float range"):
+            bergman_profile(parse_weight(weight), tau, 0.15, 0.15, cfg)
+
+
 KERNEL_TAUS = np.array([0.05, 0.3, 1.0, 2.5, 7.0, 20.0, 60.0])
 
 
@@ -747,12 +759,13 @@ def test_szego_profile_nongaussian_decaying_point():
     assert abs(ab.value - ba.value.conjugate()) <= 1e-8 * abs(ab.value)
 
 
-@pytest.mark.parametrize("alpha, rel_tol, tau_max", [(1.5, 1e-8, 100.0),
+@pytest.mark.parametrize("alpha, rel_tol, tau_max", [(1.5, 1e-9, 100.0),
                                                      (2.5, 1e-9, 100.0),
                                                      (4.0, 1e-9, 300.0)])
 def test_szego_profile_decaying_point_against_per_tau_route(alpha, rel_tol, tau_max):
-    # alpha = 1.5 stays at rel_tol 1e-8: at 1e-9 the per-tau oracle takes
-    # ~10 s (test_szego_profile_alpha15_at_tight_inner_tolerance covers 1e-9)
+    # alpha = 1.5 runs at rel_tol 1e-9 too: the per-tau oracle's inner rows
+    # take the y^2 panels that meet at r = 0, which cut its time there by
+    # more than half
     spec = profile_power(alpha)
     cfg = QuadConfig(abs_tol=1e-12, rel_tol=rel_tol)
     p1 = BoundaryPoint(-1.0 + 0.15j, -0.45)
@@ -947,12 +960,49 @@ def test_log_inner_trapezoid_narrow_peak():
         assert np.max(np.abs(logI - [log_i[0] for log_i, _ in alone])) <= 1e-14
 
 
+@pytest.mark.parametrize("alpha", [1.001, 1.1, 1.5, 1.9])
+def test_log_inner_y_squared_panels_against_mpmath(alpha):
+    # below alpha 2 the panels meeting at r = 0 run in y, r = -+y^2, where
+    # |r|^alpha = y^(2 alpha) is smooth; rtol 1e-13 holds wherever log I is a
+    # float, and the rows past it raise
+    mpmath = pytest.importorskip("mpmath")
+    spec = profile_power(alpha)
+    for tau in (0.05, 60.0):
+        for eta in (0.3, 30.0, 1e3):
+            try:
+                got = _log_inner_batch(spec, tau, [eta], 1e-13)[0][0]
+            except DomainError as exc:
+                assert "overflows" in str(exc)
+                continue
+            ref = _mpmath_log_inner(mpmath, alpha, tau, eta, dps=80 if alpha < 1.05 else 30)
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (tau, eta, got, ref)
+
+
+@pytest.mark.parametrize("rtol", [5e-10, 1e-13])
+def test_log_inner_y_squared_panels_evaluation_count(rtol):
+    # every row settles at the second Gauss-Legendre order on its two panels;
+    # plain panels split at r = 0 take 39,880 and 163,354 evaluations here
+    _, n_evals = _log_inner_batch(profile_power(1.5), 1.0, np.linspace(-7.0, 7.0, 65), rtol)
+    assert n_evals == 65 * 2 * (64 + 96)
+
+
 def test_log_inner_batch_steep_walls_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     dual = conjugate_spec(profile_power(1.01))
     logI, _ = _log_inner_batch(dual, 1.0, [2.5], 1e-10)
     ref = _mpmath_log_inner(mpmath, dual.alpha, 1.0, 2.5)
     assert abs(logI[0] - ref) <= 1e-10 * abs(ref)
+
+
+def test_log_inner_batch_fallback_panels_against_mpmath():
+    # the walls of alpha' = 201 at |r| = 1 outrun the two panels' ladder at
+    # rtol 5e-10: the row settles only after the graded retry and a halving
+    mpmath = pytest.importorskip("mpmath")
+    dual = conjugate_spec(profile_power(1.005))
+    logI, n_evals = _log_inner_batch(dual, 1.0, [1.0], 5e-10)
+    assert n_evals > 2 * sum(profile_module._GL_ORDERS)
+    ref = _mpmath_log_inner(mpmath, dual.alpha, 1.0, 1.0)
+    assert abs(logI[0] - ref) <= 5e-10 * abs(ref)
 
 
 def test_sandwich_squeeze_constants(cfg):
@@ -1221,6 +1271,12 @@ _GRID = np.linspace(-4.0, 4.0, 17)
                  "finite", id="laplace_asymptotic-nan-eta"),
     pytest.param(lambda: laplace_asymptotic(gaussian(), 1.0, [1.0, math.nan]), DomainError,
                  "tau", id="laplace_asymptotic-nan-tau"),
+    pytest.param(lambda: laplace_asymptotic(profile_power(3.0), 1.0, []), DomainError,
+                 "tau grid", id="laplace_asymptotic-empty-tau"),
+    pytest.param(lambda: sandwich_bounds_check(profile_power(3.0), 1.0, 1.5, []), DomainError,
+                 "eta grid", id="sandwich_bounds_check-empty-eta"),
+    pytest.param(lambda: sandwich_bounds_check(profile_power(3.0), 1.0, 1.5, [1.0]), DomainError,
+                 "eta grid", id="sandwich_bounds_check-one-eta"),
     pytest.param(lambda: bergman_from_szego_gaussian(1.0, 0.0, 0.0, math.nan), DomainError,
                  "epsilon", id="bergman_from_szego_gaussian-nan-eps"),
     pytest.param(lambda: bergman_gaussian_closed(1.0, complex(math.nan, 0.0), 0.0), DomainError,
