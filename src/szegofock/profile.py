@@ -16,9 +16,9 @@ So one engine, `_kernel_tau_batch`, serves both kernels: for a vector of
 tau it keeps one table of log J on one shared, nested trapezoid rule in x,
 its window and each row's shift taken from a closed-form floor of log J
 (`_log_inner_floor`).  It and the inner `_log_inner_batch` settle their
-rows under one policy, `_settle_rows`.  `bergman_profile` is one row;
-`szego_profile` takes all tau nodes of a quadrature step at once, and its
-batches share one x table per call (`_XTable`).
+rows under one policy, `_settle_rows`, on windows cut by `_cut_table`.
+`bergman_profile` is one row; `szego_profile` takes all tau nodes of a
+step at once, and its batches share one x table per call (`_XTable`).
 K_1 is entire, so the tau integral may run along a ray tau = r omega in
 the complex plane; it takes the ray between the real axis and the
 steepest-descent ray of the integrand's rate e^{tau E} on which the terms
@@ -111,11 +111,6 @@ def _check_tau(tau):
     return tau
 
 
-def _decay_length(a):
-    """Distance from 0 at which exp(-2 |x|^a / a) falls to exp(-_EXP_CUTOFF)."""
-    return (_EXP_CUTOFF * a / 2.0) ** (1.0 / a)
-
-
 @lru_cache(maxsize=16)
 def _leggauss(n):
     """Gauss-Legendre nodes (ascending) and weights of order n, in O(n^2).
@@ -158,23 +153,60 @@ def _unit_rule(n, squared):
     return (y * y, y * w) if squared else (y, 0.5 * w)
 
 
-def _fit_window(decayed, L):
-    """Half-widths L grown by 1.4 where decayed(L) fails, then halved while
-    decayed(L / 2) holds; concave exponents make end decay bound the tails."""
+@lru_cache(maxsize=16)
+def _cut_table(a):
+    """log |c| against log d, inward and outward, where 2 D(c -+ d, c) = 45,
+    D the Bregman divergence of p = |x|^a / a, 1% past the root.  D(c (1 -+
+    delta), c) = |c|^a D(1 -+ delta, 1), so one pass of log a D(1 -+ delta, 1)
+    over log delta (and log(delta - 1) inward past 1, where D turns a corner
+    as a -> 1 and at large a) gives both curves; they run flat as c -> 0 and
+    on from a far point along the Gaussian width's slope 1 - a/2."""
+    la, lo = math.log(a), math.log(1e-3 / a)
+    # from where D is Gaussian to where the c -> 0 slope holds, and about large a's corner
+    g = np.sort(np.concatenate([
+        np.linspace(min(lo, math.log((a - 1.0) / 16.0)), 2.0, 128, endpoint=False),
+        np.geomspace(2.0, max(12.0, 12.0 / (a - 1.0)), 128),
+        (math.log(2.0 * a) + np.linspace(-8.0, 8.0, 33)) / a]))
+    t = np.sort(np.concatenate([g[g >= lo], -np.exp(g[g < -1.0])]))  # log delta, also near 1
+    neg, sp = t[t < 0.0], np.logaddexp(0.0, t)
+    inward = np.concatenate([np.log(a * np.exp(neg) + np.expm1(a * np.log(-np.expm1(neg)))),
+                             np.logaddexp(a * g, np.logaddexp(math.log(a - 1.0), la + g))])
+    outward = a * sp + np.log(-np.expm1(np.logaddexp(0.0, la + t) - a * sp))
+    curves = []
+    for log_delta, log_ad in ((np.concatenate([neg, np.logaddexp(0.0, g)]), inward), (t, outward)):
+        log_c = (math.log(0.5 * _EXP_CUTOFF * a) - log_ad[::-1]) / a
+        log_d = log_c + log_delta[::-1] + math.log(1.01)
+        curves.append((np.append(log_c, log_c[-1] + 1e4),
+                       np.append(log_d, log_d[-1] + (1.0 - 0.5 * a) * 1e4)))
+    return curves
+
+
+def _cut_widths(a, slope, cutoff=_EXP_CUTOFF):
+    """Half-widths [left, right] about c = p'^-1(slope) where 2 D(c -+ d, c)
+    reaches cutoff K (per side and slope, or one): `_cut_table`'s cut at |c|
+    (45 / K)^(1/a), scaled back, by homogeneity."""
+    with np.errstate(divide="ignore", over="ignore"):  # c = 0; c past the float range
+        shift = np.log(cutoff / _EXP_CUTOFF) / a
+        log_c = np.log(np.abs(slope)) / (a - 1.0) - shift
+        inward, outward = (np.exp(np.interp(log_c, *curve) + shift) for curve in _cut_table(a))
+    return np.where([slope < 0.0, slope >= 0.0], outward, inward)
+
+
+def _floor_step(a, x):
+    """h = p''(c)^(-1/2) / 2 at c = p'^-1(x), held at 1/2 from the side of c = 0."""
+    h = 0.5 / math.sqrt(a - 1.0) * np.abs(x) ** ((1.0 - 0.5 * a) / (a - 1.0))
+    return np.minimum(h, 0.5) if a > 2.0 else np.maximum(h, 0.5)
+
+
+def _fit_window(decayed, L, ok=None):
+    """Half-widths L grown by 1.4 where decayed(L) fails (ok: its verdict on
+    L, if known); concave exponents make end decay bound the tails."""
     for _ in range(200):
-        ok = decayed(L)
+        ok = decayed(L) if ok is None else ok
         if ok.all():
-            break
-        L = np.where(ok, L, 1.4 * L)
-    else:
-        raise ConvergenceError("quadrature window failed to close")
-    for _ in range(80):
-        half = 0.5 * L
-        wide = decayed(half)
-        if not wide.any():
-            break
-        L = np.where(wide, half, L)
-    return L
+            return L
+        L, ok = np.where(ok, L, 1.4 * L), None
+    raise ConvergenceError("quadrature window failed to close")
 
 
 def _settle_rows(n, level, n_levels):
@@ -239,9 +271,9 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
     Bregman divergence of p.  Rows whose terms 2 |x c| round by more than
     rtol / 100 are far: they run in the offset r - c with D from
     `_bregman`, so a narrow peak at a huge c keeps its nodes; the others
-    run in r.  Each row's window [c - L_-, c + L_+] is fitted from its own
-    peak, each side from mu + the x = 0 decay length + 1 (10 peak widths
-    for far rows), until the exponent at that end is below -45.  At even
+    run in r.  Each row's window [c - L_-, c + L_+] ends 1% past where its
+    exponent falls to -45 (`_cut_table`); one probe confirms it, and a
+    side that fails grows by 1.4 (`_fit_window`).  At even
     alpha the exponent is entire, so one nested trapezoid rule on the
     window converges geometrically (Trefethen & Weideman, SIAM Review 56,
     2014); each row climbs _R_ORDERS until two levels agree to rtol.
@@ -271,17 +303,13 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
         if not np.isfinite(etas).all():
             raise DomainError("eta must be finite")
         raise DomainError("log I(eta, tau) overflows the float range")
-    mu = abs_x ** (1.0 / (a - 1.0))
-    c = np.sign(xs) * mu
+    c = np.sign(xs) * abs_x ** (1.0 / (a - 1.0))
     peak = 2.0 * abs_x ** ap / ap
-    L = mu + _decay_length(a) + 1.0
     far, origin, center = None, 0.0, c
     if 2.0 * x_max ** ap * EPS > 0.01 * rtol:
         far = peak * (ap * EPS) > 0.01 * rtol
         origin = np.where(far, c, 0.0)
         center = c - origin
-        # far rows start at ~10 peak widths (2 p''(mu))^(-1/2)
-        L[far] = 10.0 * mu[far] ** (1.0 - 0.5 * a) / math.sqrt(2.0 * (a - 1.0))
 
     def exponent(d, rows=slice(None)):  # the shifted exponent at d = r - origin, a row per x
         e = d * (2.0 * xs[rows, None])
@@ -292,10 +320,9 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
             e[f] = -2.0 * _bregman(spec, d[f], c[rows][f, None])
         return e
 
-    def decayed(L):  # each row's (left, right) half-widths
-        return exponent(center[:, None] + L * _SIDES) <= -_EXP_CUTOFF
-
-    L = _fit_window(decayed, np.stack([L, L], axis=1))
+    # each row's (left, right) half-widths
+    L = _fit_window(lambda L: exponent(center[:, None] + L * _SIDES) <= -_EXP_CUTOFF,
+                    _cut_widths(a, xs).T)
     lo, hi = center - L[:, 0], center + L[:, 1]
     n_evals = 0
     if a % 2.0 == 0.0:
@@ -362,16 +389,18 @@ def _bregman(spec, d, c):
     """D(c + d, c) = p(c + d) - p(c) - p'(c) d >= 0 for p = |x|^a / a, c != 0.
 
     Its terms are ~|c|^a while D ~ |c|^(a-2) d^2, so for |t| < 1/4, t = d/c,
-    D is summed as the binomial series |c|^a / a sum_{k>=2} binom(a, k) t^k
-    of (1 + t)^a - 1 - a t, which cancels nothing.  For integer a it ends
-    at k = a (the Gaussian's is t^2); otherwise past k = a its terms shrink
-    by 4 per step, and the 30 kept past it leave 4^-30 of the largest.
+    and past a = 5 for |t| < 3 / (4 (a - 2)), D is summed as the binomial
+    series |c|^a / a sum_{k>=2} binom(a, k) t^k of (1 + t)^a - 1 - a t:
+    there no term outgrows the first, by (a - k) |t| / (k + 1), so the sum,
+    alternating for t < 0, cancels nothing.  For integer a it ends at k = a
+    (the Gaussian's is t^2); otherwise past k = a its terms shrink by 4 per
+    step, and the 30 kept past it leave 4^-30 of the largest.
     """
     a = spec.alpha
     coef = [0.5 * a * (a - 1.0)]
     for k in range(2, int(a) if a.is_integer() else 30 + int(a)):
         coef.append(coef[-1] * (a - k) / (k + 1))
-    near = np.abs(d) < 0.25 * np.abs(c)
+    near = np.abs(d) < 0.75 / max(3.0, a - 2.0) * np.abs(c)
     t = np.where(near, d, 0.0) / c
     series = profile_p(spec, c) * t * t * np.polynomial.polynomial.polyval(t, coef)
     direct = profile_p(spec, c + d) - profile_p(spec, c) - profile_dp(spec, c) * d
@@ -388,9 +417,8 @@ def _log_inner_floor(spec: WeightSpec, x):
 
         log J(x) >= 2 p*(x) + log |d| - 2 |d| |p'(c + d) - x|.
 
-    The better sign is taken, at |d| = h = p''(c)^(-1/2) / 2, half the
-    peak's width, where D <= ~1/4; h diverges at c = 0, so it is held at
-    1/2 from that side (h <= 1/2 for a > 2, h >= 1/2 for a < 2).  The
+    The better sign is taken, at |d| = h (`_floor_step`), half the peak's
+    width, where D <= ~1/4, but held at 1/2 where it diverges.  The
     rounding of p'(c + d) - x, about h |x| eps, stays far below the 3 nats
     given away, or, at a huge c, below that of 2 p*(x) = 2 |x c| / a'.
     """
@@ -400,8 +428,7 @@ def _log_inner_floor(spec: WeightSpec, x):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         abs_x = np.abs(x)
         abs_c = abs_x ** (1.0 / (a - 1.0))
-        h = 0.5 / math.sqrt(a - 1.0) * abs_c ** (1.0 - 0.5 * a)
-        h = np.minimum(h, 0.5) if a > 2.0 else np.maximum(h, 0.5)
+        h = _floor_step(a, abs_x)
         slope = profile_dp(spec, np.sign(x) * abs_c + np.multiply.outer(_SIDES, h)) - x
         gain = np.log(h) - 2.0 * h * np.abs(slope)
         log_peak = 2.0 * abs_x ** ap / ap
@@ -513,15 +540,17 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
     Row k is shifted by x* Re v - F(x*) at its peak x* = p'(Re v / 2), and
     the shift is folded into log_factor before the final exponential, so
     no row overflows and the term at x* is between e^-3 and 1.  The x
-    window is fitted to every row at once from the decay length of
-    exp(-2 p*(x)) (`_fit_window`) until, with F for log J, the terms at
-    its ends are below e^-45 of each row's term at x*.  F is a floor, so
-    the true end terms are below e^(-45 + log J(x*) - F(x*)), at most
-    e^-42, of the term at x*.  There, with e^{xv} / J(x) analytic in a
-    strip about the real axis, the trapezoid rule converges geometrically
-    (Trefethen & Weideman, SIAM Review 56, 2014), and its levels nest, as
-    do its L1 norms sum |e^expo| h (`_nested_sum`); no row settles at the
-    first level, so its inner call takes the second's new nodes too.
+    window spans each row's cut about x* (`_cut_table` at alpha'), where
+    2 D*(x, x*), D* the Bregman divergence of p*, reaches 45 plus the fall
+    of F - 2 p* = log h - [0, 1] from x*; a side grows (`_fit_window`)
+    until, with F for log J, its end terms are below e^-45 of each row's
+    term at x*.  F is a floor, so the true end terms are below e^(-45 +
+    log J(x*) - F(x*)), at most e^-42, of the term at x*.  There, with
+    e^{xv} / J(x) analytic in a strip about the real axis, the trapezoid
+    rule converges geometrically (Trefethen & Weideman, SIAM Review 56,
+    2014), and its levels nest, as do its L1 norms sum |e^expo| h
+    (`_nested_sum`); no row settles at the first level, so its inner call
+    takes the second's new nodes too.
     Each row takes levels until it agrees with the previous one to rtol
     times its L1 norm on a step that resolves its oscillation
     (`_settle_rows`), and keeps the finer level: each term carries the
@@ -550,25 +579,31 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
     a = spec.alpha
     v = taus ** (1.0 / a) * u
     vr, osc = v.real, np.abs(v.imag)
-    x_star = profile_dp(spec, 0.5 * vr)
-    peak = x_star * vr - _log_inner_floor(spec, x_star)
+    ap, slope = spec.conjugate_alpha, 0.5 * vr
+    x_star = profile_dp(spec, slope)
+    widths = _cut_widths(ap, slope)  # widened by the fall of log h from x* to each end
+    with np.errstate(divide="ignore", over="ignore"):  # h at x = 0 (a > 2) or past the float range
+        fall = np.log(_floor_step(a, x_star) / _floor_step(a, x_star + _SIDES[:, None] * widths))
+    widths = _cut_widths(ap, slope, _EXP_CUTOFF + 1.0 + np.maximum(fall, 0.0))
+    ends = np.array([x_star.min(), x_star.max()])
+    L = np.array([ends[0] - np.min(x_star - widths[0]), np.max(x_star + widths[1]) - ends[1]])
+    table = table or _XTable()
+    probe = np.concatenate([ends + _SIDES * L, [table.lo, table.hi]])  # floored with the shift
+    floor = _log_inner_floor(spec, np.concatenate([x_star, probe]))
+    peak = x_star * vr - floor[:taus.size]
     log_scale = peak + log_factor + (2.0 / a) * np.log(taus) - math.log(TWO_PI)
     # checked before the x rule, which cannot settle once x* is that large
     if not np.all(np.isfinite(peak) & (log_scale.real < _LOG_FLOAT_MAX)):
         raise DomainError("K_tau(u) overflows the float range")
-    ends = np.array([x_star.min(), x_star.max()])
 
-    def decayed(xs):
-        expo = np.multiply.outer(vr, xs) - _log_inner_floor(spec, xs) - peak[:, None]
-        return np.all(expo <= -_EXP_CUTOFF, axis=0)
+    def decayed(xs, floor):  # per end: every row's term there below e^-45 of its term at x*
+        return np.all(np.multiply.outer(vr, xs) - floor - peak[:, None] <= -_EXP_CUTOFF, axis=0)
 
-    if table is None:
-        table = _XTable()
+    ok = decayed(probe, floor[taus.size:])
     if not (table.lo <= ends[0] and ends[1] <= table.hi
-            and ends[1] - ends[0] >= table.span - 0.5 * (table.hi - table.lo)
-            and decayed(np.array([table.lo, table.hi])).all()):
-        L = _fit_window(lambda L: decayed(ends + _SIDES * L),
-                        np.full(2, _decay_length(spec.conjugate_alpha) + 1.0))
+            and ends[1] - ends[0] >= table.span - 0.5 * (table.hi - table.lo) and ok[2:].all()):
+        L = _fit_window(lambda L: decayed(ends + _SIDES * L,
+                                          _log_inner_floor(spec, ends + _SIDES * L)), L, ok[:2])
         table.lo, table.hi, table.span = ends[0] - L[0], ends[1] + L[1], ends[1] - ends[0]
         table.log_j = []
     lo, hi, log_js = table.lo, table.hi, table.log_j

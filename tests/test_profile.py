@@ -47,7 +47,8 @@ from szegofock import (
     young_conjugate_numeric,
 )
 import szegofock.profile as profile_module
-from szegofock.profile import _kernel_tau_batch, _log_inner_batch, _log_inner_floor
+from szegofock.profile import (_bregman, _cut_widths, _kernel_tau_batch, _log_inner_batch,
+                               _log_inner_floor)
 from szegofock.weights import conjugate_spec, profile_dp, profile_p
 
 PI = math.pi
@@ -503,8 +504,9 @@ def test_tau_batch_kernel_lone_unsettled_row_raises(monkeypatch):
 
 def test_tau_batch_kernel_reruns_only_unsettled_rows(monkeypatch):
     # with three rule levels every row settles but the largest tau, whose
-    # terms oscillate fastest: the settled rows keep their values, and only
-    # that row goes on, with a window of its own
+    # terms oscillate fastest (Im u = 0.8 keeps it past the third level on a
+    # window cut at its end-decay point): the settled rows keep their values,
+    # and only that row goes on, with a window of its own
     monkeypatch.setattr(profile_module, "_X_ORDERS", (32, 64, 128))
     calls, batch = [], profile_module._kernel_tau_batch
 
@@ -513,7 +515,7 @@ def test_tau_batch_kernel_reruns_only_unsettled_rows(monkeypatch):
         return batch(spec, taus, u, log_factor, rtol)
 
     monkeypatch.setattr(profile_module, "_kernel_tau_batch", recorded)
-    u = 4.0 + 0.5j
+    u = 4.0 + 0.8j
     got, _, err = recorded(gaussian(), KERNEL_TAUS, u, np.zeros(KERNEL_TAUS.size), 1e-10)
     assert [taus.tolist() for taus in calls[1:]] == [[60.0]]
     ref = KERNEL_TAUS / (2.0 * PI) * np.exp(0.25 * KERNEL_TAUS * u * u)
@@ -994,14 +996,62 @@ def test_log_inner_batch_steep_walls_against_mpmath():
     assert abs(logI[0] - ref) <= 1e-10 * abs(ref)
 
 
-def test_log_inner_batch_fallback_panels_against_mpmath():
-    # the walls of alpha' = 201 at |r| = 1 outrun the two panels' ladder at
-    # rtol 5e-10: the row settles only after the graded retry and a halving
+def test_log_inner_batch_wall_inside_a_panel_against_mpmath():
+    # alpha' = 201 at rtol 1e-8: a window cut at the end-decay point keeps
+    # the orders from agreeing on a wrong value where a panel's middle holds
+    # the wall at r = -1 (the grow-and-halve windows returned 1.3304629)
     mpmath = pytest.importorskip("mpmath")
     dual = conjugate_spec(profile_power(1.005))
-    logI, n_evals = _log_inner_batch(dual, 1.0, [1.0], 5e-10)
-    assert n_evals > 2 * sum(profile_module._GL_ORDERS)
+    logI, _ = _log_inner_batch(dual, 1.0, [1.0], 1e-8)
     ref = _mpmath_log_inner(mpmath, dual.alpha, 1.0, 1.0)
+    assert abs(logI[0] - ref) <= 1e-8 * abs(ref)
+
+
+@pytest.mark.parametrize("alpha", [4.0, 7.0, 101.0, 201.0, 1001.0])
+def test_bregman_large_alpha_against_mpmath(alpha):
+    # the binomial series of D alternates for d < 0 with terms that outgrow
+    # D past alpha = 5, so it runs only where none outgrows the first: at
+    # d = -c / 4 the series had lost every digit at alpha = 201 and 1001
+    mpmath = pytest.importorskip("mpmath")
+    c, d = 1.0223, np.linspace(-0.3, 0.3, 41)[np.arange(41) != 20] * 1.0223
+    with mpmath.workdps(60):
+        a, cm = mpmath.mpf(alpha), mpmath.mpf(c)
+        ref = np.array([float(abs(cm + x) ** a / a - cm ** a / a - cm ** (a - 1) * x)
+                        for x in map(mpmath.mpf, d)])
+    got = _bregman(profile_power(alpha), d, np.full(d.size, c))
+    assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [1.001, 1.01, 1.5, 2.0, 3.0, 4.0, 101.0, 201.0])
+def test_cut_widths_end_at_the_decay_point(alpha):
+    # each half-width L of the homogeneous cut table ends where the shifted
+    # exponent -2 D(c -+ L, c) has fallen past -cutoff, at most 5% beyond
+    # the root: D grows with |d|, so that is 2 D(c -+ L / 1.05, c) <= cutoff
+    spec = profile_power(alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile_module._cut_table.__wrapped__(alpha)  # the build itself, uncached
+    cs = np.geomspace(1e-8, 1e8, 81)
+    cs = np.concatenate([cs, -cs])[np.abs((alpha - 1.0) * np.log(np.concatenate([cs, cs]))) < 700.0]
+    for cutoff in (45.0, 60.0):
+        widths = _cut_widths(alpha, 0.0, cutoff)  # c = 0: D(d, 0) = p(d)
+        assert np.all(2.0 * profile_p(spec, widths) >= cutoff)
+        assert np.all(2.0 * profile_p(spec, widths / 1.05) <= cutoff)
+        # the rest, whose slope p'(c) is a float: past it no caller forms a row
+        widths = _cut_widths(alpha, profile_dp(spec, cs), cutoff) * [[-1.0], [1.0]]
+        assert np.all(2.0 * _bregman(spec, widths, cs) >= cutoff)
+        assert np.all(2.0 * _bregman(spec, widths / 1.05, cs) <= cutoff)
+
+
+def test_log_inner_batch_fallback_panels_against_mpmath():
+    # the walls of alpha' = 1001 at |r| = 1 outrun the two panels' ladder at
+    # rtol 5e-10: the row settles only after the graded retry and a halving
+    # (alpha' = 201 at tau = eta = 1 did so on windows wider than its cut)
+    mpmath = pytest.importorskip("mpmath")
+    dual = conjugate_spec(profile_power(1.001))
+    logI, n_evals = _log_inner_batch(dual, 0.3, [0.3], 5e-10)
+    assert n_evals > 2 * sum(profile_module._GL_ORDERS)
+    ref = _mpmath_log_inner(mpmath, dual.alpha, 0.3, 0.3)
     assert abs(logI[0] - ref) <= 5e-10 * abs(ref)
 
 
