@@ -18,7 +18,7 @@ its window and each row's shift taken from a closed-form floor of log J
 (`_log_inner_floor`).  It and the inner `_log_inner_batch` settle their
 rows under one policy, `_settle_rows`, on windows cut by `_cut_table`.
 `bergman_profile` is one row; `szego_profile` takes all tau nodes of a
-step at once, and its batches share one x table per call (`_XTable`).
+step at once, each batch on a window fitted to its own rows.
 K_1 is entire, so the tau integral may run along a ray tau = r omega in
 the complex plane; it takes the ray between the real axis and the
 steepest-descent ray of the integrand's rate e^{tau E} on which the terms
@@ -32,7 +32,8 @@ Every caller takes the inner integral I from one batched engine,
 `_log_inner_batch`, which computes log J alone, at x = tau^(1-1/a) eta: a
 nested trapezoid rule at even alpha, where the exponent is entire, and
 Gauss-Legendre panels split at r = 0 otherwise, run in y, r = -+y^2, below
-alpha 2; DomainError where the term 2 |x|^alpha' it forms passes e^700.
+alpha 2 and cut about the walls at |r| = 1 above _WALL_ALPHA; DomainError
+where the term 2 |x|^alpha' it forms passes e^700.
 I is the exponential of twice tau times a smoothed conjugate of p; its
 growth is squeezed between scaled copies of the Young conjugate p*, which
 `sandwich_bounds_check` verifies on a grid, and for large tau it follows
@@ -91,15 +92,13 @@ from .weights import (
 _EXP_CUTOFF = 45.0
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _SIDES = np.array([-1.0, 1.0])
-# the inner rule's retry at non-integer alpha: panels graded toward r = 0
-# by this ratio, this many on each side
-_GRADE_RATIO = 0.15
-_GRADE_PANELS = 12
-# the last retry of the rows still unsettled: their panels halved up to this often
-_HALVINGS = 3
+# above this alpha the inner rule's panels are also cut about the walls at
+# |r| = 1; without the cuts its two panels need order 144 at alpha 21-51,
+# 324 past 120, and run out of orders from 175
+_WALL_ALPHA = 50.0
 # Gauss-Legendre orders of the inner rule's ladder on each panel, and step
 # counts of its nested trapezoid rule at even alpha and of the kernel's in x
-_GL_ORDERS = (64, 96, 144, 216, 324, 486, 729)
+_GL_ORDERS = (64, 96, 144, 216, 324)
 _R_ORDERS = tuple(32 << k for k in range(8))
 _X_ORDERS = (32, 64, 128, 256, 512, 1024)
 
@@ -222,7 +221,8 @@ def _settle_rows(n, level, n_levels):
     in log I for the inner rule, and rtol times the terms' L1 norm for the
     x rule, but only on a step with h |Im v| <= pi, two nodes to a period
     of e^{i x Im v}: coarser levels can alias it alike and agree on a
-    wrong value.  Unsettled rows go on to their engine's retry.
+    wrong value.  The x rule's unsettled rows go on in halves; the inner
+    rule raises on them.
     Returns (values, last-level differences, mask of the unsettled rows).
     """
     active, idx, prev = np.arange(n), slice(None), None
@@ -284,12 +284,15 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
     goes on at once.  Below alpha 2 the two panels run from the split in
     y, r = -+y^2, dr = 2 y dy, where |r|^a = y^(2a) is smooth (Davis &
     Rabinowitz, Methods of Numerical Integration, 1984); above it the
-    substitution costs more than it saves.  The rows left go on, at
-    non-integer alpha to one retry on plain panels graded toward the split,
-    then to their panels halved, up to _HALVINGS times.  Rows settle under
+    substitution costs more than it saves.  Above _WALL_ALPHA the exponent
+    is flat inside |r| < 1 and falls at a wall about 1/p''(1) = 1/(a - 1)
+    wide at each |r| = 1, where two orders of a panel that holds a wall can
+    agree on a wrong value; there the panels are also cut at the points
+    r = -+(1 + k / (a - 1)), k from -32 to 14, graded about each wall and
+    clipped to the window, so the row runs 16 panels.  Rows settle under
     `_settle_rows`, and no row's window or panels depend on its batch, so
     neither do its value and work.
-    ConvergenceError: a row unsettled at the last trapezoid level or halving.
+    ConvergenceError: a row unsettled at the last trapezoid level or order.
     DomainError: a non-finite eta, or a term the rule forms, |x| mu = mu^a
     = |x|^alpha' or twice it, past e^700.
     """
@@ -305,7 +308,7 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
         raise DomainError("log I(eta, tau) overflows the float range")
     c = np.sign(xs) * abs_x ** (1.0 / (a - 1.0))
     peak = 2.0 * abs_x ** ap / ap
-    far, origin, center = None, 0.0, c
+    far, origin, center = None, np.zeros_like(c), c
     if 2.0 * x_max ** ap * EPS > 0.01 * rtol:
         far = peak * (ap * EPS) > 0.01 * rtol
         origin = np.where(far, c, 0.0)
@@ -340,49 +343,34 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
             raise ConvergenceError("inner-integral rule did not stabilise")
         return peak + np.log(sums) - np.log(tau) / a, n_evals
     mid = np.where((lo < -origin) & (-origin < hi), -origin, center)  # r = 0, else the peak
-    log_j = np.empty_like(xs)
+    edges = np.array([lo, mid, hi])
+    if a > _WALL_ALPHA:
+        # the walls, 1/p''(1) = 1/(a - 1) wide: ends graded about r = -+1
+        g = 1.0 + np.array([-32.0, -8.0, -2.0, 0.0, 2.0, 6.0, 14.0]) / (a - 1.0)
+        walls = np.concatenate([-g, g])[:, None] - origin
+        edges = np.sort(np.clip(np.vstack([edges, walls]), lo, hi), axis=0)
+    squared = 1.0 < a < 2.0  # edges [lo, mid, hi], each panel run from mid in y, r = mid -+ y^2
+    starts, stops = (edges[[1, 1]], edges[[0, 2]]) if squared else (edges[:-1], edges[1:])
 
-    def settle(rows, edges, squared=False):
-        """Run the order ladder on rows with their panel edges (a row of
-        `edges` per panel end); store the settled, return the others.
-        squared: edges [lo, mid, hi], each panel run from mid in y, r = mid -+ y^2."""
+    def level(k, idx, prev):
+        nonlocal n_evals
+        q, wq = _unit_rule(_GL_ORDERS[k], squared)
+        vals = 0.0
+        for start, stop in zip(starts[:, idx], stops[:, idx]):
+            width = stop - start
+            d = np.multiply.outer(width, q)
+            d += start[:, None]
+            e = exponent(d, idx)
+            # summed a row at a time: a matrix product's rounding depends on the batch
+            vals = vals + np.einsum("ij,j->i", np.exp(e, out=e), wq) * np.abs(width)
+            n_evals += e.size
+        with np.errstate(divide="ignore"):  # a window too wide for its peak's nodes
+            return np.log(vals), rtol
 
-        def level(k, idx, prev):
-            nonlocal n_evals
-            q, wq = _unit_rule(_GL_ORDERS[k], squared)
-            ends, vals, sel = edges[:, idx], 0.0, rows[idx]
-            starts, stops = (ends[[1, 1]], ends[[0, 2]]) if squared else (ends[:-1], ends[1:])
-            for start, stop in zip(starts, stops):
-                width = stop - start
-                d = np.multiply.outer(width, q)
-                d += start[:, None]
-                e = exponent(d, sel)
-                # summed a row at a time: a matrix product's rounding depends on the batch
-                vals = vals + np.einsum("ij,j->i", np.exp(e, out=e), wq) * np.abs(width)
-                n_evals += e.size
-            with np.errstate(divide="ignore"):  # a window too wide for its peak's nodes
-                return np.log(vals), rtol
-
-        log_vals, _, left = _settle_rows(rows.size, level, len(_GL_ORDERS))
-        log_j[rows[~left]] = peak[rows[~left]] + log_vals[~left]
-        return rows[left], edges[:, left]
-
-    rows, edges = settle(np.arange(xs.size), np.array([lo, mid, hi]), 1.0 < a < 2.0)
-    if rows.size and not a.is_integer():
-        g = _GRADE_RATIO ** np.arange(_GRADE_PANELS + 1)
-        lo, mid, hi = edges
-        rows, edges = settle(rows, np.vstack([mid - np.multiply.outer(g, mid - lo), mid,
-                                              mid + np.multiply.outer(g[::-1], hi - mid)]))
-    for _ in range(_HALVINGS):
-        if not rows.size:
-            break
-        # walls that outrun their panels (alpha' >> 2): halve every panel
-        halved = np.empty((2 * len(edges) - 1, rows.size))
-        halved[0::2], halved[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
-        rows, edges = settle(rows, halved)
-    if rows.size:
+    log_vals, _, left = _settle_rows(xs.size, level, len(_GL_ORDERS))
+    if left.any():
         raise ConvergenceError("inner-integral rule did not stabilise")
-    return log_j - np.log(tau) / a, n_evals
+    return peak + log_vals - np.log(tau) / a, n_evals
 
 
 def _bregman(spec, d, c):
@@ -514,18 +502,7 @@ _RAY_ANGLES = 33
 _RAY_SEEDS = 8
 
 
-class _XTable:
-    """One `szego_profile` call's x rule: its window [lo, hi], the x* span
-    it was fitted to, and the log J values of each nested trapezoid level
-    computed on it so far."""
-
-    __slots__ = ("lo", "hi", "span", "log_j")
-
-    def __init__(self):
-        self.lo, self.hi, self.span, self.log_j = math.nan, math.nan, math.nan, []
-
-
-def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
+def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     """(K_tau(u) exp(log_factor), n_evals, error estimate) for a vector of
     real or complex tau, on one shared x rule.
 
@@ -561,19 +538,6 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
     made at the rule's nodes plus the tau x x cells of the rows still
     active; the shift and the window cost none.  A row's error estimate
     is its last level difference plus rtol times its L1 norm.
-
-    `table`, an `_XTable` kept by the caller across batches of one spec
-    and rtol, holds a window [lo, hi] and the log J of each level computed
-    on it.  The batch takes that window, and every level the table has,
-    only if (a) its x* range lies inside [lo, hi], (b) every row's floor
-    terms at lo and hi are below e^-45 of its term at x*, which with (a)
-    and concavity bounds every term outside, and (c) its x* span is at
-    least the table's x* span less half of hi - lo: with the table's
-    margins about it, its own window would be at least half as wide as
-    [lo, hi], so the step is no more than twice its own and narrow batches
-    do not settle late on a coarse one.  Otherwise the batch fits its own
-    window, which, with no levels, becomes the table.  The halves of the
-    unsettled rows take no table.
     """
     taus = np.asarray(taus)
     a = spec.alpha
@@ -587,8 +551,7 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
     widths = _cut_widths(ap, slope, _EXP_CUTOFF + 1.0 + np.maximum(fall, 0.0))
     ends = np.array([x_star.min(), x_star.max()])
     L = np.array([ends[0] - np.min(x_star - widths[0]), np.max(x_star + widths[1]) - ends[1]])
-    table = table or _XTable()
-    probe = np.concatenate([ends + _SIDES * L, [table.lo, table.hi]])  # floored with the shift
+    probe = ends + _SIDES * L  # floored with the shift
     floor = _log_inner_floor(spec, np.concatenate([x_star, probe]))
     peak = x_star * vr - floor[:taus.size]
     log_scale = peak + log_factor + (2.0 / a) * np.log(taus) - math.log(TWO_PI)
@@ -599,14 +562,10 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol, table=None):
     def decayed(xs, floor):  # per end: every row's term there below e^-45 of its term at x*
         return np.all(np.multiply.outer(vr, xs) - floor - peak[:, None] <= -_EXP_CUTOFF, axis=0)
 
-    ok = decayed(probe, floor[taus.size:])
-    if not (table.lo <= ends[0] and ends[1] <= table.hi
-            and ends[1] - ends[0] >= table.span - 0.5 * (table.hi - table.lo) and ok[2:].all()):
-        L = _fit_window(lambda L: decayed(ends + _SIDES * L,
-                                          _log_inner_floor(spec, ends + _SIDES * L)), L, ok[:2])
-        table.lo, table.hi, table.span = ends[0] - L[0], ends[1] + L[1], ends[1] - ends[0]
-        table.log_j = []
-    lo, hi, log_js = table.lo, table.hi, table.log_j
+    L = _fit_window(lambda L: decayed(ends + _SIDES * L,
+                                      _log_inner_floor(spec, ends + _SIDES * L)),
+                    L, decayed(probe, floor[taus.size:]))
+    (lo, hi), log_js = ends + _SIDES * L, []
     l1 = np.zeros(taus.size)
     n_evals = 0
 
@@ -694,8 +653,7 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     Each call of it takes every tau node of a quadrature step at once:
     through the homogeneity K_tau(u) = tau^(2/a) K_1(tau^(1/a) u) all
     nodes share one table of log I(., 1) on one nested x rule
-    (`_kernel_tau_batch`), so no node runs a quadrature of its own, and the
-    batches of one call share one `_XTable` on the terms stated there.
+    (`_kernel_tau_batch`), so no node runs a quadrature of its own.
     The integrand grows like e^{tau E}, E = 2 (u/2)^a / a - R, u = z +
     conj w taken with Re u >= 0, and K_1 is entire, so the contour may
     turn onto any ray tau = r omega between the real axis and the
@@ -741,13 +699,12 @@ def szego_profile(spec: WeightSpec, p1: BoundaryPoint, p2: BoundaryPoint,
     inner_rel_tol = max(min(cfg.rel_tol * 0.1, 1e-6), 1e-12)
     rtol = max(1e-13, 0.05 * inner_rel_tol)
     n_evals = 0
-    table = _XTable()
 
     def g(s):  # the integrand at tau = s^a omega, times dtau / (omega ds)
         nonlocal n_evals
         taus = s ** a * omega
         vals, n, _ = _kernel_tau_batch(spec, taus, u, math.log(a) + (a - 1.0) * np.log(s)
-                                       - taus * rate, rtol, table)
+                                       - taus * rate, rtol)
         n_evals += n
         return vals
 

@@ -51,36 +51,10 @@ from szegofock.profile import (_bregman, _cut_widths, _kernel_tau_batch, _log_in
                                _log_inner_floor)
 from szegofock.weights import conjugate_spec, profile_dp, profile_p
 
+from scan_log_inner import mpmath_log_inner, scan as scan_log_inner
+
 PI = math.pi
 SQRT_PI = math.sqrt(PI)
-
-
-def _mpmath_log_inner(mpmath, alpha, tau, eta, dps=30):
-    """log I(eta, tau) for p = |x|^alpha / alpha by mpmath.quad at dps digits.
-
-    The integrand is taken in the offset d = r - c from the peak c =
-    sign(eta) mu(eta), as exp(-2 tau D(c + d, c)) with D the Bregman
-    divergence of p written out, so dps must cover the cancellation of its
-    terms of size |c|^alpha.  The integrand is log-concave with its peak 1
-    at d = 0, so once it is below 1e-40 at -+H the tails beyond hold less
-    than 1e-40 H; H doubles from the eta = 0 decay length until that holds.
-    """
-    with mpmath.workdps(dps):
-        a, tau, eta = mpmath.mpf(alpha), mpmath.mpf(tau), mpmath.mpf(eta)
-        ap = a / (a - 1)
-        c = mpmath.sign(eta) * abs(eta) ** (1 / (a - 1))
-        pc, dpc = abs(c) ** a / a, mpmath.sign(c) * abs(c) ** (a - 1)
-
-        def f(d):
-            return mpmath.exp(-2 * tau * (abs(c + d) ** a / a - pc - dpc * d))
-
-        H = (45 * a / (2 * tau)) ** (1 / a)
-        while f(-H) > 1e-40 or f(H) > 1e-40:
-            H *= 2
-        pts = {-H, -H / 8, 0, H / 8, H}
-        if abs(c) < H:
-            pts.add(-c)
-        return float(2 * tau * abs(eta) ** ap / ap + mpmath.log(mpmath.quad(f, sorted(pts))))
 
 
 def test_inner_integral_gaussian_closed_form(cfg):
@@ -124,7 +98,7 @@ def test_effective_conjugate_gaussian_far_peak(cfg):
 def test_effective_conjugate_against_mpmath(cfg):
     mpmath = pytest.importorskip("mpmath")
     tau, eta = 60.0, 30.0
-    ref = _mpmath_log_inner(mpmath, 1.5, tau, eta) / (2.0 * tau)
+    ref = mpmath_log_inner(mpmath, 1.5, tau, eta) / (2.0 * tau)
     assert effective_conjugate(profile_power(1.5), tau, eta, cfg) == pytest.approx(ref, rel=1e-12)
 
 
@@ -133,7 +107,7 @@ def test_effective_conjugate_far_peak_against_mpmath(cfg):
     # at the peak unless the exponent is formed as a Bregman divergence
     mpmath = pytest.importorskip("mpmath")
     tau, eta = 60.0, 1e3
-    ref = _mpmath_log_inner(mpmath, 1.5, tau, eta)
+    ref = mpmath_log_inner(mpmath, 1.5, tau, eta)
     got = 2.0 * tau * effective_conjugate(profile_power(1.5), tau, eta, cfg)
     assert abs(got - ref) <= 1e-12 * abs(ref)
 
@@ -148,7 +122,7 @@ NEAR_ONE_CASES = [(1.001, 1.0, 0.3), (1.01, 10.0, 0.9), (1.02, 10.0, 3.0),
 @pytest.mark.parametrize("alpha, tau, eta", NEAR_ONE_CASES)
 def test_effective_conjugate_near_alpha_one_against_mpmath(alpha, tau, eta, cfg):
     mpmath = pytest.importorskip("mpmath")
-    ref = _mpmath_log_inner(mpmath, alpha, tau, eta, dps=80)
+    ref = mpmath_log_inner(mpmath, alpha, tau, eta, dps=80)
     spec = profile_power(alpha)
     got = 2.0 * tau * effective_conjugate(spec, tau, eta, cfg)
     assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
@@ -461,29 +435,6 @@ def test_tau_batch_kernel_window_ends_decay(monkeypatch, weight, phase):
         assert np.all(ends - log_terms.max(axis=1) <= -40.0)
 
 
-def test_tau_batch_kernel_table_must_contain_every_peak():
-    # a table whose window stops short of a row's peak x* is not used, even
-    # where the row's terms at its ends have decayed and the batch's own
-    # window is wider: summed on it, that row would lose its whole mass
-    spec, u = gaussian(), 1.0 + 0.05j
-    table = profile_module._XTable()
-    _kernel_tau_batch(spec, np.array([0.05, 0.3]), u, np.zeros(2), 1e-10, table)
-    taus = np.array([0.3, 6400.0])
-    vr = taus ** 0.5 * u.real
-    x_star = profile_dp(spec, 0.5 * vr)
-    assert x_star[-1] > table.hi
-    ends = np.array([table.lo, table.hi])
-    expo = (np.multiply.outer(vr, ends) - _log_inner_floor(spec, ends)
-            - (x_star * vr - _log_inner_floor(spec, x_star))[:, None])
-    assert np.all(expo <= -45.0)
-    log_factor = -0.25 * taus * (u * u).real
-    got = _kernel_tau_batch(spec, taus, u, log_factor, 1e-10, table)[0]
-    fresh = _kernel_tau_batch(spec, taus, u, log_factor, 1e-10)[0]
-    assert np.all(np.abs(got - fresh) <= 1e-14 * np.abs(fresh))
-    ref = taus / (2.0 * PI) * np.exp(0.25 * taus * u * u + log_factor)
-    assert np.all(np.abs(got - ref) <= 1e-8 * np.abs(ref))
-
-
 def test_tau_batch_kernel_complex_tau_gaussian_closed():
     # on a ray tau = r omega, K_tau(u) = (tau / 2 pi) e^{tau u^2 / 4}
     for u in (0.6 + 0.2j, -0.9 + 0.1j, 1.4 - 0.3j):
@@ -492,6 +443,16 @@ def test_tau_batch_kernel_complex_tau_gaussian_closed():
             got = _kernel_tau_batch(gaussian(), taus, u, np.zeros(taus.size), 1e-13)[0]
             ref = taus / (2.0 * PI) * np.exp(0.25 * taus * u * u)
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+
+def test_tau_batch_kernel_far_apart_peaks_gaussian_closed():
+    # real taus whose peaks x* lie far apart, on the batch's own window,
+    # scaled into the float range
+    taus, u = np.array([0.3, 6400.0]), 1.0 + 0.05j
+    log_factor = -0.25 * taus * (u * u).real
+    got = _kernel_tau_batch(gaussian(), taus, u, log_factor, 1e-10)[0]
+    ref = taus / (2.0 * PI) * np.exp(0.25 * taus * u * u + log_factor)
+    assert np.all(np.abs(got - ref) <= 1e-8 * np.abs(ref))
 
 
 def test_tau_batch_kernel_lone_unsettled_row_raises(monkeypatch):
@@ -623,8 +584,7 @@ def test_szego_profile_gaussian_equal_z_small_gap(x, gap, loose):
     assert _within_tol(res, ref, loose)
     assert abs(res.value - ref) <= res.abs_err_estimate
     if (x, gap) == (3.0, 0.05):
-        # the batches share the call's x table only where it serves them:
-        # no more work than with a window and levels of its own in each
+        # each batch on a window fitted to its own rows
         assert res.n_evals <= 34_419_004
 
 
@@ -853,20 +813,6 @@ def test_szego_profile_decaying_point_takes_one_batch(spec, p1, p2, config, monk
     assert len(inner_calls) == 1
 
 
-@pytest.mark.parametrize("spec, p1, p2", [
-    _DECAYING_POINTS[0],
-    (profile_power(3.0), BoundaryPoint(0.41 + 0.02j, 0.06), BoundaryPoint(0.49 - 0.01j, 0.11)),
-], ids=["gaussian", "alpha3"])
-def test_szego_profile_batches_share_one_x_table(spec, p1, p2, monkeypatch):
-    # at criterion 04's tight config the tau rule refines after its first
-    # batch, which spans the whole ray, so its x table serves every later
-    # batch: they compute no log J
-    inner_calls = _count_ray_batches(monkeypatch)
-    szego_profile(spec, p1, p2, QuadConfig(abs_tol=1e-14, rel_tol=1e-11, max_subdivisions=4000))
-    assert len(inner_calls) >= 2 and inner_calls[0] >= 1
-    assert inner_calls[1:] == [0] * (len(inner_calls) - 1)
-
-
 def test_szego_profile_gaussian_estimate_is_honest(loose):
     rng = np.random.default_rng(11)
     for _ in range(6):
@@ -903,7 +849,7 @@ def test_sandwich_bounds_examples(cfg):
 def test_sandwich_bounds_near_alpha_one(cfg):
     # alpha = 1.01 puts the peaks at eta^100, so the eta = 0 row shares a
     # batch with windows 1e79 wide; the dual alpha' = 101 has walls at
-    # |r| ~ 1 that neither the two-panel nor the graded rule resolves
+    # |r| ~ 1, 1/100 wide, where its panels are cut
     spec = profile_power(1.01)
     grid = np.linspace(0.0, 30.0, 25)
     rep = sandwich_bounds_check(spec, 1.0, 1.5, grid, cfg)
@@ -911,10 +857,11 @@ def test_sandwich_bounds_near_alpha_one(cfg):
     logI, _ = _log_inner_batch(spec, 1.0, grid, 1e-10)
     alone = [_log_inner_batch(spec, 1.0, [eta], 1e-10)[0][0] for eta in grid]
     np.testing.assert_allclose(logI, alone, rtol=1e-10, atol=1e-10)
-    # each row leaves the batch at the order it settles, and the dual's rows
-    # that settle only on halved panels go there from the batch at once, so
-    # a batch is its rows: the same work, and the same values to rounding
-    # (the Gaussian and alpha 4 take the nested trapezoid rule: the same holds)
+    # each row leaves the batch at the order it settles, on panels of its
+    # own, so a batch is its rows: the same work, and the same values to
+    # rounding; the dual runs on panels cut at its walls (the Gaussian and
+    # alpha 4 take the nested trapezoid rule: the same holds)
+    assert conjugate_spec(spec).alpha > profile_module._WALL_ALPHA
     for spec, grid, rtol in ((conjugate_spec(spec), grid, 1e-8),
                              (profile_power(1.5), np.linspace(-6.0, 6.0, 65), 5e-10),
                              (gaussian(), np.linspace(-6.0, 6.0, 65), 5e-10),
@@ -944,7 +891,7 @@ def test_log_inner_even_alpha_trapezoid_against_mpmath(alpha):
     for tau in (0.05, 1.0, 60.0):
         logI, _ = _log_inner_batch(profile_power(alpha), tau, etas, 1e-13)
         for eta, got in zip(etas, logI):
-            ref = _mpmath_log_inner(mpmath, alpha, tau, eta)
+            ref = mpmath_log_inner(mpmath, alpha, tau, eta)
             assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (tau, eta, got, ref)
 
 
@@ -976,7 +923,7 @@ def test_log_inner_y_squared_panels_against_mpmath(alpha):
             except DomainError as exc:
                 assert "overflows" in str(exc)
                 continue
-            ref = _mpmath_log_inner(mpmath, alpha, tau, eta, dps=80 if alpha < 1.05 else 30)
+            ref = mpmath_log_inner(mpmath, alpha, tau, eta, dps=80 if alpha < 1.05 else 30)
             assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (tau, eta, got, ref)
 
 
@@ -992,19 +939,31 @@ def test_log_inner_batch_steep_walls_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     dual = conjugate_spec(profile_power(1.01))
     logI, _ = _log_inner_batch(dual, 1.0, [2.5], 1e-10)
-    ref = _mpmath_log_inner(mpmath, dual.alpha, 1.0, 2.5)
+    ref = mpmath_log_inner(mpmath, dual.alpha, 1.0, 2.5)
     assert abs(logI[0] - ref) <= 1e-10 * abs(ref)
 
 
-def test_log_inner_batch_wall_inside_a_panel_against_mpmath():
-    # alpha' = 201 at rtol 1e-8: a window cut at the end-decay point keeps
-    # the orders from agreeing on a wrong value where a panel's middle holds
-    # the wall at r = -1 (the grow-and-halve windows returned 1.3304629)
+@pytest.mark.parametrize("alpha, tau", [(1.005, 1.0), (1.001, 0.05)])
+def test_log_inner_batch_wall_inside_a_panel_against_mpmath(alpha, tau):
+    # the duals alpha' = 201 and 1001 at eta = 1, rtol 1e-8: two orders of
+    # a panel that holds a wall at r = -+1 can agree on a wrong value (the
+    # grow-and-halve windows returned 1.3304629 at alpha' = 201, and panels
+    # graded toward r = 0 returned 0.7034710 at alpha' = 1001)
     mpmath = pytest.importorskip("mpmath")
-    dual = conjugate_spec(profile_power(1.005))
-    logI, _ = _log_inner_batch(dual, 1.0, [1.0], 1e-8)
-    ref = _mpmath_log_inner(mpmath, dual.alpha, 1.0, 1.0)
+    dual = conjugate_spec(profile_power(alpha))
+    logI, _ = _log_inner_batch(dual, tau, [1.0], 1e-8)
+    ref = mpmath_log_inner(mpmath, dual.alpha, tau, 1.0)
     assert abs(logI[0] - ref) <= 1e-8 * abs(ref)
+
+
+def test_log_inner_wall_slice_against_mpmath():
+    # a slice of tests/scan_log_inner.py: the walls of the duals alpha' =
+    # 1001, 101 and 11 against the reference split at them; no wrong value,
+    # no raise but the float range's, no RuntimeWarning
+    mpmath = pytest.importorskip("mpmath")
+    duals = [conjugate_spec(profile_power(a)).alpha for a in (1.001, 1.01, 1.1)]
+    assert scan_log_inner(mpmath, duals, (0.05, 1.0, 60.0), (0.0, 0.001, 1.0, 30.0),
+                          (1e-8, 1e-13)) == []
 
 
 @pytest.mark.parametrize("alpha", [4.0, 7.0, 101.0, 201.0, 1001.0])
@@ -1043,15 +1002,15 @@ def test_cut_widths_end_at_the_decay_point(alpha):
         assert np.all(2.0 * _bregman(spec, widths / 1.05, cs) <= cutoff)
 
 
-def test_log_inner_batch_fallback_panels_against_mpmath():
-    # the walls of alpha' = 1001 at |r| = 1 outrun the two panels' ladder at
-    # rtol 5e-10: the row settles only after the graded retry and a halving
-    # (alpha' = 201 at tau = eta = 1 did so on windows wider than its cut)
+def test_log_inner_wall_panels_settle_at_the_second_order():
+    # the walls of alpha' = 1001 at |r| = 1 outran the two panels' ladder at
+    # rtol 5e-10; cut also at seven points about each wall, the window's 16
+    # panels settle at the second order
     mpmath = pytest.importorskip("mpmath")
     dual = conjugate_spec(profile_power(1.001))
     logI, n_evals = _log_inner_batch(dual, 0.3, [0.3], 5e-10)
-    assert n_evals > 2 * sum(profile_module._GL_ORDERS)
-    ref = _mpmath_log_inner(mpmath, dual.alpha, 0.3, 0.3)
+    assert n_evals == 16 * (64 + 96)
+    ref = mpmath_log_inner(mpmath, dual.alpha, 0.3, 0.3)
     assert abs(logI[0] - ref) <= 5e-10 * abs(ref)
 
 
@@ -1097,7 +1056,7 @@ def test_log_inner_batch_against_mpmath(alpha, tau):
     etas = np.array([0.0, 0.3, -1.0, 2.5, 8.0])
     logI, _ = _log_inner_batch(profile_power(alpha), tau, etas)
     for eta, got in zip(etas, logI):
-        ref = _mpmath_log_inner(mpmath, alpha, tau, eta)
+        ref = mpmath_log_inner(mpmath, alpha, tau, eta)
         assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref)), (eta, got, ref)
 
 
@@ -1373,7 +1332,7 @@ def test_effective_conjugate_property_against_mpmath():
                       tau=st.floats(math.log(0.05), math.log(60.0)).map(math.exp),
                       eta=st.floats(-20.0, 20.0))
     def check(alpha, tau, eta):
-        ref = _mpmath_log_inner(mpmath, alpha, tau, eta)
+        ref = mpmath_log_inner(mpmath, alpha, tau, eta)
         got = effective_conjugate(profile_power(alpha), tau, eta)
         assert abs(2.0 * tau * got - ref) <= 1e-9 * max(1.0, abs(ref))
 
