@@ -30,10 +30,10 @@ a != 2.
 
 Every caller takes the inner integral I from one batched engine,
 `_log_inner_batch`, which computes log J alone, at x = tau^(1-1/a) eta: a
-nested trapezoid rule at even alpha, where the exponent is entire, and
-Gauss-Legendre panels split at r = 0 otherwise, run in y, r = -+y^2, below
-alpha 2 and cut about the walls at |r| = 1 above _WALL_ALPHA; DomainError
-where the term 2 |x|^alpha' it forms passes e^700.
+nested trapezoid rule at even alpha up to _WALL_ALPHA, where the exponent
+is entire, and Gauss-Legendre panels split at r = 0 otherwise, run in y,
+r = -+y^2, below alpha 2 and cut about the walls at |r| = 1 above
+_WALL_ALPHA; DomainError where the term 2 |x|^alpha' it forms passes e^700.
 I is the exponential of twice tau times a smoothed conjugate of p; its
 growth is squeezed between scaled copies of the Young conjugate p*, which
 `sandwich_bounds_check` verifies on a grid, and for large tau it follows
@@ -92,9 +92,9 @@ from .weights import (
 _EXP_CUTOFF = 45.0
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _SIDES = np.array([-1.0, 1.0])
-# above this alpha the inner rule's panels are also cut about the walls at
-# |r| = 1; without the cuts its two panels need order 144 at alpha 21-51,
-# 324 past 120, and run out of orders from 175
+# above this alpha the inner rule runs its panels, at even alpha too, cut
+# also about the walls at |r| = 1; without the cuts its two panels need
+# order 144 at alpha 21-51, 324 past 120, and run out of orders from 175
 _WALL_ALPHA = 50.0
 # Gauss-Legendre orders of the inner rule's ladder on each panel, and step
 # counts of its nested trapezoid rule at even alpha and of the kernel's in x
@@ -191,21 +191,15 @@ def _cut_widths(a, slope, cutoff=_EXP_CUTOFF):
     return np.where([slope < 0.0, slope >= 0.0], outward, inward)
 
 
+def _trapezoid_inner(a):
+    """Whether the inner rule runs its trapezoid: even alpha up to _WALL_ALPHA."""
+    return a % 2.0 == 0.0 and a <= _WALL_ALPHA
+
+
 def _floor_step(a, x):
     """h = p''(c)^(-1/2) / 2 at c = p'^-1(x), held at 1/2 from the side of c = 0."""
     h = 0.5 / math.sqrt(a - 1.0) * np.abs(x) ** ((1.0 - 0.5 * a) / (a - 1.0))
     return np.minimum(h, 0.5) if a > 2.0 else np.maximum(h, 0.5)
-
-
-def _fit_window(decayed, L, ok=None):
-    """Half-widths L grown by 1.4 where decayed(L) fails (ok: its verdict on
-    L, if known); concave exponents make end decay bound the tails."""
-    for _ in range(200):
-        ok = decayed(L) if ok is None else ok
-        if ok.all():
-            return L
-        L, ok = np.where(ok, L, 1.4 * L), None
-    raise ConvergenceError("quadrature window failed to close")
 
 
 def _settle_rows(n, level, n_levels):
@@ -272,13 +266,13 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
     rtol / 100 are far: they run in the offset r - c with D from
     `_bregman`, so a narrow peak at a huge c keeps its nodes; the others
     run in r.  Each row's window [c - L_-, c + L_+] ends 1% past where its
-    exponent falls to -45 (`_cut_table`); one probe confirms it, and a
-    side that fails grows by 1.4 (`_fit_window`).  At even
-    alpha the exponent is entire, so one nested trapezoid rule on the
+    exponent falls to -45 (`_cut_table`), and is checked there once: the
+    exponent is concave, so its ends bound its tails.  At even alpha up to
+    _WALL_ALPHA the exponent is entire, so one nested trapezoid rule on the
     window converges geometrically (Trefethen & Weideman, SIAM Review 56,
     2014); each row climbs _R_ORDERS until two levels agree to rtol.
-    Otherwise |r|^a is not smooth at r = 0: the window is split there (at
-    the peak if it does not hold r = 0), and the Gauss-Legendre order
+    Otherwise the window is split at r = 0, where |r|^a need not be smooth
+    (at the peak if it does not hold r = 0), and the Gauss-Legendre order
     climbs _GL_ORDERS until two orders agree to rtol in the log of the
     row's shifted sum; a sum of 0, a window too wide for its peak's nodes,
     goes on at once.  Below alpha 2 the two panels run from the split in
@@ -292,7 +286,7 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
     clipped to the window, so the row runs 16 panels.  Rows settle under
     `_settle_rows`, and no row's window or panels depend on its batch, so
     neither do its value and work.
-    ConvergenceError: a row unsettled at the last trapezoid level or order.
+    ConvergenceError: a window end above -45; a row unsettled at the last level.
     DomainError: a non-finite eta, or a term the rule forms, |x| mu = mu^a
     = |x|^alpha' or twice it, past e^700.
     """
@@ -317,18 +311,20 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
     def exponent(d, rows=slice(None)):  # the shifted exponent at d = r - origin, a row per x
         e = d * (2.0 * xs[rows, None])
         e -= peak[rows, None]
-        e -= profile_p(spec, d, 2.0)
-        if far is not None:
+        if far is None:
+            e -= profile_p(spec, d, 2.0)
+        else:  # p(d) of a far row may overflow where D does not
             f = far[rows]
+            e[~f] -= profile_p(spec, d[~f], 2.0)
             e[f] = -2.0 * _bregman(spec, d[f], c[rows][f, None])
         return e
 
-    # each row's (left, right) half-widths
-    L = _fit_window(lambda L: exponent(center[:, None] + L * _SIDES) <= -_EXP_CUTOFF,
-                    _cut_widths(a, xs).T)
+    L = _cut_widths(a, xs).T  # each row's (left, right) half-widths
+    if not np.all(exponent(center[:, None] + L * _SIDES) <= -_EXP_CUTOFF):
+        raise ConvergenceError("inner-integral window failed to close")
     lo, hi = center - L[:, 0], center + L[:, 1]
     n_evals = 0
-    if a % 2.0 == 0.0:
+    if _trapezoid_inner(a):
         def trapezoid(k, idx, prev):
             nonlocal n_evals
             n = _R_ORDERS[k]
@@ -378,19 +374,20 @@ def _bregman(spec, d, c):
 
     Its terms are ~|c|^a while D ~ |c|^(a-2) d^2, so for |t| < 1/4, t = d/c,
     and past a = 5 for |t| < 3 / (4 (a - 2)), D is summed as the binomial
-    series |c|^a / a sum_{k>=2} binom(a, k) t^k of (1 + t)^a - 1 - a t:
-    there no term outgrows the first, by (a - k) |t| / (k + 1), so the sum,
-    alternating for t < 0, cancels nothing.  For integer a it ends at k = a
-    (the Gaussian's is t^2); otherwise past k = a its terms shrink by 4 per
-    step, and the 30 kept past it leave 4^-30 of the largest.
+    series |c|^a / a sum_{k>=2} binom(a, k) t^k of (1 + t)^a - 1 - a t,
+    nested in the ratios r_k = (a - k) t / (k + 1) of its terms, as its
+    coefficients overflow at large a.  There every |r_k| < 1/4: no term
+    outgrows the first, so the sum, alternating for t < 0, cancels nothing.
+    It ends at k = a for integer a < 32 (the Gaussian's is t^2), else after
+    30 ratios, which leave under 4^-30 of the first term.
     """
     a = spec.alpha
-    coef = [0.5 * a * (a - 1.0)]
-    for k in range(2, int(a) if a.is_integer() else 30 + int(a)):
-        coef.append(coef[-1] * (a - k) / (k + 1))
     near = np.abs(d) < 0.75 / max(3.0, a - 2.0) * np.abs(c)
     t = np.where(near, d, 0.0) / c
-    series = profile_p(spec, c) * t * t * np.polynomial.polynomial.polyval(t, coef)
+    nested = 1.0
+    for k in range((int(a) if a.is_integer() and a < 32.0 else 32) - 1, 1, -1):
+        nested = 1.0 + (a - k) / (k + 1.0) * t * nested
+    series = profile_p(spec, c) * t * t * (0.5 * a * (a - 1.0) * nested)
     direct = profile_p(spec, c + d) - profile_p(spec, c) - profile_dp(spec, c) * d
     return np.where(near, series, direct)
 
@@ -437,7 +434,7 @@ def inner_integral(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CONFIG)
 
     One row of `_log_inner_batch` at rtol = max(1e-13, 0.05 rel_tol); the
     estimate is I (rtol + 32 ulps of log I), the last for its peak term.
-    The method names the rule that ran: trapezoid at even alpha.
+    The method names the rule that ran: trapezoid at even alpha up to 50.
     """
     log_i, rtol, n_evals = _log_inner(spec, tau, eta, cfg)
     try:
@@ -445,7 +442,7 @@ def inner_integral(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CONFIG)
     except OverflowError:
         raise DomainError("I(eta, tau) overflows the float range: log I = %.6g" % log_i) from None
     err = value * (rtol + 32.0 * EPS * abs(log_i))
-    rule = "trapezoid-batch" if spec.alpha % 2.0 == 0.0 else "gauss-legendre-batch"
+    rule = "trapezoid-batch" if _trapezoid_inner(spec.alpha) else "gauss-legendre-batch"
     return EvalResult(value, err, rule, n_evals)
 
 
@@ -519,9 +516,9 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     no row overflows and the term at x* is between e^-3 and 1.  The x
     window spans each row's cut about x* (`_cut_table` at alpha'), where
     2 D*(x, x*), D* the Bregman divergence of p*, reaches 45 plus the fall
-    of F - 2 p* = log h - [0, 1] from x*; a side grows (`_fit_window`)
-    until, with F for log J, its end terms are below e^-45 of each row's
-    term at x*.  F is a floor, so the true end terms are below e^(-45 +
+    of F - 2 p* = log h - [0, 1] from x*, and is checked once: with F for
+    log J, its end terms must be below e^-45 of each row's term at x*, else
+    ConvergenceError.  F is a floor, so the true end terms are below e^(-45 +
     log J(x*) - F(x*)), at most e^-42, of the term at x*.  There, with
     e^{xv} / J(x) analytic in a strip about the real axis, the trapezoid
     rule converges geometrically (Trefethen & Weideman, SIAM Review 56,
@@ -549,23 +546,16 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     with np.errstate(divide="ignore", over="ignore"):  # h at x = 0 (a > 2) or past the float range
         fall = np.log(_floor_step(a, x_star) / _floor_step(a, x_star + _SIDES[:, None] * widths))
     widths = _cut_widths(ap, slope, _EXP_CUTOFF + 1.0 + np.maximum(fall, 0.0))
-    ends = np.array([x_star.min(), x_star.max()])
-    L = np.array([ends[0] - np.min(x_star - widths[0]), np.max(x_star + widths[1]) - ends[1]])
-    probe = ends + _SIDES * L  # floored with the shift
-    floor = _log_inner_floor(spec, np.concatenate([x_star, probe]))
+    lo, hi = np.min(x_star - widths[0]), np.max(x_star + widths[1])
+    floor = _log_inner_floor(spec, np.append(x_star, [lo, hi]))  # the ends floored with the shift
     peak = x_star * vr - floor[:taus.size]
     log_scale = peak + log_factor + (2.0 / a) * np.log(taus) - math.log(TWO_PI)
     # checked before the x rule, which cannot settle once x* is that large
     if not np.all(np.isfinite(peak) & (log_scale.real < _LOG_FLOAT_MAX)):
         raise DomainError("K_tau(u) overflows the float range")
-
-    def decayed(xs, floor):  # per end: every row's term there below e^-45 of its term at x*
-        return np.all(np.multiply.outer(vr, xs) - floor - peak[:, None] <= -_EXP_CUTOFF, axis=0)
-
-    L = _fit_window(lambda L: decayed(ends + _SIDES * L,
-                                      _log_inner_floor(spec, ends + _SIDES * L)),
-                    L, decayed(probe, floor[taus.size:]))
-    (lo, hi), log_js = ends + _SIDES * L, []
+    if not np.all(vr[:, None] * [lo, hi] - floor[taus.size:] - peak[:, None] <= -_EXP_CUTOFF):
+        raise ConvergenceError("tau-batched kernel window failed to close")
+    log_js = []
     l1 = np.zeros(taus.size)
     n_evals = 0
 

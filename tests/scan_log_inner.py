@@ -2,9 +2,10 @@
 
     PYTHONPATH=src python tests/scan_log_inner.py
 
-runs one row per (alpha, tau, eta, rtol) of the grid below, 1,620 rows, at
-alpha 1.001-3 and at the conjugate exponents alpha' = alpha / (alpha - 1)
-of alpha 1.001-1.3, whose walls at |r| = 1 are 1/(alpha' - 1) wide.  A row
+runs one row per (alpha, tau, eta, rtol) of the grid below, 2,070 rows, at
+alpha 1.001-3, at the even alpha 52-1000 past the trapezoid rule's range,
+and at the conjugate exponents alpha' = alpha / (alpha - 1) of alpha
+1.0005-1.3, whose walls at |r| = 1 are 1/(alpha' - 1) wide.  A row
 is wrong where its error passes rtol max(1, |log I|).  The script prints
 each wrong value, each raise other than the float-range DomainError, and
 each RuntimeWarning, and exits non-zero if there is any.  It takes about a
@@ -19,8 +20,9 @@ from szegofock import DomainError, profile_power
 from szegofock.profile import _log_inner_batch
 from szegofock.weights import conjugate_spec
 
-ALPHAS = (1.001, 1.005, 1.01, 1.05, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0, 2.5, 3.0)
-DUALS = (1.001, 1.005, 1.01, 1.05, 1.1, 1.3)  # scanned at alpha / (alpha - 1)
+ALPHAS = (1.001, 1.005, 1.01, 1.05, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0, 2.5, 3.0,
+          52.0, 100.0, 400.0, 1000.0)
+DUALS = (1.0005, 1.001, 1.005, 1.01, 1.05, 1.1, 1.3)  # scanned at alpha / (alpha - 1)
 TAUS = (0.05, 0.3, 1.0, 5.0, 60.0)
 ETAS = (0.0, 0.001, 0.3, 1.0, 30.0, 1e3)
 RTOLS = (1e-8, 5e-10, 1e-13)

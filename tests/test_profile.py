@@ -65,9 +65,24 @@ def test_inner_integral_gaussian_closed_form(cfg):
     assert inner_integral(g, 2.0, 0.0, cfg).value.real == pytest.approx(
         math.sqrt(PI / 2.0), rel=1e-9)
     # the method names the rule that ran: a nested trapezoid at even alpha
+    # up to _WALL_ALPHA; above it even alpha takes the wall panels too
     for alpha, method in ((2.0, "trapezoid-batch"), (6.0, "trapezoid-batch"),
-                          (3.0, "gauss-legendre-batch"), (1.5, "gauss-legendre-batch")):
+                          (3.0, "gauss-legendre-batch"), (1.5, "gauss-legendre-batch"),
+                          (52.0, "gauss-legendre-batch")):
         assert inner_integral(profile_power(alpha), 1.0, 0.5, cfg).method == method
+
+
+@pytest.mark.parametrize("alpha, eta, cfg", [(1000.0, 1.0, QuadConfig()),
+                                          (2001.0, 3.1, QuadConfig(rel_tol=1e-12))])
+def test_inner_integral_large_alpha_against_mpmath(alpha, eta, cfg):
+    # both raised ConvergenceError: even alpha 1000 ran the trapezoid rule,
+    # which has no cuts at the walls, and at alpha 2001 the binomial
+    # coefficients of _bregman's series overflowed into NaN
+    mpmath = pytest.importorskip("mpmath")
+    res = inner_integral(profile_power(alpha), 1.0, eta, cfg)
+    assert res.method == "gauss-legendre-batch"
+    ref = math.exp(mpmath_log_inner(mpmath, alpha, 1.0, eta))
+    assert abs(res.value.real - ref) <= cfg.rel_tol * ref
 
 
 def test_effective_conjugate_gaussian(cfg):
@@ -461,6 +476,27 @@ def test_tau_batch_kernel_lone_unsettled_row_raises(monkeypatch):
     monkeypatch.setattr(profile_module, "_X_ORDERS", (32,))
     with pytest.raises(ConvergenceError, match="did not stabilise"):
         _kernel_tau_batch(gaussian(), KERNEL_TAUS[:3], 0.6 + 0.05j, np.zeros(3), 1e-12)
+
+
+@pytest.mark.parametrize("alpha, orders", [(2.0, "_R_ORDERS"), (3.0, "_GL_ORDERS")])
+def test_log_inner_unsettled_row_raises(monkeypatch, alpha, orders):
+    # with one trapezoid level or one Gauss-Legendre order no row settles
+    monkeypatch.setattr(profile_module, orders, getattr(profile_module, orders)[:1])
+    with pytest.raises(ConvergenceError, match="did not stabilise"):
+        _log_inner_batch(profile_power(alpha), 1.0, [0.5], 1e-10)
+
+
+@pytest.mark.parametrize("engine", ["inner-integral", "kernel"])
+def test_window_whose_ends_have_not_decayed_raises(monkeypatch, engine):
+    # each engine checks its cut window once and raises where an end has not
+    # decayed; it does not search for a wider one
+    cut = profile_module._cut_widths
+    monkeypatch.setattr(profile_module, "_cut_widths", lambda *args: 0.5 * cut(*args))
+    with pytest.raises(ConvergenceError, match=engine + " window failed to close"):
+        if engine == "kernel":
+            _kernel_tau_batch(profile_power(3.0), np.ones(1), 0.5, np.zeros(1), 1e-10)
+        else:
+            _log_inner_batch(profile_power(3.0), 1.0, [0.5], 1e-10)
 
 
 def test_tau_batch_kernel_reruns_only_unsettled_rows(monkeypatch):
@@ -966,19 +1002,27 @@ def test_log_inner_wall_slice_against_mpmath():
                           (1e-8, 1e-13)) == []
 
 
-@pytest.mark.parametrize("alpha", [4.0, 7.0, 101.0, 201.0, 1001.0])
-def test_bregman_large_alpha_against_mpmath(alpha):
+@pytest.mark.parametrize("alpha, tol", [(4.0, 1e-13), (7.0, 1e-13), (101.0, 1e-13), (201.0, 1e-13),
+                                        (1001.0, 1e-13),
+                                        (conjugate_spec(profile_power(1.0005)).alpha, 4.5e-13)])
+def test_bregman_large_alpha_against_mpmath(alpha, tol):
     # the binomial series of D alternates for d < 0 with terms that outgrow
     # D past alpha = 5, so it runs only where none outgrows the first: at
-    # d = -c / 4 the series had lost every digit at alpha = 201 and 1001
+    # d = -c / 4 the series had lost every digit at alpha = 201 and 1001.
+    # Where it runs, |d| < 3 |c| / (4 (alpha - 2)), its binomial
+    # coefficients overflowed into NaN past alpha 1030.  Outside, the direct
+    # form's |c + d|^alpha carries alpha times the rounding of c + d: tol
     mpmath = pytest.importorskip("mpmath")
-    c, d = 1.0223, np.linspace(-0.3, 0.3, 41)[np.arange(41) != 20] * 1.0223
+    c = 1.0223
+    series = np.linspace(-0.99, 0.99, 21)[np.arange(21) != 10] * 0.75 / max(3.0, alpha - 2.0)
+    d = np.concatenate([np.linspace(-0.3, 0.3, 41)[np.arange(41) != 20], series]) * c
     with mpmath.workdps(60):
         a, cm = mpmath.mpf(alpha), mpmath.mpf(c)
         ref = np.array([float(abs(cm + x) ** a / a - cm ** a / a - cm ** (a - 1) * x)
                         for x in map(mpmath.mpf, d)])
-    got = _bregman(profile_power(alpha), d, np.full(d.size, c))
-    assert np.max(np.abs(got - ref) / ref) <= 1e-13
+    rel = np.abs(_bregman(profile_power(alpha), d, np.full(d.size, c)) - ref) / ref
+    assert np.max(rel[:40]) <= tol
+    assert np.max(rel[40:]) <= 1e-14
 
 
 @pytest.mark.parametrize("alpha", [1.001, 1.01, 1.5, 2.0, 3.0, 4.0, 101.0, 201.0])
