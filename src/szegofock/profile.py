@@ -15,8 +15,9 @@ substitution x = tau^(1-1/a) eta reduces every tau to tau = 1:
 So one engine, `_kernel_tau_batch`, serves both kernels: for a vector of
 tau it keeps one table of log J on one shared, nested trapezoid rule in x,
 its window and each row's shift taken from a closed-form floor of log J
-(`_log_inner_floor`).  It and the inner `_log_inner_batch` settle their
-rows under one policy, `_settle_rows`, on windows cut by `_cut_table`.
+(`_log_inner_floor`), its first inner call taking every level to the one
+after the start the poles of 1/J allow.  It and `_log_inner_batch` settle
+their rows under one policy, `_settle_rows`, on windows cut by `_cut_table`.
 `bergman_profile` is one row; `szego_profile` takes all tau nodes of a
 step at once, each batch on a window fitted to its own rows.
 K_1 is entire, so the tau integral may run along a ray tau = r omega in
@@ -200,6 +201,41 @@ def _floor_step(a, x):
     """h = p''(c)^(-1/2) / 2 at c = p'^-1(x), held at 1/2 from the side of c = 0."""
     h = 0.5 / math.sqrt(a - 1.0) * np.abs(x) ** ((1.0 - 0.5 * a) / (a - 1.0))
     return np.minimum(h, 0.5) if a > 2.0 else np.maximum(h, 0.5)
+
+
+@lru_cache(maxsize=16)
+def _pole_distance(a):
+    """d, the distance of the poles of 1/J from the real axis: inf for a <=
+    2, where e^{-|r|^a} has a positive Fourier transform, else the first
+    zero of J(iy) = 2 int_0^inf cos(2 r y) e^{-2 r^a / a} dr (the argument
+    principle finds none of J nearer), on a grid of step 1/16 and by Newton,
+    in the series sum_k (-1)^k (2y)^(2k) (a/2)^(m-1) Gamma(m) / (2k)!, m =
+    (2k + 1) / a; up to y = 3 its 64 terms stay below e^8, past it d = inf."""
+    if a <= 2.0:
+        return math.inf
+    k = np.arange(64.0)
+    m = (2.0 * k + 1.0) / a
+    c = np.exp(k * math.log(4.0) + (m - 1.0) * math.log(0.5 * a)
+               + [math.lgamma(x) - math.lgamma(2.0 * j + 1.0) for j, x in zip(k, m)])
+    c[1::2] *= -1.0  # J(iy) = sum_k c_k y^(2k)
+    ys = np.arange(1.0, 49.0) / 16.0
+    f = (ys * ys)[:, None] ** k @ c
+    if f.min() > 0.0:
+        return math.inf
+    y = ys[np.argmax(f <= 0.0)]
+    for _ in range(8):
+        y -= (y * y) ** k @ c / (y * ((y * y) ** k[:-1] @ (2.0 * k[1:] * c[1:])))
+    return float(y)
+
+
+def _x_start_level(a, width, osc, peak, rtol):
+    """The x rule's start: the coarsest level but the last whose step h =
+    width / n has e^{(|Im v| - 2 pi / h) d - peak} <= 50 rtol / width for a
+    row, d = `_pole_distance(a)`: its terms are e^{i x Im v} times a function
+    analytic in |Im x| < d, about e^-peak at the poles, and its L1 norm is
+    below about the width; 50 was fitted to settle levels at alpha 2.5-51."""
+    rate = np.min(np.maximum(math.log(50.0 / (rtol * width)) - peak, 0.0) / _pole_distance(a) + osc)
+    return int(np.count_nonzero(width * rate > TWO_PI * np.array(_X_ORDERS[:-2])))
 
 
 def _settle_rows(n, level, n_levels):
@@ -421,27 +457,31 @@ def _log_inner_floor(spec: WeightSpec, x):
         return np.where(np.isinf(log_peak), log_peak, log_peak + np.fmax(gain[0], gain[1]))
 
 
-def _log_inner(spec, tau, eta, cfg):
-    """(log I(eta, tau), rtol, n_evals) at `bergman_profile`'s inner rtol."""
+def _log_inner(spec, tau, eta, rtol):
+    """(log I(eta, tau), its error, n_evals) at rtol: rtol, 32 ulps of log I,
+    a' times the rounding of x = tau^(1-1/a) eta and of log |x| for the
+    peak term 2 |x|^a' / a', and a ulps for |r|^a at a large a's walls."""
     _require_profile(spec)
-    rtol = max(1e-13, 0.05 * cfg.rel_tol)
-    log_i, n_evals = _log_inner_batch(spec, _check_tau(tau), [float(eta)], rtol)
-    return float(log_i[0]), rtol, n_evals
+    a, tau, eta = spec.alpha, _check_tau(tau), float(eta)
+    log_i, n_evals = _log_inner_batch(spec, tau, [eta], rtol)
+    x, log_i = abs(tau ** (1.0 - 1.0 / a) * eta), float(log_i[0])
+    ulps = 1.0 + 0.5 * (abs(math.log(tau)) + math.log1p(x))
+    return log_i, rtol + EPS * (32.0 * abs(log_i) + 2.0 * ulps * x ** (a / (a - 1.0)) + a), n_evals
 
 
 def inner_integral(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CONFIG) -> EvalResult:
     """I(eta, tau) = int_R exp(2 tau (r eta - p(r))) dr > 0.
 
     One row of `_log_inner_batch` at rtol = max(1e-13, 0.05 rel_tol); the
-    estimate is I (rtol + 32 ulps of log I), the last for its peak term.
-    The method names the rule that ran: trapezoid at even alpha up to 50.
+    estimate is I times the error of log I from `_log_inner`.  The method
+    names the rule that ran: trapezoid at even alpha up to 50.
     """
-    log_i, rtol, n_evals = _log_inner(spec, tau, eta, cfg)
+    log_i, err, n_evals = _log_inner(spec, tau, eta, max(1e-13, 0.05 * cfg.rel_tol))
     try:
         value = math.exp(log_i)
     except OverflowError:
         raise DomainError("I(eta, tau) overflows the float range: log I = %.6g" % log_i) from None
-    err = value * (rtol + 32.0 * EPS * abs(log_i))
+    err *= value
     rule = "trapezoid-batch" if _trapezoid_inner(spec.alpha) else "gauss-legendre-batch"
     return EvalResult(value, err, rule, n_evals)
 
@@ -453,7 +493,7 @@ def effective_conjugate(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CO
     lam > 1, and converging to p*(eta) as tau grows.  log I is one row of
     `_log_inner_batch` at rtol = max(1e-13, 0.05 rel_tol).
     """
-    return _log_inner(spec, tau, eta, cfg)[0] / (2.0 * tau)
+    return _log_inner(spec, tau, eta, max(1e-13, 0.05 * cfg.rel_tol))[0] / (2.0 * tau)
 
 
 def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFIG) -> EvalResult:
@@ -520,13 +560,13 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     log J, its end terms must be below e^-45 of each row's term at x*, else
     ConvergenceError.  F is a floor, so the true end terms are below e^(-45 +
     log J(x*) - F(x*)), at most e^-42, of the term at x*.  There, with
-    e^{xv} / J(x) analytic in a strip about the real axis, the trapezoid
+    e^{xv} / J(x) analytic in |Im x| < d (`_pole_distance`), the trapezoid
     rule converges geometrically (Trefethen & Weideman, SIAM Review 56,
     2014), and its levels nest, as do its L1 norms sum |e^expo| h
-    (`_nested_sum`); no row settles at the first level, so its inner call
-    takes the second's new nodes too.
-    Each row takes levels until it agrees with the previous one to rtol
-    times its L1 norm on a step that resolves its oscillation
+    (`_nested_sum`); no row settles up to the start this allows
+    (`_x_start_level`), so one inner call takes every level to the next.
+    Each row then takes levels until it agrees with the previous one to
+    rtol times its L1 norm on a step that resolves its oscillation
     (`_settle_rows`), and keeps the finer level: each term carries the
     inner rule's relative error rtol, and where a complex v makes the
     terms oscillate and cancel, their errors do not cancel with them.
@@ -555,9 +595,11 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
         raise DomainError("K_tau(u) overflows the float range")
     if not np.all(vr[:, None] * [lo, hi] - floor[taus.size:] - peak[:, None] <= -_EXP_CUTOFF):
         raise ConvergenceError("tau-batched kernel window failed to close")
-    log_js = []
-    l1 = np.zeros(taus.size)
-    n_evals = 0
+    start, l1 = _x_start_level(a, hi - lo, osc, peak, rtol), np.zeros(taus.size)
+    m = 2 << start  # the first inner call's nodes per level-0 step
+    log_j, n_evals = _log_inner_batch(spec, 1.0, lo + (hi - lo) / (_X_ORDERS[0] * m)
+                                      * np.arange(_X_ORDERS[0] * m + 1), rtol)
+    log_js = [log_j[::m]] + [log_j[m >> j::m >> j - 1] for j in range(1, start + 2)]
 
     def level(k, idx, prev):
         nonlocal n_evals
@@ -565,10 +607,8 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
         h = (hi - lo) / n
         xs = lo + h * _nested_nodes(k, n)
         if k == len(log_js):
-            # no row settles at level one, so its call takes level two's midpoints too
-            fetch = lo + 0.5 * h * np.arange(2 * n + 1) if k == 0 else xs
-            log_j, ne = _log_inner_batch(spec, 1.0, fetch, rtol)
-            log_js.extend([log_j[0::2], log_j[1::2]] if k == 0 else [log_j])
+            log_j, ne = _log_inner_batch(spec, 1.0, xs, rtol)
+            log_js.append(log_j)
             n_evals += ne
         expo = np.multiply.outer(v[idx], xs)
         n_evals += expo.size
@@ -577,7 +617,7 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
         terms = np.exp(expo, out=expo)
         vals = _nested_sum(prev, h, terms)
         l1[idx] = _nested_sum(l1[idx], h, np.abs(terms))  # the ends are halved at level 0
-        resolved = h * osc[idx] <= math.pi
+        resolved = (h * osc[idx] <= math.pi) & (k > start)
         return vals, np.where(resolved, rtol * l1[idx], -1.0)
 
     vals, diffs, unsettled = _settle_rows(taus.size, level, len(_X_ORDERS))

@@ -1,4 +1,4 @@
-"""Scan log I(eta, tau) from `_log_inner_batch` against an mpmath reference.
+"""Scan log I(eta, tau) from `_log_inner` against an mpmath reference.
 
     PYTHONPATH=src python tests/scan_log_inner.py
 
@@ -6,18 +6,20 @@ runs one row per (alpha, tau, eta, rtol) of the grid below, 2,070 rows, at
 alpha 1.001-3, at the even alpha 52-1000 past the trapezoid rule's range,
 and at the conjugate exponents alpha' = alpha / (alpha - 1) of alpha
 1.0005-1.3, whose walls at |r| = 1 are 1/(alpha' - 1) wide.  A row
-is wrong where its error passes rtol max(1, |log I|).  The script prints
-each wrong value, each raise other than the float-range DomainError, and
-each RuntimeWarning, and exits non-zero if there is any.  It takes about a
-minute, mostly in the reference; pytest does not collect it, and
-`test_log_inner_wall_slice_against_mpmath` runs a slice of it.
+is wrong where its error passes rtol max(1, |log I|), or the error that
+`_log_inner` gives it, which `inner_integral` charges to I.  The script
+prints each wrong value or short estimate, each raise other than the
+float-range DomainError, and each RuntimeWarning, and exits non-zero if
+there is any.  It takes about a minute, mostly in the reference; pytest
+does not collect it, and `test_log_inner_wall_slice_against_mpmath` runs
+a slice of it.
 """
 import itertools
 import sys
 import warnings
 
 from szegofock import DomainError, profile_power
-from szegofock.profile import _log_inner_batch
+from szegofock.profile import _log_inner
 from szegofock.weights import conjugate_spec
 
 ALPHAS = (1.001, 1.005, 1.01, 1.05, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0, 2.5, 3.0,
@@ -63,8 +65,9 @@ def mpmath_log_inner(mpmath, alpha, tau, eta, dps=30):
 
 
 def scan(mpmath, alphas, taus, etas, rtols):
-    """The rows of the grid that fail, one line each: a wrong value, a raise
-    other than the float-range DomainError, or a RuntimeWarning."""
+    """The rows of the grid that fail, one line each: a wrong value, a short
+    estimate, a raise other than the float-range DomainError, or a
+    RuntimeWarning."""
     failures = []
     for alpha, tau, eta in itertools.product(alphas, taus, etas):
         spec, ref = profile_power(alpha), None
@@ -73,7 +76,7 @@ def scan(mpmath, alphas, taus, etas, rtols):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
-                    got = float(_log_inner_batch(spec, tau, [eta], rtol)[0][0])
+                    got, est, _ = _log_inner(spec, tau, eta, rtol)
             except DomainError as exc:
                 if "float range" not in str(exc):
                     failures.append("%s: DomainError: %s" % (row, exc))
@@ -84,8 +87,10 @@ def scan(mpmath, alphas, taus, etas, rtols):
             if ref is None:
                 ref = mpmath_log_inner(mpmath, alpha, tau, eta, 80 if alpha < 1.05 else 30)
             miss = abs(got - ref) / (rtol * max(1.0, abs(ref)))
-            if not miss <= 1.0:
-                failures.append("%s: %.16g against %.16g, %.3g rtol" % (row, got, ref, miss))
+            short = abs(got - ref) / est
+            if not (miss <= 1.0 and short <= 1.0):
+                failures.append("%s: %.16g against %.16g, %.3g rtol, %.3g estimates"
+                                % (row, got, ref, miss, short))
     return failures
 
 

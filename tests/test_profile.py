@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -377,12 +378,26 @@ def test_tau_batch_kernel_matches_bergman_profile(weight, cfg):
             assert abs(value - ref) <= 1e-9 * abs(ref)
 
 
-def test_tau_batch_kernel_evaluates_each_x_node_once(monkeypatch):
-    # the nested trapezoid rule: no row settles at level one, so the first
-    # inner call takes levels one and two, 65 nodes; each later level only
-    # the midpoints new to it, so across levels no log J is recomputed; x*
-    # and the window come from the closed-form floor of log J, so every
-    # inner call is a rule level
+def _recorded_starts(monkeypatch):
+    """The start level of each `_kernel_tau_batch` x rule, as it runs."""
+    starts, start_level = [], profile_module._x_start_level
+
+    def recorded(*args):
+        starts.append(start_level(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(profile_module, "_x_start_level", recorded)
+    return starts
+
+
+@pytest.mark.parametrize("alpha, u, rtol, start", [(3.0, -0.9 + 0.02j, 5e-9, 1),
+                                                  (4.0, 1.4 - 0.03j, 1e-13, 2)])
+def test_tau_batch_kernel_evaluates_each_x_node_once(monkeypatch, alpha, u, rtol, start):
+    # the nested trapezoid rule: no row settles up to its start level k0,
+    # so the first inner call takes every node of levels 0 to k0 + 1,
+    # 2 n_k0 + 1 of them; each later level only the midpoints new to it, so
+    # across levels no log J is recomputed; x* and the window come from the
+    # closed-form floor of log J, so every inner call is a rule level
     calls, depth = [], [0]
     inner = profile_module._log_inner_batch
 
@@ -396,11 +411,11 @@ def test_tau_batch_kernel_evaluates_each_x_node_once(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(profile_module, "_log_inner_batch", recorded)
-    _kernel_tau_batch(profile_power(3.0), KERNEL_TAUS, 1.4 - 0.03j,
-                      np.zeros(KERNEL_TAUS.size), 5e-9)
-    sizes = [xs.size for xs in calls]
-    assert sizes[0] == 65 and len(sizes) >= 2
-    assert sizes[1:] == [64 * 2 ** k for k in range(len(sizes) - 1)]
+    starts = _recorded_starts(monkeypatch)
+    _kernel_tau_batch(profile_power(alpha), KERNEL_TAUS, u, np.zeros(KERNEL_TAUS.size), rtol)
+    sizes, n = [xs.size for xs in calls], profile_module._X_ORDERS[start]
+    assert starts == [start] and sizes[0] == 2 * n + 1 and len(sizes) >= 2
+    assert sizes[1:] == [2 * n * 2 ** k for k in range(len(sizes) - 1)]
     nodes = np.concatenate(calls)
     assert np.unique(nodes).size == nodes.size
     h = np.diff(np.sort(nodes))
@@ -426,9 +441,9 @@ def test_log_inner_floor_bounds_log_j(alpha):
 @pytest.mark.parametrize("phase", [0.0, -0.5])
 def test_tau_batch_kernel_window_ends_decay(monkeypatch, weight, phase):
     # the window is fitted from the floor of log J; with log J itself the
-    # terms at the ends of level one (every other node of the first inner
-    # call) are still below e^-40 of each row's largest term, on the real
-    # tau axis and on a complex ray
+    # terms at the ends of the start level (every other node of the first
+    # inner call) are still below e^-40 of each row's largest term, on the
+    # real tau axis and on a complex ray
     spec = parse_weight(weight)
     taus = KERNEL_TAUS * complex(math.cos(phase), math.sin(phase))
     calls, inner = [], profile_module._log_inner_batch
@@ -438,16 +453,79 @@ def test_tau_batch_kernel_window_ends_decay(monkeypatch, weight, phase):
         return inner(spec, tau, etas, rtol)
 
     monkeypatch.setattr(profile_module, "_log_inner_batch", recorded)
+    starts = _recorded_starts(monkeypatch)
     for u in (0.6 + 0.05j, -0.9 + 0.02j, 1.4 - 0.03j):
         calls.clear()
+        starts.clear()
         _kernel_tau_batch(spec, taus, u, np.zeros(taus.size), 5e-10)
         xs = calls[0][0::2]
-        assert xs.size == 33
+        assert xs.size == profile_module._X_ORDERS[starts[0]] + 1
         log_j, _ = inner(spec, 1.0, xs, 1e-12)
         v = taus ** (1.0 / spec.alpha) * u
         log_terms = np.multiply.outer(v.real, xs) - log_j
         ends = np.maximum(log_terms[:, 0], log_terms[:, -1])
         assert np.all(ends - log_terms.max(axis=1) <= -40.0)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0, 10.0, 51.0])
+def test_tau_batch_kernel_start_level_never_overshoots(monkeypatch, alpha):
+    # started at level 0 instead of at the level the poles of 1/J allow,
+    # every row settles at the same level, with the same work, value and
+    # estimate, or raises alike: none could have settled before the start;
+    # real and complex u, tau real and on a complex ray, two rtols
+    spec, settle = profile_power(alpha), profile_module._settle_rows
+    starts, levels = _recorded_starts(monkeypatch), []
+    start_level = profile_module._x_start_level
+
+    def recorded_settle(n, level, n_levels):
+        if "_kernel_tau_batch" not in level.__qualname__:
+            return settle(n, level, n_levels)
+        last = np.zeros(n, dtype=int)
+
+        def recorded(k, idx, prev):
+            last[idx] = k
+            return level(k, idx, prev)
+
+        out = settle(n, recorded, n_levels)
+        levels.append(np.where(out[2], -1, last).tolist())
+        return out
+
+    monkeypatch.setattr(profile_module, "_settle_rows", recorded_settle)
+    for u, phase, rtol in itertools.product((0.6, -1.8, 1.4 - 0.3j, -0.9 + 1.0j), (0.0, -0.5),
+                                            (5e-10, 1e-13)):
+        taus = KERNEL_TAUS * complex(math.cos(phase), math.sin(phase))
+        runs = []
+        for forced in (True, False):
+            levels.clear()
+            monkeypatch.setattr(profile_module, "_x_start_level",
+                                (lambda *args: 0) if forced else start_level)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, n_evals, err = _kernel_tau_batch(spec, taus, u, np.zeros(taus.size), rtol)
+                runs.append((got.tolist(), n_evals, err.tolist(), levels[:]))
+            except ConvergenceError as exc:  # a lone unsettled row, from either start
+                runs.append((str(exc), levels[:]))
+        assert runs[0] == runs[1]
+    assert max(starts) > 0
+
+
+@pytest.mark.parametrize("alpha, ref", [(2.5, 1.72029), (3.0, 1.55895), (4.0, 1.45200),
+                                        (6.0, 1.40353), (10.0, 1.40312), (51.0, 1.49042)])
+def test_pole_distance_against_mpmath(alpha, ref):
+    # the first zero of J(iy) = 2 int_0^inf cos(2 r y) e^{-2 r^a / a} dr,
+    # the reference split at the wall r = 1 that alpha 51's integrand falls at
+    mpmath = pytest.importorskip("mpmath")
+    a = mpmath.mpf(alpha)
+
+    def j(y):
+        return mpmath.quad(lambda r: mpmath.cos(2 * r * y) * mpmath.exp(-2 * r ** a / a),
+                           [0, 1, 2, mpmath.inf])
+
+    d = profile_module._pole_distance(alpha)
+    assert abs(d - float(mpmath.findroot(j, ref))) <= 1e-10
+    assert abs(d - ref) <= 1e-5
+    # e^{-|r|^a} has a positive Fourier transform for a <= 2
+    assert profile_module._pole_distance(2.0) == profile_module._pole_distance(1.5) == math.inf
 
 
 def test_tau_batch_kernel_complex_tau_gaussian_closed():
@@ -1000,6 +1078,16 @@ def test_log_inner_wall_slice_against_mpmath():
     duals = [conjugate_spec(profile_power(a)).alpha for a in (1.001, 1.01, 1.1)]
     assert scan_log_inner(mpmath, duals, (0.05, 1.0, 60.0), (0.0, 0.001, 1.0, 30.0),
                           (1e-8, 1e-13)) == []
+
+
+def test_log_inner_estimate_charges_exponent_rounding():
+    # rows whose error passed rtol + 32 ulps of log I: the peak term
+    # 2 |x|^a' / a' at alpha 1.005 and 1.01 carries a' times the rounding
+    # of x, and |r|^a at alpha 2001's walls a times that of r
+    mpmath = pytest.importorskip("mpmath")
+    assert scan_log_inner(mpmath, (1.005, 1.01), (0.05, 60.0), (30.0,), (1e-13,)) == []
+    wall = conjugate_spec(profile_power(1.0005)).alpha
+    assert scan_log_inner(mpmath, (wall,), (5.0,), (1.0,), (1e-13,)) == []
 
 
 @pytest.mark.parametrize("alpha, tol", [(4.0, 1e-13), (7.0, 1e-13), (101.0, 1e-13), (201.0, 1e-13),
