@@ -15,9 +15,11 @@ substitution x = tau^(1-1/a) eta reduces every tau to tau = 1:
 So one engine, `_kernel_tau_batch`, serves both kernels: for a vector of
 tau it keeps one table of log J on one shared, nested trapezoid rule in x,
 its window and each row's shift taken from a closed-form floor of log J
-(`_log_inner_floor`), its first inner call taking every level to the one
-after the start the poles of 1/J allow.  It and `_log_inner_batch` settle
-their rows under one policy, `_settle_rows`, on windows cut by `_cut_table`.
+(`_log_inner_floor`) and snapped onto the lattice h0 Z of its level-0
+step, so log J, even as p is, is computed once per |x|; its first inner
+call takes every level to the one after the start the poles of 1/J allow.
+It and `_log_inner_batch` settle their rows under one policy,
+`_settle_rows`, on windows cut by `_cut_table`.
 `bergman_profile` is one row; `szego_profile` takes all tau nodes of a
 step at once, each batch on a window fitted to its own rows.
 K_1 is entire, so the tau integral may run along a ray tau = r omega in
@@ -405,6 +407,17 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
     return peak + log_vals - np.log(tau) / a, n_evals
 
 
+def _even_log_j(spec, q, h, rtol):
+    """(log J at x = q h, n_evals) for a run q of integers of step 1 or 2,
+    from one `_log_inner_batch` call at the distinct |q| h: J is even, and
+    (-q) h = -(q h) exactly.  The distinct |q| are a run of the same step
+    from the least of them, so q maps into it by arithmetic alone."""
+    aq = np.abs(q)
+    base, step = aq.min(), q[1] - q[0]
+    log_j, n_evals = _log_inner_batch(spec, 1.0, h * np.arange(base, aq.max() + 1.0, step), rtol)
+    return log_j[((aq - base) / step).astype(np.intp)], n_evals
+
+
 def _bregman(spec, d, c):
     """D(c + d, c) = p(c + d) - p(c) - p'(c) d >= 0 for p = |x|^a / a, c != 0.
 
@@ -501,7 +514,7 @@ def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFI
     max(1e-13, 0.05 rel_tol); depends on (z, w) through u = z + conj w.
     Its x window is fitted from the closed-form floor of log J, so
     n_evals counts only the x rule's nodes: the inner evaluations of log J
-    there, plus one per node for its term.
+    at their distinct |x| (J is even), plus one per node for its term.
 
     The estimate is the last level difference plus rtol times the terms'
     L1 norm.  Where the terms cancel (large Im u) that norm can exceed |K|
@@ -549,8 +562,13 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
         K_tau(u) = tau^(2/a) / (2 pi) int_R exp(x v - log J(x)) dx,
 
     and every tau shares one table of log J on one trapezoid rule.  log J
-    is computed only at the rule's nodes; the shift and the window take
-    its closed-form floor F (`_log_inner_floor`), F <= log J <= F + 3.
+    is computed only at the rule's nodes, once per |x| (`_even_log_j`):
+    the window is snapped outward onto the lattice h0 Z of its level-0
+    step h0, each side by less than h0, past ends checked below (x Re v -
+    log J is concave, so the terms fall on outward), so the nodes of level
+    k are q h0 / 2^k, q an integer, 0 and each pair +-x among them, and J
+    is even.  The shift and the window take the closed-form floor F of
+    log J (`_log_inner_floor`), F <= log J <= F + 3.
     Row k is shifted by x* Re v - F(x*) at its peak x* = p'(Re v / 2), and
     the shift is folded into log_factor before the final exponential, so
     no row overflows and the term at x* is between e^-3 and 1.  The x
@@ -572,9 +590,9 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     terms oscillate and cancel, their errors do not cancel with them.
     Rows left unsettled go on in contiguous halves, each with a window
     fitted to its own, nearer x*.  n_evals counts the inner evaluations
-    made at the rule's nodes plus the tau x x cells of the rows still
-    active; the shift and the window cost none.  A row's error estimate
-    is its last level difference plus rtol times its L1 norm.
+    made at the distinct |x| of the rule's nodes plus the tau x x cells of
+    the rows still active; the shift and the window cost none.  A row's
+    error estimate is its last level difference plus rtol times its L1 norm.
     """
     taus = np.asarray(taus)
     a = spec.alpha
@@ -595,22 +613,23 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
         raise DomainError("K_tau(u) overflows the float range")
     if not np.all(vr[:, None] * [lo, hi] - floor[taus.size:] - peak[:, None] <= -_EXP_CUTOFF):
         raise ConvergenceError("tau-batched kernel window failed to close")
-    start, l1 = _x_start_level(a, hi - lo, osc, peak, rtol), np.zeros(taus.size)
+    h0 = (hi - lo) / (_X_ORDERS[0] - 1)
+    j0 = math.ceil(-lo / h0)  # the window snapped to h0 Z: [-j0, n_0 - j0] h0
+    start, l1 = _x_start_level(a, _X_ORDERS[0] * h0, osc, peak, rtol), np.zeros(taus.size)
     m = 2 << start  # the first inner call's nodes per level-0 step
-    log_j, n_evals = _log_inner_batch(spec, 1.0, lo + (hi - lo) / (_X_ORDERS[0] * m)
-                                      * np.arange(_X_ORDERS[0] * m + 1), rtol)
+    log_j, n_evals = _even_log_j(spec, np.arange(_X_ORDERS[0] * m + 1.0) - j0 * m, h0 / m, rtol)
     log_js = [log_j[::m]] + [log_j[m >> j::m >> j - 1] for j in range(1, start + 2)]
 
     def level(k, idx, prev):
         nonlocal n_evals
         n = _X_ORDERS[k]
-        h = (hi - lo) / n
-        xs = lo + h * _nested_nodes(k, n)
+        h = h0 * _X_ORDERS[0] / n
+        q = _nested_nodes(k, n) - j0 * n / _X_ORDERS[0]  # x = q h, on the lattice
         if k == len(log_js):
-            log_j, ne = _log_inner_batch(spec, 1.0, xs, rtol)
+            log_j, ne = _even_log_j(spec, q, h, rtol)
             log_js.append(log_j)
             n_evals += ne
-        expo = np.multiply.outer(v[idx], xs)
+        expo = np.multiply.outer(v[idx], h * q)
         n_evals += expo.size
         expo -= log_js[k]
         expo -= peak[idx, None]
