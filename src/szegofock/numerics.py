@@ -182,19 +182,25 @@ class _PanelSet:
             self.err += neg_err  # neg_err = -old panel error
             m = 0.5 * (a + b)
             self.add([a, m], [m, b])
+        if not (cmath.isfinite(self.total) and math.isfinite(self.err)):
+            raise ConvergenceError("adaptive quadrature reached a non-finite value %r +- %r"
+                                   % (self.total, self.err))
         return self.total, self.err
 
 
 def integrate_interval(f, a, b, cfg=DEFAULT_CONFIG, breakpoints=()):
-    """Adaptive GK15 integral of f over the finite interval [a, b].
+    """Adaptive GK15 integral of f from finite a to b: minus that over [b, a] for b < a.
 
     Optional breakpoints seed panel edges (poles, ridges, known scales).
     """
-    pts = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
+    lo, hi = sorted((float(a), float(b)))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("integration ends must be finite")
+    pts = sorted({lo, hi, *(float(p) for p in breakpoints if lo < p < hi)})
     ps = _PanelSet(f)
     ps.add(pts[:-1], pts[1:])
     total, err = ps.refine(cfg)
-    return EvalResult(total, err, "gk15-adaptive", ps.n_evals)
+    return EvalResult(total if a <= b else -total, err, "gk15-adaptive", ps.n_evals)
 
 
 def _grow_window(f, cfg, center, width, two_sided):
@@ -211,8 +217,9 @@ def _grow_window(f, cfg, center, width, two_sided):
     evaluated along the way are kept.  Returns the panel set after
     adaptive refinement.
     """
-    c = float(center)
-    W = float(width)
+    c, W = float(center), float(width)
+    if not (math.isfinite(c) and 0.0 < W < math.inf):
+        raise DomainError("the window needs a finite center and a positive, finite width")
     ps = _PanelSet(f)
     if two_sided:
         prev = ps.add([c - W, c], [c, c + W])

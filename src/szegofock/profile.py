@@ -16,8 +16,8 @@ So one engine, `_kernel_tau_batch`, serves both kernels: for a vector of
 tau it keeps one table of log J on one shared, nested trapezoid rule in x,
 its window and each row's shift taken from a closed-form floor of log J
 (`_log_inner_floor`) and snapped onto the lattice h0 Z of its level-0
-step, so log J, even as p is, is computed once per |x|; its first inner
-call takes every level to the one after the start the poles of 1/J allow.
+step, so log J, even as p is, is computed once per |x|; its levels start,
+one direct sum, at the level the poles of 1/J allow.
 It and `_log_inner_batch` settle their rows under one policy,
 `_settle_rows`, on windows cut by `_cut_table`.
 `bergman_profile` is one row; `szego_profile` takes all tau nodes of a
@@ -235,7 +235,8 @@ def _x_start_level(a, width, osc, peak, rtol):
     width / n has e^{(|Im v| - 2 pi / h) d - peak} <= 50 rtol / width for a
     row, d = `_pole_distance(a)`: its terms are e^{i x Im v} times a function
     analytic in |Im x| < d, about e^-peak at the poles, and its L1 norm is
-    below about the width; 50 was fitted to settle levels at alpha 2.5-51."""
+    below about the width; 50 was fitted to settle levels at alpha 2.5-51.
+    No coarser level is summed, so the first a row can settle at is the next."""
     rate = np.min(np.maximum(math.log(50.0 / (rtol * width)) - peak, 0.0) / _pole_distance(a) + osc)
     return int(np.count_nonzero(width * rate > TWO_PI * np.array(_X_ORDERS[:-2])))
 
@@ -581,8 +582,8 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     e^{xv} / J(x) analytic in |Im x| < d (`_pole_distance`), the trapezoid
     rule converges geometrically (Trefethen & Weideman, SIAM Review 56,
     2014), and its levels nest, as do its L1 norms sum |e^expo| h
-    (`_nested_sum`); no row settles up to the start this allows
-    (`_x_start_level`), so one inner call takes every level to the next.
+    (`_nested_sum`); they start, one direct sum, at the level this allows
+    (`_x_start_level`), and one inner call takes it and the next level.
     Each row then takes levels until it agrees with the previous one to
     rtol times its L1 norm on a step that resolves its oscillation
     (`_settle_rows`), and keeps the finer level: each term carries the
@@ -617,29 +618,28 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     j0 = math.ceil(-lo / h0)  # the window snapped to h0 Z: [-j0, n_0 - j0] h0
     start, l1 = _x_start_level(a, _X_ORDERS[0] * h0, osc, peak, rtol), np.zeros(taus.size)
     m = 2 << start  # the first inner call's nodes per level-0 step
-    log_j, n_evals = _even_log_j(spec, np.arange(_X_ORDERS[0] * m + 1.0) - j0 * m, h0 / m, rtol)
-    log_js = [log_j[::m]] + [log_j[m >> j::m >> j - 1] for j in range(1, start + 2)]
+    first, n_evals = _even_log_j(spec, np.arange(_X_ORDERS[0] * m + 1.0) - j0 * m, h0 / m, rtol)
 
     def level(k, idx, prev):
         nonlocal n_evals
-        n = _X_ORDERS[k]
+        n = _X_ORDERS[start + k]  # the ladder's level k
         h = h0 * _X_ORDERS[0] / n
         q = _nested_nodes(k, n) - j0 * n / _X_ORDERS[0]  # x = q h, on the lattice
-        if k == len(log_js):
+        if k < 2:  # level 0's nodes are the first call's even ones, level 1's new ones its odd
+            log_j = first[k::2]
+        else:
             log_j, ne = _even_log_j(spec, q, h, rtol)
-            log_js.append(log_j)
             n_evals += ne
         expo = np.multiply.outer(v[idx], h * q)
         n_evals += expo.size
-        expo -= log_js[k]
+        expo -= log_j
         expo -= peak[idx, None]
         terms = np.exp(expo, out=expo)
         vals = _nested_sum(prev, h, terms)
         l1[idx] = _nested_sum(l1[idx], h, np.abs(terms))  # the ends are halved at level 0
-        resolved = (h * osc[idx] <= math.pi) & (k > start)
-        return vals, np.where(resolved, rtol * l1[idx], -1.0)
+        return vals, np.where(h * osc[idx] <= math.pi, rtol * l1[idx], -1.0)
 
-    vals, diffs, unsettled = _settle_rows(taus.size, level, len(_X_ORDERS))
+    vals, diffs, unsettled = _settle_rows(taus.size, level, len(_X_ORDERS) - start)
     rest = np.flatnonzero(unsettled)
     scale = np.exp(log_scale)
     vals, err = scale * vals, np.abs(scale) * (diffs + rtol * l1)
@@ -863,7 +863,7 @@ def laplace_asymptotic(spec: WeightSpec, eta, tau_grid,
     Exact for the Gaussian profile; ratios approach 1 like 1/tau otherwise.
     The reciprocal prefactor orientation (tau p''/2 pi)^{1/2}, which also
     circulates, is evaluated alongside for reference -- it grows like tau
-    against the true value and is reported, not asserted.
+    against the true value and is reported, not asserted.  tau_grid comes back sorted.
     """
     _require_profile(spec)
     eta = float(eta)
@@ -872,7 +872,7 @@ def laplace_asymptotic(spec: WeightSpec, eta, tau_grid,
     if p2d <= 0.0:
         raise DomainError("degenerate maximizer: p'' vanishes at mu(eta)")
     pstar = young_conjugate_closed(spec, eta)
-    taus = np.array([_check_tau(tau) for tau in np.ravel(tau_grid)])
+    taus = np.sort([_check_tau(tau) for tau in np.ravel(tau_grid)])  # `converged` reads it ascending
     if not taus.size:
         raise DomainError("the tau grid is empty")
     log_i, _ = _log_inner_batch(spec, taus, np.full(taus.size, eta), max(1e-9, 0.01 * cfg.rel_tol))

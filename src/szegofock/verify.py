@@ -131,8 +131,9 @@ def reproducing_check(alpha, tau, j, z, cfg: QuadConfig = DEFAULT_CONFIG) -> flo
     """Residual of the point-evaluation identity: | int K(z,.) w^j dmu - z^j |."""
     if j < 0 or j > 8:
         raise ValueError("reproducing check is calibrated for 0 <= j <= 8")
-    if not cmath.isfinite(complex(z)):
-        raise ValueError("reproducing check requires a finite z")
+    if not (0.0 < float(alpha) < math.inf and 0.0 < float(tau) < math.inf
+            and cmath.isfinite(complex(z))):
+        raise ValueError("reproducing check requires finite alpha, tau > 0 and a finite z")
     value = _reproducing_integral(alpha, tau, j, z, cfg)
     return abs(value - complex(z) ** j)
 

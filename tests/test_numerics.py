@@ -9,6 +9,7 @@ from szegofock import (
     QuadConfig,
     TruncationError,
     integrate_half_line,
+    integrate_interval,
     integrate_plane_polar,
     integrate_real_line,
     log_gamma,
@@ -202,3 +203,46 @@ def test_complex_integrand(cfg):
     expected = SQRT_PI * math.exp(-0.25)
     assert abs(res.value - expected) < 1e-9
     assert abs(res.value.imag) < 1e-10
+
+
+def test_interval_orientation_and_breakpoints(cfg):
+    # from b back to a is minus the integral over [a, b], breakpoints included
+    for breakpoints in ((), (0.25, 0.5, 2.0)):
+        forward = integrate_interval(lambda x: x, 0.0, 1.0, cfg, breakpoints)
+        backward = integrate_interval(lambda x: x, 1.0, 0.0, cfg, breakpoints)
+        _check(forward, 0.5, cfg)
+        assert backward.value == -forward.value
+        assert (backward.abs_err_estimate, backward.n_evals) == (forward.abs_err_estimate,
+                                                                 forward.n_evals)
+    assert integrate_interval(lambda x: x, 2.0, 2.0, cfg).value == 0.0
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.nan), (-math.inf, 1.0), (math.nan, math.inf)])
+def test_interval_rejects_non_finite_ends(a, b, cfg):
+    with pytest.raises(DomainError, match="finite"):
+        integrate_interval(lambda x: x, a, b, cfg)
+
+
+@pytest.mark.parametrize("f", [lambda x: 1.0 / (x - 0.3) ** 2, lambda x: x * math.nan],
+                         ids=["double-pole", "nan"])
+def test_interval_raises_on_non_finite_results(f, cfg):
+    # a diverging or nan integrand used to return (inf, inf) or (nan, nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            integrate_interval(f, 0.0, 1.0, cfg)
+
+
+@pytest.mark.parametrize("kwargs", [dict(initial_halfwidth=-1.0), dict(initial_halfwidth=0.0),
+                                    dict(initial_halfwidth=math.inf),
+                                    dict(initial_halfwidth=math.nan), dict(center=math.nan),
+                                    dict(center=-math.inf)])
+def test_real_line_rejects_invalid_windows(kwargs, cfg):
+    # a negative width used to return -sqrt(pi) for e^{-x^2}, a zero one 0
+    with pytest.raises(DomainError, match="width"):
+        integrate_real_line(lambda x: np.exp(-x * x), cfg, **kwargs)
+
+
+@pytest.mark.parametrize("width", [0.0, -2.0, math.inf, math.nan])
+def test_half_line_rejects_invalid_windows(width, cfg):
+    with pytest.raises(DomainError, match="width"):
+        integrate_half_line(lambda x: np.exp(-x), cfg, width)

@@ -406,15 +406,17 @@ def _recorded_rule_nodes(monkeypatch):
 @pytest.mark.parametrize("alpha, u, rtol, start", [(3.0, -0.9 + 0.02j, 5e-9, 1),
                                                   (4.0, 1.4 - 0.03j, 1e-13, 2)])
 def test_tau_batch_kernel_evaluates_each_abs_x_once(monkeypatch, alpha, u, rtol, start):
-    # the nested trapezoid rule: no row settles up to its start level k0,
-    # so the first fetch takes every node of levels 0 to k0 + 1, 2 n_k0 + 1
-    # of them; each later level only the midpoints new to it.  The window
+    # the nested trapezoid rule starts at its start level k0: its first pass
+    # is one direct sum over the n_k0 + 1 nodes of that level, and no pass
+    # runs below it.  The first fetch takes the nodes of levels k0 and
+    # k0 + 1, 2 n_k0 + 1 of them; each later level only the midpoints new
+    # to it, and each pass sums the nodes its level adds.  The window
     # is snapped to its level-0 step's lattice, so with a node x its mirror
     # -x is one too, and J is even: the inner calls take each |x| once,
     # across levels too.  x* and the window come from the closed-form floor
     # of log J, so every inner call is a rule fetch
-    calls, depth = [], [0]
-    inner = profile_module._log_inner_batch
+    calls, passes, depth = [], [], [0]
+    inner, nested_sum = profile_module._log_inner_batch, profile_module._nested_sum
 
     def recorded(spec, tau, etas, rtol):
         if depth[0] == 0:
@@ -425,12 +427,20 @@ def test_tau_batch_kernel_evaluates_each_abs_x_once(monkeypatch, alpha, u, rtol,
         finally:
             depth[0] -= 1
 
+    def recorded_sum(prev, h, terms):  # an x-rule pass sums its values, then its L1 norms
+        if depth[0] == 0:
+            passes.append(terms.shape)
+        return nested_sum(prev, h, terms)
+
     monkeypatch.setattr(profile_module, "_log_inner_batch", recorded)
+    monkeypatch.setattr(profile_module, "_nested_sum", recorded_sum)
     starts, fetches = _recorded_starts(monkeypatch), _recorded_rule_nodes(monkeypatch)
     _kernel_tau_batch(profile_power(alpha), KERNEL_TAUS, u, np.zeros(KERNEL_TAUS.size), rtol)
     sizes, n = [xs.size for xs in fetches], profile_module._X_ORDERS[start]
     assert starts == [start] and sizes[0] == 2 * n + 1 and len(sizes) >= 2
     assert sizes[1:] == [2 * n * 2 ** k for k in range(len(sizes) - 1)]
+    assert passes[0] == (KERNEL_TAUS.size, n + 1) and passes[::2] == passes[1::2]
+    assert [cols for _, cols in passes[::2]] == [n + 1, n] + sizes[1:]
     assert len(calls) == len(fetches)
     rule = np.concatenate(fetches)
     assert np.unique(rule).size == rule.size
@@ -503,20 +513,27 @@ def test_tau_batch_kernel_window_ends_decay(monkeypatch, weight, phase):
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0, 10.0, 51.0])
 def test_tau_batch_kernel_start_level_never_overshoots(monkeypatch, alpha):
     # started at level 0 instead of at the level the poles of 1/J allow,
-    # every row settles at the same level, with the same work, value and
-    # estimate, or raises alike: none could have settled before the start;
+    # every row settles at the same level, with the same work, or raises
+    # alike: none could have settled before the start.  The direct sum at
+    # the start rounds apart from the nested levels below it, so the two
+    # values agree within the smaller of their estimates, not bit for bit;
     # real and complex u, tau real and on a complex ray, two rtols
     spec, settle = profile_power(alpha), profile_module._settle_rows
-    starts, levels = _recorded_starts(monkeypatch), []
-    start_level = profile_module._x_start_level
+    start_level, starts, levels = profile_module._x_start_level, [], []
+
+    def recorded_start(forced):
+        def start(*args):
+            starts.append(0 if forced else start_level(*args))
+            return starts[-1]
+        return start
 
     def recorded_settle(n, level, n_levels):
         if "_kernel_tau_batch" not in level.__qualname__:
             return settle(n, level, n_levels)
-        last = np.zeros(n, dtype=int)
+        last, start = np.zeros(n, dtype=int), starts[-1]  # the batch's start, just taken
 
         def recorded(k, idx, prev):
-            last[idx] = k
+            last[idx] = k + start
             return level(k, idx, prev)
 
         out = settle(n, recorded, n_levels)
@@ -530,15 +547,17 @@ def test_tau_batch_kernel_start_level_never_overshoots(monkeypatch, alpha):
         runs = []
         for forced in (True, False):
             levels.clear()
-            monkeypatch.setattr(profile_module, "_x_start_level",
-                                (lambda *args: 0) if forced else start_level)
+            monkeypatch.setattr(profile_module, "_x_start_level", recorded_start(forced))
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
                     got, n_evals, err = _kernel_tau_batch(spec, taus, u, np.zeros(taus.size), rtol)
-                runs.append((got.tolist(), n_evals, err.tolist(), levels[:]))
+                runs.append((levels[:], n_evals, got, err))
             except ConvergenceError as exc:  # a lone unsettled row, from either start
-                runs.append((str(exc), levels[:]))
-        assert runs[0] == runs[1]
+                runs.append((levels[:], str(exc)))
+        (forced, started), width = runs, len(runs[0])
+        assert len(started) == width and forced[:2] == started[:2]
+        if width == 4:
+            assert np.all(np.abs(forced[2] - started[2]) <= np.minimum(forced[3], started[3]))
     assert max(starts) > 0
 
 
@@ -1241,6 +1260,17 @@ def test_laplace_asymptotic_quartic(cfg):
     assert abs(rep.printed_prefactor_ratios[-1] - 1.0) > 0.5
 
 
+def test_laplace_asymptotic_reads_its_grid_in_ascending_order(cfg):
+    # the monotone and last-tau checks behind `converged` read the grid
+    # ascending, whatever order it is given in
+    ref = laplace_asymptotic(profile_power(4.0), 1.0, [1.0, 10.0, 100.0], cfg)
+    for grid in ([10.0, 1.0, 100.0], [100.0, 10.0, 1.0]):
+        rep = laplace_asymptotic(profile_power(4.0), 1.0, grid, cfg)
+        assert rep.converged == ref.converged is True
+        assert np.array_equal(rep.tau_grid, ref.tau_grid)
+        assert np.array_equal(rep.ratios, ref.ratios)
+
+
 def test_laplace_asymptotic_is_one_engine_call(monkeypatch, cfg):
     # the whole tau grid maps to x = tau^(1-1/a) eta in one call, and agrees
     # with one call per tau
@@ -1482,6 +1512,10 @@ _GRID = np.linspace(-4.0, 4.0, 17)
                  id="moment_closed-nan-tau"),
     pytest.param(lambda: reproducing_check(2.0, 1.0, 0, complex(math.nan, 0.0)), ValueError,
                  "finite z", id="reproducing_check-nan-z"),
+    pytest.param(lambda: reproducing_check(2.0, 0.0, 0, 0.5), ValueError, "tau",
+                 id="reproducing_check-zero-tau"),
+    pytest.param(lambda: reproducing_check(0.0, 1.0, 0, 0.5), ValueError, "alpha",
+                 id="reproducing_check-zero-alpha"),
     pytest.param(lambda: BoundaryPoint(0.5, math.inf), DomainError, "finite",
                  id="BoundaryPoint-inf-t"),
     pytest.param(lambda: profile_power(math.nan), DomainError, "finite",
