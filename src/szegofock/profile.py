@@ -99,9 +99,10 @@ _SIDES = np.array([-1.0, 1.0])
 # also about the walls at |r| = 1; without the cuts its two panels need
 # order 144 at alpha 21-51, 324 past 120, and run out of orders from 175
 _WALL_ALPHA = 50.0
-# Gauss-Legendre orders of the inner rule's ladder on each panel, and step
+# Gauss-Legendre orders of the inner rule's ladder on each panel, from the
+# order whose rows settle one rung up (at 64, on every panel kind), and step
 # counts of its nested trapezoid rule at even alpha and of the kernel's in x
-_GL_ORDERS = (64, 96, 144, 216, 324)
+_GL_ORDERS = (48, 64, 96, 144, 216, 324)
 _R_ORDERS = tuple(32 << k for k in range(8))
 _X_ORDERS = (32, 64, 128, 256, 512, 1024)
 
@@ -313,11 +314,13 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
     Otherwise the window is split at r = 0, where |r|^a need not be smooth
     (at the peak if it does not hold r = 0), and the Gauss-Legendre order
     climbs _GL_ORDERS until two orders agree to rtol in the log of the
-    row's shifted sum; a sum of 0, a window too wide for its peak's nodes,
-    goes on at once.  Below alpha 2 the two panels run from the split in
-    y, r = -+y^2, dr = 2 y dy, where |r|^a = y^(2a) is smooth (Davis &
-    Rabinowitz, Methods of Numerical Integration, 1984); above it the
-    substitution costs more than it saves.  Above _WALL_ALPHA the exponent
+    row's shifted sum; the ladder starts at the order whose rows settle one
+    rung up, so the first order serves only as the second's reference.  A
+    sum of 0, a window too wide for its peak's nodes, leaves unsettled at
+    once.  Below alpha 2 the two panels run from the split in y, r = -+y^2,
+    dr = 2 y dy, where |r|^a = y^(2a) is smooth (Davis & Rabinowitz,
+    Methods of Numerical Integration, 1984); above it the substitution
+    costs more than it saves.  Above _WALL_ALPHA the exponent
     is flat inside |r| < 1 and falls at a wall about 1/p''(1) = 1/(a - 1)
     wide at each |r| = 1, where two orders of a panel that holds a wall can
     agree on a wrong value; there the panels are also cut at the points

@@ -57,8 +57,8 @@ def series_coefficient(alpha, tau, k) -> float:
     tau = float(tau)
     if not (alpha > 0.0 and 0.0 < tau < math.inf):
         raise DomainError("series_coefficient requires alpha > 0 and finite tau > 0")
-    if k < 0:
-        raise DomainError("series index must be non-negative")
+    if not (k >= 0 and float(k).is_integer()):
+        raise DomainError("series index must be a finite integer >= 0")
     x = 2.0 * (k + 1) / alpha
     return (alpha / TWO_PI) * math.exp(x * math.log(2.0 * tau) - log_gamma(x))
 

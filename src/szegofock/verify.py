@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -129,8 +130,8 @@ def _reproducing_integral(alpha, tau, j, z, cfg: QuadConfig) -> complex:
 
 def reproducing_check(alpha, tau, j, z, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
     """Residual of the point-evaluation identity: | int K(z,.) w^j dmu - z^j |."""
-    if j < 0 or j > 8:
-        raise ValueError("reproducing check is calibrated for 0 <= j <= 8")
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 0 <= j <= 8:
+        raise ValueError("reproducing check is calibrated for integer j, 0 <= j <= 8")
     if not (0.0 < float(alpha) < math.inf and 0.0 < float(tau) < math.inf
             and cmath.isfinite(complex(z))):
         raise ValueError("reproducing check requires finite alpha, tau > 0 and a finite z")

@@ -43,7 +43,10 @@ class WeightSpec:
     alpha: float
 
     def __post_init__(self):
+        if not isinstance(self.family, WeightFamily):
+            raise DomainError("weight family must be a WeightFamily")
         a = float(self.alpha)
+        object.__setattr__(self, "alpha", a)
         if not math.isfinite(a):
             raise DomainError("weight exponent alpha must be finite")
         if self.family is WeightFamily.RADIAL_POWER and a <= 0.0:

@@ -10,10 +10,13 @@ is wrong where its error passes rtol max(1, |log I|), or the error that
 `_log_inner` gives it, which `inner_integral` charges to I.  The script
 prints each wrong value or short estimate, each raise other than the
 float-range DomainError, and each RuntimeWarning, and exits non-zero if
-there is any.  It takes about a minute, mostly in the reference; pytest
-does not collect it, and `test_log_inner_wall_slice_against_mpmath` runs
-a slice of it.
+there is any.  It also prints the engine's evaluation total at each rtol,
+summed from `_log_inner`'s n_evals, so a change to the rule's ladder shows
+its cost in the log.  It takes about a minute, mostly in the reference;
+pytest does not collect it, and `test_log_inner_wall_slice_against_mpmath`
+runs a slice of it.
 """
+import collections
 import itertools
 import sys
 import warnings
@@ -64,10 +67,10 @@ def mpmath_log_inner(mpmath, alpha, tau, eta, dps=30):
         return float(2 * tau * abs(eta) ** ap / ap + mpmath.log(mpmath.quad(f, pts)))
 
 
-def scan(mpmath, alphas, taus, etas, rtols):
+def scan(mpmath, alphas, taus, etas, rtols, evals=None):
     """The rows of the grid that fail, one line each: a wrong value, a short
     estimate, a raise other than the float-range DomainError, or a
-    RuntimeWarning."""
+    RuntimeWarning.  evals, a Counter if given, gains each rtol's n_evals."""
     failures = []
     for alpha, tau, eta in itertools.product(alphas, taus, etas):
         spec, ref = profile_power(alpha), None
@@ -76,7 +79,7 @@ def scan(mpmath, alphas, taus, etas, rtols):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
-                    got, est, _ = _log_inner(spec, tau, eta, rtol)
+                    got, est, n_evals = _log_inner(spec, tau, eta, rtol)
             except DomainError as exc:
                 if "float range" not in str(exc):
                     failures.append("%s: DomainError: %s" % (row, exc))
@@ -84,6 +87,8 @@ def scan(mpmath, alphas, taus, etas, rtols):
             except Exception as exc:  # a RuntimeWarning raises here too
                 failures.append("%s: %s: %s" % (row, type(exc).__name__, exc))
                 continue
+            if evals is not None:
+                evals[rtol] += n_evals
             if ref is None:
                 ref = mpmath_log_inner(mpmath, alpha, tau, eta, 80 if alpha < 1.05 else 30)
             miss = abs(got - ref) / (rtol * max(1.0, abs(ref)))
@@ -98,9 +103,12 @@ def main():
     import mpmath
 
     alphas = ALPHAS + tuple(conjugate_spec(profile_power(a)).alpha for a in DUALS)
-    failures = scan(mpmath, alphas, TAUS, ETAS, RTOLS)
+    evals = collections.Counter()
+    failures = scan(mpmath, alphas, TAUS, ETAS, RTOLS, evals)
     for line in failures:
         print(line)
+    for rtol in RTOLS:
+        print("rtol %g: %d evaluations" % (rtol, evals[rtol]))
     n_rows = len(alphas) * len(TAUS) * len(ETAS) * len(RTOLS)
     print("%d of %d rows fail" % (len(failures), n_rows))
     return 1 if failures else 0

@@ -1094,11 +1094,14 @@ def test_log_inner_y_squared_panels_against_mpmath(alpha):
 
 
 @pytest.mark.parametrize("rtol", [5e-10, 1e-13])
-def test_log_inner_y_squared_panels_evaluation_count(rtol):
-    # every row settles at the second Gauss-Legendre order on its two panels;
-    # plain panels split at r = 0 take 39,880 and 163,354 evaluations here
-    _, n_evals = _log_inner_batch(profile_power(1.5), 1.0, np.linspace(-7.0, 7.0, 65), rtol)
-    assert n_evals == 65 * 2 * (64 + 96)
+@pytest.mark.parametrize("alpha", [1.5, 3.0])
+def test_log_inner_panels_evaluation_count(alpha, rtol):
+    # every row settles at the second Gauss-Legendre order on its two panels,
+    # run in y at alpha 1.5 and plain at alpha 3; at alpha 1.5 plain panels
+    # split at r = 0 take 33,256 evaluations here at 5e-10, and run out of
+    # orders at 1e-13
+    _, n_evals = _log_inner_batch(profile_power(alpha), 1.0, np.linspace(-7.0, 7.0, 65), rtol)
+    assert n_evals == 65 * 2 * (48 + 64)
 
 
 def test_log_inner_batch_steep_walls_against_mpmath():
@@ -1193,7 +1196,7 @@ def test_log_inner_wall_panels_settle_at_the_second_order():
     mpmath = pytest.importorskip("mpmath")
     dual = conjugate_spec(profile_power(1.001))
     logI, n_evals = _log_inner_batch(dual, 0.3, [0.3], 5e-10)
-    assert n_evals == 16 * (64 + 96)
+    assert n_evals == 16 * (48 + 64)
     ref = mpmath_log_inner(mpmath, dual.alpha, 0.3, 0.3)
     assert abs(logI[0] - ref) <= 5e-10 * abs(ref)
 
@@ -1448,6 +1451,12 @@ _GRID = np.linspace(-4.0, 4.0, 17)
                  id="series_coefficient-nan-tau"),
     pytest.param(lambda: series_coefficient(2.0, math.inf, 0), DomainError, "tau",
                  id="series_coefficient-inf-tau"),
+    pytest.param(lambda: series_coefficient(2.0, 1.0, math.inf), DomainError, "integer",
+                 id="series_coefficient-inf-k"),
+    pytest.param(lambda: series_coefficient(2.0, 1.0, math.nan), DomainError, "integer",
+                 id="series_coefficient-nan-k"),
+    pytest.param(lambda: series_coefficient(2.0, 1.0, 1.5), DomainError, "integer",
+                 id="series_coefficient-fractional-k"),
     pytest.param(lambda: szego_radial_closed(math.nan, _P0, _P1), DomainError, "alpha",
                  id="szego_radial_closed-nan-alpha"),
     pytest.param(lambda: szego_radial_closed(0.0, _P0, _P1), DomainError, "alpha",
@@ -1516,6 +1525,12 @@ _GRID = np.linspace(-4.0, 4.0, 17)
                  id="reproducing_check-zero-tau"),
     pytest.param(lambda: reproducing_check(0.0, 1.0, 0, 0.5), ValueError, "alpha",
                  id="reproducing_check-zero-alpha"),
+    pytest.param(lambda: reproducing_check(2.0, 1.0, 2.5, 0.3 + 0.1j), ValueError, "integer j",
+                 id="reproducing_check-fractional-j"),
+    pytest.param(lambda: reproducing_check(2.0, 1.0, True, 0.5), ValueError, "integer j",
+                 id="reproducing_check-bool-j"),
+    pytest.param(lambda: reproducing_check(2.0, 1.0, 9, 0.5), ValueError, "integer j",
+                 id="reproducing_check-j-above-8"),
     pytest.param(lambda: BoundaryPoint(0.5, math.inf), DomainError, "finite",
                  id="BoundaryPoint-inf-t"),
     pytest.param(lambda: profile_power(math.nan), DomainError, "finite",

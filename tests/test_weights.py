@@ -6,7 +6,9 @@ from szegofock import (
     DomainError,
     UnsupportedWeight,
     WeightFamily,
+    WeightSpec,
     conjugate_spec,
+    effective_conjugate,
     eval_weight,
     format_weight,
     gaussian,
@@ -50,6 +52,19 @@ def test_constructor_validation():
     with pytest.raises(DomainError):
         profile_power(1.0 + 1e-9)  # below the alpha floor
     assert gaussian().alpha == 2.0
+
+
+def test_weight_spec_stores_a_float_alpha_and_checks_its_family():
+    # an int alpha is stored as the float it was checked as, so the profile
+    # engines see the same spec as profile_power(3.0); a family that is not
+    # a WeightFamily (here its value), which `is_profile` and `eval_weight`
+    # would read differently, is rejected
+    spec = WeightSpec(WeightFamily.PROFILE_POWER, 3)
+    assert type(spec.alpha) is float and spec == profile_power(3.0)
+    assert effective_conjugate(spec, 1.0, 1000.0) == effective_conjugate(profile_power(3.0),
+                                                                         1.0, 1000.0)
+    with pytest.raises(DomainError, match="WeightFamily"):
+        WeightSpec("profile", 3.0)
 
 
 def test_weight_derivatives_examples():
