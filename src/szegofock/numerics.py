@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ class QuadConfig:
 
     abs_tol/rel_tol: a routine stops once its error estimate drops below
     max(abs_tol, rel_tol * |value|); infinite domains are truncated on the
-    same target.
+    same target.  max_subdivisions: an integer >= 1, bools excepted.
     """
 
     abs_tol: float = 1e-10
@@ -56,8 +57,10 @@ class QuadConfig:
     def __post_init__(self):
         if not (0.0 < self.abs_tol < 1.0) or not (0.0 < self.rel_tol < 1.0):
             raise DomainError("abs_tol and rel_tol must lie in (0, 1)")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
+        n = self.max_subdivisions
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise DomainError("max_subdivisions must be an integer >= 1")
+        object.__setattr__(self, "max_subdivisions", int(n))
 
 
 DEFAULT_CONFIG = QuadConfig()

@@ -13,11 +13,13 @@ substitution x = tau^(1-1/a) eta reduces every tau to tau = 1:
     K_tau(u) = tau^(2/a) K_1(tau^(1/a) u).
 
 So one engine, `_kernel_tau_batch`, serves both kernels: for a vector of
-tau it keeps one table of log J on one shared, nested trapezoid rule in x,
-its window and each row's shift taken from a closed-form floor of log J
-(`_log_inner_floor`) and snapped onto the lattice h0 Z of its level-0
-step, so log J, even as p is, is computed once per |x|; its levels start,
-one direct sum, at the level the poles of 1/J allow.
+tau it keeps one table of log J on one shared, nested trapezoid rule in x.
+Its window and each row's shift, cut from a closed-form floor of log J
+(`_log_inner_floor`), depend on alpha and Re v alone: they are read from a
+per-alpha table (`_x_window_table`), and the window's ends are checked on
+the log J fetched there.  The window is snapped onto the lattice h0 Z of
+its level-0 step, so log J, even as p is, is computed once per |x|; its
+levels start, one direct sum, at the level the poles of 1/J allow.
 It and `_log_inner_batch` settle their rows under one policy,
 `_settle_rows`, on windows cut by `_cut_table`.
 `bergman_profile` is one row; `szego_profile` takes all tau nodes of a
@@ -86,6 +88,7 @@ from .weights import (
     inverse_derivative,
     profile_dp,
     profile_p,
+    profile_power,
     weight_derivatives,
     young_conjugate_closed,
     _require_profile,
@@ -193,6 +196,58 @@ def _cut_widths(a, slope, cutoff=_EXP_CUTOFF):
         log_c = np.log(np.abs(slope)) / (a - 1.0) - shift
         inward, outward = (np.exp(np.interp(log_c, *curve) + shift) for curve in _cut_table(a))
     return np.where([slope < 0.0, slope >= 0.0], outward, inward)
+
+
+@lru_cache(maxsize=16)
+def _x_window_table(a):
+    """The x rule's cut and shift for K_1(v), against t = log |s|, s = Re v
+    / 2: rows log L_in, log L_out, the half-widths toward 0 and away from it
+    about x* = p'(s), and the gain g = F(x*) - 2 p*(x*) of the floor F of
+    log J (`_log_inner_floor`), for s >= 0 (s < 0 is the mirror image, J
+    being even).  Built once per alpha from the two-step cut: `_cut_table`
+    at alpha' to 2 D*(x, x*) = 45, then to 46 plus the fall of log h
+    (`_floor_step`) from x* to each end, so that with F for log J its end
+    terms are below e^-45 of the term at x*.  Its nodes run evenly in t
+    where c = s varies, evenly in log x* where x* = s^(a-1) does, densely
+    where both are near 1, and at the hold of h; below them the rows are
+    flat, or no float lies, and s = 0 takes the first column.  Past |s|^a
+    = e^36, where F rounds by e^-18 and the rows' corrections are as small,
+    they run on along their asymptotes, log L ~ (a/2 - 1) t and g ~ log h
+    ~ (1 - a/2) t, to a far point."""
+    t_lo = max(-40.0 * max(1.0, 1.0 / (a - 1.0)), -745.0)
+    t_hi = 36.0 / a
+    near = 16.0 * min(1.0, 1.0 / (a - 1.0))
+    parts = [np.linspace(t_lo, t_hi, 512),
+             np.linspace(max(-40.0, (a - 1.0) * t_lo), (a - 1.0) * t_hi, 1024) / (a - 1.0),
+             np.linspace(-near, near, 1536)]
+    if a != 2.0:  # where h = 1/2
+        parts.append([math.log(a - 1.0) / (2.0 - a)])
+    t = np.sort(np.concatenate(parts))
+    t = t[np.diff(t, prepend=-np.inf) > 0]  # not np.unique: its first call imports, 10 ms
+    slope = np.append(0.0, np.exp(t))
+    x_star = slope ** (a - 1.0)
+    ap = a / (a - 1.0)
+    with np.errstate(divide="ignore"):  # h at x = 0, for a > 2
+        widths = _cut_widths(ap, slope)
+        fall = np.log(_floor_step(a, x_star) / _floor_step(a, x_star + _SIDES[:, None] * widths))
+        widths = _cut_widths(ap, slope, _EXP_CUTOFF + 1.0 + np.maximum(fall, 0.0))
+        rows = np.vstack([np.log(widths), _floor_gain(profile_power(a), x_star)])
+    far = rows[:, -1] + np.array([0.5 * a - 1.0, 0.5 * a - 1.0, 1.0 - 0.5 * a]) * 1e4
+    t, rows = np.concatenate([[t_lo - 1.0], t, [t_hi + 1e4]]), np.column_stack([rows, far])
+    t.flags.writeable = rows.flags.writeable = False  # the cache hands them to every call
+    return t, rows
+
+
+def _x_window(a, slope):
+    """(left, right, gain) of `_x_window_table` at each slope, mirrored where
+    it is negative: one lookup a row."""
+    t, rows = _x_window_table(a)
+    with np.errstate(divide="ignore"):  # slope 0 reads the first column
+        log_slope = np.log(np.abs(slope))
+    inward, outward, gain = (np.interp(log_slope, t, row) for row in rows)
+    inward, outward = np.exp(inward), np.exp(outward)
+    mirrored = slope < 0.0
+    return np.where(mirrored, outward, inward), np.where(mirrored, inward, outward), gain
 
 
 def _trapezoid_inner(a):
@@ -455,23 +510,31 @@ def _log_inner_floor(spec: WeightSpec, x):
 
         log J(x) >= 2 p*(x) + log |d| - 2 |d| |p'(c + d) - x|.
 
-    The better sign is taken, at |d| = h (`_floor_step`), half the peak's
-    width, where D <= ~1/4, but held at 1/2 where it diverges.  The
-    rounding of p'(c + d) - x, about h |x| eps, stays far below the 3 nats
-    given away, or, at a huge c, below that of 2 p*(x) = 2 |x c| / a'.
+    The better sign is taken (`_floor_gain`), at |d| = h (`_floor_step`),
+    half the peak's width, where D <= ~1/4, but held at 1/2 where it
+    diverges.  The rounding of p'(c + d) - x, about |x| eps, costs 2 h |x|
+    eps: far below the 3 nats given away, or, at a huge c, below the
+    rounding of 2 p*(x) = 2 |x c| / a'.
     """
     a = spec.alpha
     ap = a / (a - 1.0)
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        abs_x = np.abs(x)
-        abs_c = abs_x ** (1.0 / (a - 1.0))
-        h = _floor_step(a, abs_x)
-        slope = profile_dp(spec, np.sign(x) * abs_c + np.multiply.outer(_SIDES, h)) - x
-        gain = np.log(h) - 2.0 * h * np.abs(slope)
-        log_peak = 2.0 * abs_x ** ap / ap
+        log_peak = 2.0 * np.abs(x) ** ap / ap
         # where 2 p*(x) overflows so may h, and the gain is nan
-        return np.where(np.isinf(log_peak), log_peak, log_peak + np.fmax(gain[0], gain[1]))
+        return np.where(np.isinf(log_peak), log_peak, log_peak + _floor_gain(spec, x))
+
+
+def _floor_gain(spec, x):
+    """`_log_inner_floor` less 2 p*(x): log h - 2 h |p'(c -+ h) - x|, the
+    better sign, h = `_floor_step`."""
+    a = spec.alpha
+    abs_x = np.abs(x)
+    h = _floor_step(a, abs_x)
+    slope = profile_dp(spec, np.sign(x) * abs_x ** (1.0 / (a - 1.0))
+                       + np.multiply.outer(_SIDES, h)) - x
+    gain = np.log(h) - 2.0 * h * np.abs(slope)
+    return np.fmax(gain[0], gain[1])
 
 
 def _log_inner(spec, tau, eta, rtol):
@@ -516,9 +579,10 @@ def effective_conjugate(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CO
 def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFIG) -> EvalResult:
     """Bergman kernel as one row of `_kernel_tau_batch`, at inner rtol
     max(1e-13, 0.05 rel_tol); depends on (z, w) through u = z + conj w.
-    Its x window is fitted from the closed-form floor of log J, so
-    n_evals counts only the x rule's nodes: the inner evaluations of log J
-    at their distinct |x| (J is even), plus one per node for its term.
+    Its x window is read from a per-alpha table of the closed-form floor
+    of log J and its cut, so n_evals counts only the x rule's nodes: the
+    inner evaluations of log J at their distinct |x| (J is even), plus one
+    per node for its term.
 
     The estimate is the last level difference plus rtol times the terms'
     L1 norm.  Where the terms cancel (large Im u) that norm can exceed |K|
@@ -578,10 +642,17 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     no row overflows and the term at x* is between e^-3 and 1.  The x
     window spans each row's cut about x* (`_cut_table` at alpha'), where
     2 D*(x, x*), D* the Bregman divergence of p*, reaches 45 plus the fall
-    of F - 2 p* = log h - [0, 1] from x*, and is checked once: with F for
-    log J, its end terms must be below e^-45 of each row's term at x*, else
-    ConvergenceError.  F is a floor, so the true end terms are below e^(-45 +
-    log J(x*) - F(x*)), at most e^-42, of the term at x*.  There, with
+    of F - 2 p* = log h - [0, 1] from x*, so that with F for log J its end
+    terms are below e^-45 of the term at x*.  p is homogeneous, so the
+    cut and F(x*) - 2 p*(x*) depend on alpha and Re v alone: one lookup a
+    row reads them from `_x_window_table`, built once per alpha, and
+    x* Re v - 2 p*(x*) = 2 p(Re v / 2) is closed.  The window is checked
+    once, at the first level, on the log J fetched at its two snapped
+    ends: each row's terms there must be below e^-45 of its term at x*
+    (Re of the shifted exponent, before its exponential), else
+    ConvergenceError.  log J >= F and the snapped ends lie past the cut,
+    where the terms fall on, so this passes wherever the check with F at
+    the cut would, and bounds the true end terms itself.  There, with
     e^{xv} / J(x) analytic in |Im x| < d (`_pole_distance`), the trapezoid
     rule converges geometrically (Trefethen & Weideman, SIAM Review 56,
     2014), and its levels nest, as do its L1 norms sum |e^expo| h
@@ -595,28 +666,23 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     Rows left unsettled go on in contiguous halves, each with a window
     fitted to its own, nearer x*.  n_evals counts the inner evaluations
     made at the distinct |x| of the rule's nodes plus the tau x x cells of
-    the rows still active; the shift and the window cost none.  A row's
-    error estimate is its last level difference plus rtol times its L1 norm.
+    the rows still active; the shift, the window and its check cost none.
+    A row's error estimate is its last level difference plus rtol times its
+    L1 norm.
     """
     taus = np.asarray(taus)
     a = spec.alpha
     v = taus ** (1.0 / a) * u
     vr, osc = v.real, np.abs(v.imag)
-    ap, slope = spec.conjugate_alpha, 0.5 * vr
+    slope = 0.5 * vr
     x_star = profile_dp(spec, slope)
-    widths = _cut_widths(ap, slope)  # widened by the fall of log h from x* to each end
-    with np.errstate(divide="ignore", over="ignore"):  # h at x = 0 (a > 2) or past the float range
-        fall = np.log(_floor_step(a, x_star) / _floor_step(a, x_star + _SIDES[:, None] * widths))
-    widths = _cut_widths(ap, slope, _EXP_CUTOFF + 1.0 + np.maximum(fall, 0.0))
-    lo, hi = np.min(x_star - widths[0]), np.max(x_star + widths[1])
-    floor = _log_inner_floor(spec, np.append(x_star, [lo, hi]))  # the ends floored with the shift
-    peak = x_star * vr - floor[:taus.size]
+    left, right, gain = _x_window(a, slope)
+    lo, hi = (x_star - left).min(), (x_star + right).max()
+    peak = profile_p(spec, slope, 2.0) - gain  # x* Re v - F(x*), F = 2 p*(x*) + gain
     log_scale = peak + log_factor + (2.0 / a) * np.log(taus) - math.log(TWO_PI)
     # checked before the x rule, which cannot settle once x* is that large
     if not np.all(np.isfinite(peak) & (log_scale.real < _LOG_FLOAT_MAX)):
         raise DomainError("K_tau(u) overflows the float range")
-    if not np.all(vr[:, None] * [lo, hi] - floor[taus.size:] - peak[:, None] <= -_EXP_CUTOFF):
-        raise ConvergenceError("tau-batched kernel window failed to close")
     h0 = (hi - lo) / (_X_ORDERS[0] - 1)
     j0 = math.ceil(-lo / h0)  # the window snapped to h0 Z: [-j0, n_0 - j0] h0
     start, l1 = _x_start_level(a, _X_ORDERS[0] * h0, osc, peak, rtol), np.zeros(taus.size)
@@ -637,6 +703,8 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
         n_evals += expo.size
         expo -= log_j
         expo -= peak[idx, None]
+        if k == 0 and not np.all(expo.real[:, [0, -1]] <= -_EXP_CUTOFF):
+            raise ConvergenceError("tau-batched kernel window failed to close")
         terms = np.exp(expo, out=expo)
         vals = _nested_sum(prev, h, terms)
         l1[idx] = _nested_sum(l1[idx], h, np.abs(terms))  # the ends are halved at level 0

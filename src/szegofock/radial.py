@@ -51,14 +51,18 @@ _A_FLOOR = 1e-300
 _DAMPING_FLOOR = 1e-8
 
 
+def _check_index(k):
+    if not (k >= 0 and float(k).is_integer()):
+        raise DomainError("series index must be a finite integer >= 0")
+
+
 def series_coefficient(alpha, tau, k) -> float:
     """Coefficient of z^k conj(w)^k in the radial Bergman kernel."""
     alpha = float(alpha)
     tau = float(tau)
-    if not (alpha > 0.0 and 0.0 < tau < math.inf):
-        raise DomainError("series_coefficient requires alpha > 0 and finite tau > 0")
-    if not (k >= 0 and float(k).is_integer()):
-        raise DomainError("series index must be a finite integer >= 0")
+    if not (0.0 < alpha < math.inf and 0.0 < tau < math.inf):
+        raise DomainError("series_coefficient requires finite alpha > 0 and finite tau > 0")
+    _check_index(k)
     x = 2.0 * (k + 1) / alpha
     return (alpha / TWO_PI) * math.exp(x * math.log(2.0 * tau) - log_gamma(x))
 
@@ -67,8 +71,8 @@ def bergman_radial_series(alpha, tau, z, w, cfg: QuadConfig = DEFAULT_CONFIG) ->
     """Sum the kernel series; Hermitian in (z, w), real positive on the diagonal."""
     alpha = float(alpha)
     tau = float(tau)
-    if alpha <= 0.0 or not 0.0 < tau < math.inf:
-        raise DomainError("bergman_radial_series requires alpha > 0 and finite tau > 0")
+    if not (0.0 < alpha < math.inf and 0.0 < tau < math.inf):
+        raise DomainError("bergman_radial_series requires finite alpha > 0 and finite tau > 0")
     z, w = complex(z), complex(w)
     if not (cmath.isfinite(z) and cmath.isfinite(w)):
         raise DomainError("bergman_radial_series requires finite z and w")
@@ -144,11 +148,12 @@ def szego_radial_via_laplace(alpha, p1: BoundaryPoint, p2: BoundaryPoint,
 
 def gamma_step_identity_check(alpha, k, A) -> float:
     """Relative gap between int_0^inf tau^x e^{-2 A tau} dtau (numeric) and
-    Gamma(x+1) (2A)^(-x-1) (closed), x = 2(k+1)/alpha, for a complex A
-    with Re A > 0."""
+    Gamma(x+1) (2A)^(-x-1) (closed), x = 2(k+1)/alpha, for an integer k >= 0
+    and a complex A with Re A > 0."""
     alpha = float(alpha)
     if not 0.0 < alpha < math.inf:
         raise DomainError("gamma_step_identity_check requires finite alpha > 0")
+    _check_index(k)
     A = complex(A)
     if not (A.real > 0.0 and cmath.isfinite(A)):
         raise DomainError("gamma step check requires a finite A with Re A > 0")

@@ -44,6 +44,9 @@ def test_quad_config_validation():
         QuadConfig(rel_tol=2.0)
     with pytest.raises(DomainError):
         QuadConfig(max_subdivisions=0)
+    # any integer type is taken, and kept as an int
+    cfg = QuadConfig(max_subdivisions=np.int64(300))
+    assert cfg.max_subdivisions == 300 and type(cfg.max_subdivisions) is int
 
 
 def test_real_line_examples(cfg):

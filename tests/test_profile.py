@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -19,6 +20,7 @@ from szegofock import (
     bergman_from_szego_gaussian,
     bergman_gaussian_closed,
     bergman_profile,
+    bergman_radial_series,
     bergman_roundtrip_extrapolated,
     duality_finiteness_criterion,
     duality_marginal_integral,
@@ -413,8 +415,8 @@ def test_tau_batch_kernel_evaluates_each_abs_x_once(monkeypatch, alpha, u, rtol,
     # to it, and each pass sums the nodes its level adds.  The window
     # is snapped to its level-0 step's lattice, so with a node x its mirror
     # -x is one too, and J is even: the inner calls take each |x| once,
-    # across levels too.  x* and the window come from the closed-form floor
-    # of log J, so every inner call is a rule fetch
+    # across levels too.  x* and the window come from the per-alpha table of
+    # the closed-form floor of log J, so every inner call is a rule fetch
     calls, passes, depth = [], [], [0]
     inner, nested_sum = profile_module._log_inner_batch, profile_module._nested_sum
 
@@ -484,6 +486,61 @@ def test_log_inner_floor_bounds_log_j(alpha):
     assert np.all(floor <= log_j + 4.0 * np.spacing(np.abs(log_j)))
     assert np.all(log_j - floor <= 3.0)
     assert _log_inner_floor(spec, np.array([1e300]))[0] == math.inf
+
+
+@pytest.mark.parametrize("alpha", [1.001, 1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 10.0, 51.0])
+def test_x_window_table_matches_the_two_step_cut_and_floor(alpha):
+    # the kernel's per-alpha table against the formulas it is built from,
+    # on slopes across the float range, and densely where c = |slope| and
+    # x* = p'(slope) are both near 1: the cut widened by the fall of log h
+    # within 0.5%, half the 1% the cut leaves past its root, and the floor
+    # F of log J at x* within 1e-3 of the 3 it gives away, wherever F
+    # rounds by less than that
+    spec = profile_power(alpha)
+    ap, step = spec.conjugate_alpha, profile_module._floor_step
+    near = 20.0 * min(1.0, 1.0 / (alpha - 1.0))
+    t = np.concatenate([np.linspace(-744.0, math.log(np.finfo(float).max) / alpha, 20001),
+                        np.linspace(-near, near, 20001)])
+    slope = np.concatenate([[0.0], np.exp(t), -np.exp(t)])
+    x_star = profile_dp(spec, slope)
+    with np.errstate(divide="ignore", over="ignore"):  # h at x = 0; x* + L past the float range
+        widths = _cut_widths(ap, slope)
+        fall = np.log(step(alpha, x_star) / step(alpha, x_star + [[-1.0], [1.0]] * widths))
+        widths = _cut_widths(ap, slope, 46.0 + np.maximum(fall, 0.0))
+    left, right, gain = profile_module._x_window(alpha, slope)
+    assert np.all(np.abs(np.log([left, right] / widths)) <= 5e-3)
+    rounds = np.abs(slope) ** alpha < 1e15  # 2 p*(x*) = 2 (a - 1) p(slope)
+    floor = _log_inner_floor(spec, x_star[rounds])
+    got = 2.0 * np.abs(x_star[rounds]) ** ap / ap + gain[rounds]
+    assert np.all(np.abs(got - floor) <= 1e-3 + 4.0 * EPS * np.abs(floor))
+
+
+def test_tau_batch_kernel_runs_no_cut_or_floor_formula(monkeypatch):
+    # the x rule reads its cut and shift from `_x_window_table`, built once
+    # per alpha: a call runs `_cut_widths` only inside the inner rule, and
+    # no floor of log J
+    callers = []
+    cut = profile_module._cut_widths
+
+    def recorded_cut(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return cut(*args)
+
+    def forbidden(*args):
+        raise AssertionError("a kernel call ran a floor formula")
+
+    specs = [profile_power(alpha) for alpha in (1.5, 2.0, 3.0, 51.0)]
+    for spec in specs:
+        profile_module._x_window_table(spec.alpha)
+    monkeypatch.setattr(profile_module, "_cut_widths", recorded_cut)
+    for name in ("_floor_step", "_floor_gain", "_log_inner_floor"):
+        monkeypatch.setattr(profile_module, name, forbidden)
+    for spec in specs:
+        for u in (0.6 + 0.05j, -0.9 + 0.02j, 0.3j):
+            taus = KERNEL_TAUS[:5] * complex(math.cos(-0.3), math.sin(-0.3))
+            _kernel_tau_batch(spec, taus, u, np.zeros(taus.size), 1e-10)
+            bergman_profile(spec, 1.2, u, 0.1)
+    assert callers and set(callers) == {"_log_inner_batch"}
 
 
 @pytest.mark.parametrize("weight", PROFILE_WEIGHTS)
@@ -619,9 +676,16 @@ def test_log_inner_unsettled_row_raises(monkeypatch, alpha, orders):
 @pytest.mark.parametrize("engine", ["inner-integral", "kernel"])
 def test_window_whose_ends_have_not_decayed_raises(monkeypatch, engine):
     # each engine checks its cut window once and raises where an end has not
-    # decayed; it does not search for a wider one
-    cut = profile_module._cut_widths
-    monkeypatch.setattr(profile_module, "_cut_widths", lambda *args: 0.5 * cut(*args))
+    # decayed; it does not search for a wider one.  The kernel reads its
+    # half-widths from its per-alpha table, and checks the terms at the ends
+    # of its snapped window, on the log J it fetched there
+    cut, table = profile_module._cut_widths, profile_module._x_window_table
+    if engine == "kernel":
+        halved = [[math.log(2.0)], [math.log(2.0)], [0.0]]
+        monkeypatch.setattr(profile_module, "_x_window_table",
+                            lambda a: (table(a)[0], table(a)[1] - halved))
+    else:
+        monkeypatch.setattr(profile_module, "_cut_widths", lambda *args: 0.5 * cut(*args))
     with pytest.raises(ConvergenceError, match=engine + " window failed to close"):
         if engine == "kernel":
             _kernel_tau_batch(profile_power(3.0), np.ones(1), 0.5, np.zeros(1), 1e-10)
@@ -1457,6 +1521,12 @@ _GRID = np.linspace(-4.0, 4.0, 17)
                  id="series_coefficient-nan-k"),
     pytest.param(lambda: series_coefficient(2.0, 1.0, 1.5), DomainError, "integer",
                  id="series_coefficient-fractional-k"),
+    pytest.param(lambda: series_coefficient(math.inf, 1.0, 0), DomainError, "finite alpha",
+                 id="series_coefficient-inf-alpha"),
+    pytest.param(lambda: bergman_radial_series(math.inf, 1.0, 0.5, 0.5), DomainError,
+                 "finite alpha", id="bergman_radial_series-inf-alpha"),
+    pytest.param(lambda: bergman_radial_series(math.nan, 1.0, 0.5, 0.5), DomainError,
+                 "finite alpha", id="bergman_radial_series-nan-alpha"),
     pytest.param(lambda: szego_radial_closed(math.nan, _P0, _P1), DomainError, "alpha",
                  id="szego_radial_closed-nan-alpha"),
     pytest.param(lambda: szego_radial_closed(0.0, _P0, _P1), DomainError, "alpha",
@@ -1471,6 +1541,12 @@ _GRID = np.linspace(-4.0, 4.0, 17)
                  id="gamma_step_identity_check-zero-alpha"),
     pytest.param(lambda: gamma_step_identity_check(2.0, 0, complex(math.nan, 0.0)), DomainError,
                  "finite A", id="gamma_step_identity_check-nan-A"),
+    pytest.param(lambda: gamma_step_identity_check(2.0, 0.5, 1.0), DomainError, "integer",
+                 id="gamma_step_identity_check-fractional-k"),
+    pytest.param(lambda: gamma_step_identity_check(2.0, -2, 1.0), DomainError, "integer",
+                 id="gamma_step_identity_check-negative-k"),
+    pytest.param(lambda: gamma_step_identity_check(2.0, math.nan, 1.0), DomainError, "integer",
+                 id="gamma_step_identity_check-nan-k"),
     pytest.param(lambda: weight_derivatives(gaussian(), math.nan), DomainError, "finite",
                  id="weight_derivatives-nan-x"),
     pytest.param(lambda: eval_weight(gaussian(), math.nan), DomainError, "finite",
@@ -1535,6 +1611,15 @@ _GRID = np.linspace(-4.0, 4.0, 17)
                  id="BoundaryPoint-inf-t"),
     pytest.param(lambda: profile_power(math.nan), DomainError, "finite",
                  id="WeightSpec-nan-alpha"),
+    # nan subdivisions let an adaptive integral run without end
+    pytest.param(lambda: QuadConfig(max_subdivisions=math.nan), DomainError, "integer",
+                 id="QuadConfig-nan-subdivisions"),
+    pytest.param(lambda: QuadConfig(max_subdivisions=math.inf), DomainError, "integer",
+                 id="QuadConfig-inf-subdivisions"),
+    pytest.param(lambda: QuadConfig(max_subdivisions=2.5), DomainError, "integer",
+                 id="QuadConfig-fractional-subdivisions"),
+    pytest.param(lambda: QuadConfig(max_subdivisions=True), DomainError, "integer",
+                 id="QuadConfig-bool-subdivisions"),
     pytest.param(lambda: EvalResult(1.0, -1e-12, "closed", 0), DomainError, "non-negative",
                  id="EvalResult-negative-estimate"),
 ])
@@ -1560,6 +1645,35 @@ def test_effective_conjugate_property_against_mpmath():
         ref = mpmath_log_inner(mpmath, alpha, tau, eta)
         got = effective_conjugate(profile_power(alpha), tau, eta)
         assert abs(2.0 * tau * got - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    check()
+
+
+def test_bergman_profile_gaussian_property_against_closed(cfg):
+    # the Gaussian kernel at the default config, tau log-uniform in [0.05,
+    # 20] and z, w in the box |Re|, |Im| <= 3, against (tau / 2 pi) e^X, X =
+    # tau u^2 / 4: a returned value is within its estimate of it, and the
+    # estimate within the tolerance.  The x integral's terms cancel like
+    # e^{-tau (Im u)^2 / 4}, so only past tau (Im u)^2 / 4 = 10 may the call
+    # raise, and only that it cancels
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coord = st.floats(-3.0, 3.0)
+    point = st.builds(complex, coord, coord)
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @hypothesis.given(tau=st.floats(math.log(0.05), math.log(20.0)).map(math.exp),
+                      z=point, w=point)
+    def check(tau, z, w):
+        cancels = 0.25 * tau * (z + w.conjugate()).imag ** 2
+        try:
+            res = bergman_profile(gaussian(), tau, z, w, cfg)
+        except ConvergenceError as exc:
+            assert cancels >= 10.0 and "the x integral cancels" in str(exc)
+            return
+        exact = bergman_gaussian_closed(tau, z, w).value
+        assert abs(res.value - exact) <= res.abs_err_estimate
+        assert res.abs_err_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
 
     check()
 
