@@ -14,14 +14,16 @@ substitution x = tau^(1-1/a) eta reduces every tau to tau = 1:
 
 So one engine, `_kernel_tau_batch`, serves both kernels: for a vector of
 tau it keeps one table of log J on one shared, nested trapezoid rule in x.
-Its window and each row's shift, cut from a closed-form floor of log J
-(`_log_inner_floor`), depend on alpha and Re v alone: they are read from a
-per-alpha table (`_x_window_table`), and the window's ends are checked on
-the log J fetched there.  The window is snapped onto the lattice h0 Z of
-its level-0 step, so log J, even as p is, is computed once per |x|; its
-levels start, one direct sum, at the level the poles of 1/J allow.
+Its window and each row's shift, its peak less log h, h the Laplace width
+of J's peak (`_peak_width`), depend on alpha and Re v alone: they are read
+from a per-alpha table (`_x_window_table`), and the window's ends are
+checked on the log J fetched there.  The window is snapped onto the
+lattice h0 Z of its level-0 step, so log J, even as p is, is computed once
+per |x|; its levels start, one direct sum, at the level the poles of 1/J
+allow.
 It and `_log_inner_batch` settle their rows under one policy,
-`_settle_rows`, on windows cut by `_cut_table`.
+`_settle_rows`, and read their windows from per-alpha tables in
+log |slope| with one lookup, `_window`.
 `bergman_profile` is one row; `szego_profile` takes all tau nodes of a
 step at once, each batch on a window fitted to its own rows.
 K_1 is entire, so the tau integral may run along a ray tau = r omega in
@@ -88,7 +90,6 @@ from .weights import (
     inverse_derivative,
     profile_dp,
     profile_p,
-    profile_power,
     weight_derivatives,
     young_conjugate_closed,
     _require_profile,
@@ -161,12 +162,15 @@ def _unit_rule(n, squared):
 
 @lru_cache(maxsize=16)
 def _cut_table(a):
-    """log |c| against log d, inward and outward, where 2 D(c -+ d, c) = 45,
-    D the Bregman divergence of p = |x|^a / a, 1% past the root.  D(c (1 -+
-    delta), c) = |c|^a D(1 -+ delta, 1), so one pass of log a D(1 -+ delta, 1)
-    over log delta (and log(delta - 1) inward past 1, where D turns a corner
-    as a -> 1 and at large a) gives both curves; they run flat as c -> 0 and
-    on from a far point along the Gaussian width's slope 1 - a/2."""
+    """(t, rows) for `_window`: log L_in and log L_out against t = log
+    |p'(c)|, the half-widths toward 0 and away from it about c where
+    2 D(c -+ L, c) = 45, 1% past the root, D the Bregman divergence of
+    p = |x|^a / a.  D(c (1 -+ delta), c) = |c|^a D(1 -+ delta, 1), so one
+    pass of log a D(1 -+ delta, 1) over log delta (and log(delta - 1)
+    inward past 1, where D turns a corner as a -> 1 and at large a) gives
+    both curves; the rows take the union of their knots, so they keep the
+    curves' interpolants.  They run flat as c -> 0 and on from a far point
+    along the Gaussian width's slope 1 - a/2."""
     la, lo = math.log(a), math.log(1e-3 / a)
     # from where D is Gaussian to where the c -> 0 slope holds, and about large a's corner
     g = np.sort(np.concatenate([
@@ -182,38 +186,30 @@ def _cut_table(a):
     for log_delta, log_ad in ((np.concatenate([neg, np.logaddexp(0.0, g)]), inward), (t, outward)):
         log_c = (math.log(0.5 * _EXP_CUTOFF * a) - log_ad[::-1]) / a
         log_d = log_c + log_delta[::-1] + math.log(1.01)
-        curves.append((np.append(log_c, log_c[-1] + 1e4),
+        curves.append(((a - 1.0) * np.append(log_c, log_c[-1] + 1e4),
                        np.append(log_d, log_d[-1] + (1.0 - 0.5 * a) * 1e4)))
-    return curves
-
-
-def _cut_widths(a, slope, cutoff=_EXP_CUTOFF):
-    """Half-widths [left, right] about c = p'^-1(slope) where 2 D(c -+ d, c)
-    reaches cutoff K (per side and slope, or one): `_cut_table`'s cut at |c|
-    (45 / K)^(1/a), scaled back, by homogeneity."""
-    with np.errstate(divide="ignore", over="ignore"):  # c = 0; c past the float range
-        shift = np.log(cutoff / _EXP_CUTOFF) / a
-        log_c = np.log(np.abs(slope)) / (a - 1.0) - shift
-        inward, outward = (np.exp(np.interp(log_c, *curve) + shift) for curve in _cut_table(a))
-    return np.where([slope < 0.0, slope >= 0.0], outward, inward)
+    t = np.sort(np.concatenate([knots for knots, _ in curves]))
+    t = t[np.diff(t, prepend=-np.inf) > 0]
+    rows = np.array([np.interp(t, *curve) for curve in curves])
+    t.flags.writeable = rows.flags.writeable = False  # the cache hands them to every call
+    return t, rows
 
 
 @lru_cache(maxsize=16)
 def _x_window_table(a):
-    """The x rule's cut and shift for K_1(v), against t = log |s|, s = Re v
-    / 2: rows log L_in, log L_out, the half-widths toward 0 and away from it
-    about x* = p'(s), and the gain g = F(x*) - 2 p*(x*) of the floor F of
-    log J (`_log_inner_floor`), for s >= 0 (s < 0 is the mirror image, J
-    being even).  Built once per alpha from the two-step cut: `_cut_table`
-    at alpha' to 2 D*(x, x*) = 45, then to 46 plus the fall of log h
-    (`_floor_step`) from x* to each end, so that with F for log J its end
-    terms are below e^-45 of the term at x*.  Its nodes run evenly in t
-    where c = s varies, evenly in log x* where x* = s^(a-1) does, densely
-    where both are near 1, and at the hold of h; below them the rows are
-    flat, or no float lies, and s = 0 takes the first column.  Past |s|^a
-    = e^36, where F rounds by e^-18 and the rows' corrections are as small,
-    they run on along their asymptotes, log L ~ (a/2 - 1) t and g ~ log h
-    ~ (1 - a/2) t, to a far point."""
+    """(t, rows) for `_window`, the x rule's cut and shift for K_1(v)
+    against t = log s, s = |Re v| / 2 (J is even): log L_in and log L_out,
+    the half-widths toward 0 and away from it about x* = p'(s), and log h,
+    h = `_peak_width` at x*.  The cut is `_cut_table` at alpha' to
+    2 D*(x, x*) = 46 plus the fall of log h from x* to each end; 2 D* is
+    homogeneous of degree a', so its cut to 45 e^(a' k) at s is e^k times
+    its cut to 45 at s e^(-k / (a - 1)).  log h is linear in t but at its
+    hold, a node, so its row is exact.  The nodes run evenly in t where
+    c = s varies, evenly in log x* where x* = s^(a-1) does, densely where
+    both are near 1, and at the hold of h; below them the rows are flat,
+    or no float lies, and s = 0 takes the first column.  Past s^a = e^36,
+    where their corrections are below e^-18, they run on along their
+    asymptotes, log L ~ (a/2 - 1) t and log h ~ (1 - a/2) t, to a far point."""
     t_lo = max(-40.0 * max(1.0, 1.0 / (a - 1.0)), -745.0)
     t_hi = 36.0 / a
     near = 16.0 * min(1.0, 1.0 / (a - 1.0))
@@ -227,27 +223,32 @@ def _x_window_table(a):
     slope = np.append(0.0, np.exp(t))
     x_star = slope ** (a - 1.0)
     ap = a / (a - 1.0)
-    with np.errstate(divide="ignore"):  # h at x = 0, for a > 2
-        widths = _cut_widths(ap, slope)
-        fall = np.log(_floor_step(a, x_star) / _floor_step(a, x_star + _SIDES[:, None] * widths))
-        widths = _cut_widths(ap, slope, _EXP_CUTOFF + 1.0 + np.maximum(fall, 0.0))
-        rows = np.vstack([np.log(widths), _floor_gain(profile_power(a), x_star)])
+    t_cut, cut = _cut_table(ap)
+    with np.errstate(divide="ignore"):  # s = 0, and h there for a > 2
+        log_s, log_h = np.log(slope), np.log(_peak_width(a, x_star))
+        widths = np.exp([np.interp(log_s, t_cut, row) for row in cut])
+        fall = log_h - np.log(_peak_width(a, x_star + _SIDES[:, None] * widths))
+        k = np.log((_EXP_CUTOFF + 1.0 + np.maximum(fall, 0.0)) / _EXP_CUTOFF) / ap
+        rows = np.vstack([np.interp(log_s - k_side / (a - 1.0), t_cut, row) + k_side
+                          for k_side, row in zip(k, cut)] + [log_h])
     far = rows[:, -1] + np.array([0.5 * a - 1.0, 0.5 * a - 1.0, 1.0 - 0.5 * a]) * 1e4
     t, rows = np.concatenate([[t_lo - 1.0], t, [t_hi + 1e4]]), np.column_stack([rows, far])
     t.flags.writeable = rows.flags.writeable = False  # the cache hands them to every call
     return t, rows
 
 
-def _x_window(a, slope):
-    """(left, right, gain) of `_x_window_table` at each slope, mirrored where
-    it is negative: one lookup a row."""
-    t, rows = _x_window_table(a)
-    with np.errstate(divide="ignore"):  # slope 0 reads the first column
+def _window(table, slope):
+    """A window table's rows at each slope, one lookup a row, from t = log
+    |slope| (slope 0 reads the first column): log L_in and log L_out as the
+    half-widths (left, right) about the peak, mirrored where the slope is
+    negative, then the rest as they are."""
+    t, rows = table
+    with np.errstate(divide="ignore", over="ignore"):  # slope 0; widths past the float range
         log_slope = np.log(np.abs(slope))
-    inward, outward, gain = (np.interp(log_slope, t, row) for row in rows)
-    inward, outward = np.exp(inward), np.exp(outward)
+        inward, outward, *rest = (np.interp(log_slope, t, row) for row in rows)
+        inward, outward = np.exp(inward), np.exp(outward)
     mirrored = slope < 0.0
-    return np.where(mirrored, outward, inward), np.where(mirrored, inward, outward), gain
+    return (np.where(mirrored, outward, inward), np.where(mirrored, inward, outward), *rest)
 
 
 def _trapezoid_inner(a):
@@ -255,8 +256,10 @@ def _trapezoid_inner(a):
     return a % 2.0 == 0.0 and a <= _WALL_ALPHA
 
 
-def _floor_step(a, x):
-    """h = p''(c)^(-1/2) / 2 at c = p'^-1(x), held at 1/2 from the side of c = 0."""
+def _peak_width(a, x):
+    """h = p''(c)^(-1/2) / 2 at c = p'^-1(x), held at 1/2 from the side of
+    c = 0: the Laplace width of J's peak, log J(x) - 2 p*(x) tending to
+    log(2 sqrt(pi) h) as |x| grows."""
     h = 0.5 / math.sqrt(a - 1.0) * np.abs(x) ** ((1.0 - 0.5 * a) / (a - 1.0))
     return np.minimum(h, 0.5) if a > 2.0 else np.maximum(h, 0.5)
 
@@ -361,11 +364,12 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
     rtol / 100 are far: they run in the offset r - c with D from
     `_bregman`, so a narrow peak at a huge c keeps its nodes; the others
     run in r.  Each row's window [c - L_-, c + L_+] ends 1% past where its
-    exponent falls to -45 (`_cut_table`), and is checked there once: the
-    exponent is concave, so its ends bound its tails.  At even alpha up to
-    _WALL_ALPHA the exponent is entire, so one nested trapezoid rule on the
-    window converges geometrically (Trefethen & Weideman, SIAM Review 56,
-    2014); each row climbs _R_ORDERS until two levels agree to rtol.
+    exponent falls to -45 (`_cut_table`, read through `_window`), and is
+    checked there once: the exponent is concave, so its ends bound its
+    tails.  At even alpha up to _WALL_ALPHA the exponent is entire, so one
+    nested trapezoid rule on the window converges geometrically (Trefethen
+    & Weideman, SIAM Review 56, 2014); each row climbs _R_ORDERS until two
+    levels agree to rtol.
     Otherwise the window is split at r = 0, where |r|^a need not be smooth
     (at the peak if it does not hold r = 0), and the Gauss-Legendre order
     climbs _GL_ORDERS until two orders agree to rtol in the log of the
@@ -416,7 +420,7 @@ def _log_inner_batch(spec: WeightSpec, tau, etas, rtol=1e-11):
             e[f] = -2.0 * _bregman(spec, d[f], c[rows][f, None])
         return e
 
-    L = _cut_widths(a, xs).T  # each row's (left, right) half-widths
+    L = np.column_stack(_window(_cut_table(a), xs))  # each row's (left, right) half-widths
     if not np.all(exponent(center[:, None] + L * _SIDES) <= -_EXP_CUTOFF):
         raise ConvergenceError("inner-integral window failed to close")
     lo, hi = center - L[:, 0], center + L[:, 1]
@@ -500,43 +504,6 @@ def _bregman(spec, d, c):
     return np.where(near, series, direct)
 
 
-def _log_inner_floor(spec: WeightSpec, x):
-    """A closed-form lower bound on log J(x) = log I(x, 1), within 3 of it.
-
-    With c = p'^-1(x) the exponent of J is 2 p*(x) - 2 D(r, c), D the
-    Bregman divergence, and D(c + d, c) <= |d| |p'(c + d) - x| since p' is
-    increasing.  D is convex in r, so on the stretch between c and c + d
-    it is at most its value at c + d, and for either sign of d
-
-        log J(x) >= 2 p*(x) + log |d| - 2 |d| |p'(c + d) - x|.
-
-    The better sign is taken (`_floor_gain`), at |d| = h (`_floor_step`),
-    half the peak's width, where D <= ~1/4, but held at 1/2 where it
-    diverges.  The rounding of p'(c + d) - x, about |x| eps, costs 2 h |x|
-    eps: far below the 3 nats given away, or, at a huge c, below the
-    rounding of 2 p*(x) = 2 |x c| / a'.
-    """
-    a = spec.alpha
-    ap = a / (a - 1.0)
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        log_peak = 2.0 * np.abs(x) ** ap / ap
-        # where 2 p*(x) overflows so may h, and the gain is nan
-        return np.where(np.isinf(log_peak), log_peak, log_peak + _floor_gain(spec, x))
-
-
-def _floor_gain(spec, x):
-    """`_log_inner_floor` less 2 p*(x): log h - 2 h |p'(c -+ h) - x|, the
-    better sign, h = `_floor_step`."""
-    a = spec.alpha
-    abs_x = np.abs(x)
-    h = _floor_step(a, abs_x)
-    slope = profile_dp(spec, np.sign(x) * abs_x ** (1.0 / (a - 1.0))
-                       + np.multiply.outer(_SIDES, h)) - x
-    gain = np.log(h) - 2.0 * h * np.abs(slope)
-    return np.fmax(gain[0], gain[1])
-
-
 def _log_inner(spec, tau, eta, rtol):
     """(log I(eta, tau), its error, n_evals) at rtol: rtol, 32 ulps of log I,
     a' times the rounding of x = tau^(1-1/a) eta and of log |x| for the
@@ -579,10 +546,9 @@ def effective_conjugate(spec: WeightSpec, tau, eta, cfg: QuadConfig = DEFAULT_CO
 def bergman_profile(spec: WeightSpec, tau, z, w, cfg: QuadConfig = DEFAULT_CONFIG) -> EvalResult:
     """Bergman kernel as one row of `_kernel_tau_batch`, at inner rtol
     max(1e-13, 0.05 rel_tol); depends on (z, w) through u = z + conj w.
-    Its x window is read from a per-alpha table of the closed-form floor
-    of log J and its cut, so n_evals counts only the x rule's nodes: the
-    inner evaluations of log J at their distinct |x| (J is even), plus one
-    per node for its term.
+    Its x window and shift are one lookup (`_window`) in a per-alpha table,
+    so n_evals counts only the x rule's nodes: the inner evaluations of
+    log J at their distinct |x| (J is even), plus one per node for its term.
 
     The estimate is the last level difference plus rtol times the terms'
     L1 norm.  Where the terms cancel (large Im u) that norm can exceed |K|
@@ -635,24 +601,22 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     step h0, each side by less than h0, past ends checked below (x Re v -
     log J is concave, so the terms fall on outward), so the nodes of level
     k are q h0 / 2^k, q an integer, 0 and each pair +-x among them, and J
-    is even.  The shift and the window take the closed-form floor F of
-    log J (`_log_inner_floor`), F <= log J <= F + 3.
-    Row k is shifted by x* Re v - F(x*) at its peak x* = p'(Re v / 2), and
-    the shift is folded into log_factor before the final exponential, so
-    no row overflows and the term at x* is between e^-3 and 1.  The x
-    window spans each row's cut about x* (`_cut_table` at alpha'), where
-    2 D*(x, x*), D* the Bregman divergence of p*, reaches 45 plus the fall
-    of F - 2 p* = log h - [0, 1] from x*, so that with F for log J its end
-    terms are below e^-45 of the term at x*.  p is homogeneous, so the
-    cut and F(x*) - 2 p*(x*) depend on alpha and Re v alone: one lookup a
-    row reads them from `_x_window_table`, built once per alpha, and
-    x* Re v - 2 p*(x*) = 2 p(Re v / 2) is closed.  The window is checked
-    once, at the first level, on the log J fetched at its two snapped
-    ends: each row's terms there must be below e^-45 of its term at x*
-    (Re of the shifted exponent, before its exponential), else
-    ConvergenceError.  log J >= F and the snapped ends lie past the cut,
-    where the terms fall on, so this passes wherever the check with F at
-    the cut would, and bounds the true end terms itself.  There, with
+    is even.  Row k is shifted by x* Re v - 2 p*(x*) - log h(x*) at its
+    peak x* = p'(Re v / 2), h the Laplace width of J's peak
+    (`_peak_width`): log J - 2 p* - log h tends to log(2 sqrt(pi)), and
+    lies in [0, 4.5] wherever log J rounds by less than 1e-3, so the
+    shift, folded into log_factor before the final exponential, keeps
+    every row in range and its term at x* within e^-4.5 of 1.  The x
+    window spans each row's cut about x*: `_cut_table` at alpha' to
+    2 D*(x, x*) = 46 plus the fall of log h from x* to each end, D* the
+    Bregman divergence of p*.  p is homogeneous, so the cut and log h(x*)
+    depend on alpha and Re v alone: one lookup a row (`_window`) reads
+    them from `_x_window_table`, built once per alpha, and x* Re v -
+    2 p*(x*) = 2 p(Re v / 2) is closed.  The window is checked once, at
+    the first level, on the log J fetched at its two snapped ends: each
+    row's shifted terms there must be below e^-45 (Re of the shifted
+    exponent, before its exponential), else ConvergenceError; past the
+    cut the terms fall on, so this bounds the true end terms.  There, with
     e^{xv} / J(x) analytic in |Im x| < d (`_pole_distance`), the trapezoid
     rule converges geometrically (Trefethen & Weideman, SIAM Review 56,
     2014), and its levels nest, as do its L1 norms sum |e^expo| h
@@ -676,9 +640,9 @@ def _kernel_tau_batch(spec: WeightSpec, taus, u, log_factor, rtol):
     vr, osc = v.real, np.abs(v.imag)
     slope = 0.5 * vr
     x_star = profile_dp(spec, slope)
-    left, right, gain = _x_window(a, slope)
+    left, right, log_h = _window(_x_window_table(a), slope)
     lo, hi = (x_star - left).min(), (x_star + right).max()
-    peak = profile_p(spec, slope, 2.0) - gain  # x* Re v - F(x*), F = 2 p*(x*) + gain
+    peak = profile_p(spec, slope, 2.0) - log_h  # x* Re v - 2 p*(x*) - log h(x*)
     log_scale = peak + log_factor + (2.0 / a) * np.log(taus) - math.log(TWO_PI)
     # checked before the x rule, which cannot settle once x* is that large
     if not np.all(np.isfinite(peak) & (log_scale.real < _LOG_FLOAT_MAX)):
@@ -898,6 +862,8 @@ def sandwich_bounds_check(spec: WeightSpec, tau, lam, eta_grid,
     if not 0.0 < lam < math.inf:
         raise DomainError("lam must be positive and finite")
     etas = np.asarray(eta_grid, dtype=float)
+    if etas.ndim != 1:
+        raise DomainError("the eta grid must be one-dimensional")
     if etas.size < 2:
         raise DomainError("the eta grid needs at least 2 points for its end trends")
     rtol = max(1e-8, 0.01 * cfg.rel_tol)  # gap slopes are judged at 1e-3
@@ -935,6 +901,7 @@ def laplace_asymptotic(spec: WeightSpec, eta, tau_grid,
     The reciprocal prefactor orientation (tau p''/2 pi)^{1/2}, which also
     circulates, is evaluated alongside for reference -- it grows like tau
     against the true value and is reported, not asserted.  tau_grid comes back sorted.
+    DomainError where log I rounds by more than _FINAL_TOL at some tau.
     """
     _require_profile(spec)
     eta = float(eta)
@@ -947,6 +914,8 @@ def laplace_asymptotic(spec: WeightSpec, eta, tau_grid,
     if not taus.size:
         raise DomainError("the tau grid is empty")
     log_i, _ = _log_inner_batch(spec, taus, np.full(taus.size, eta), max(1e-9, 0.01 * cfg.rel_tol))
+    if np.any(EPS * np.abs(log_i) > _FINAL_TOL):  # log I - 2 tau p* would be rounding
+        raise DomainError("log I rounds by more than the ratio tolerance %g" % _FINAL_TOL)
     log_i -= 2.0 * taus * pstar
     ratios = np.exp(log_i - 0.5 * (math.log(math.pi / p2d) - np.log(taus)))
     printed = np.exp(log_i - 0.5 * (np.log(taus) + math.log(p2d / TWO_PI)))

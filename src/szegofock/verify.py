@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .boundary import BoundaryPoint
+from .errors import DomainError
 from .numerics import DEFAULT_CONFIG, TWO_PI, QuadConfig, integrate_plane_polar, log_gamma
 from .profile import (
     bergman_gaussian_closed,
@@ -80,7 +81,7 @@ def moment_oracle(alpha, tau, k, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
     """m_k = int_C |z|^{2k} e^{-2 tau |z|^alpha} dlambda, by polar quadrature."""
     alpha = float(alpha)
     tau = float(tau)
-    if not (0.0 < alpha < math.inf and 0.0 < tau < math.inf and k >= 0):
+    if not (0.0 < alpha < math.inf and 0.0 < tau < math.inf and 0 <= k < math.inf):
         raise ValueError("moment oracle requires finite alpha, tau > 0 and k >= 0")
 
     def g(r, theta):
@@ -93,14 +94,16 @@ def moment_oracle(alpha, tau, k, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
 def moment_closed(alpha, tau, k) -> float:
     """(2 pi / alpha) (2 tau)^(-2(k+1)/alpha) Gamma(2(k+1)/alpha)."""
     alpha, tau = float(alpha), float(tau)
-    if not (0.0 < alpha < math.inf and 0.0 < tau < math.inf and k >= 0):
+    if not (0.0 < alpha < math.inf and 0.0 < tau < math.inf and 0 <= k < math.inf):
         raise ValueError("moment_closed requires finite alpha, tau > 0 and k >= 0")
     x = 2.0 * (k + 1) / alpha
     return (TWO_PI / alpha) * math.exp(log_gamma(x) - x * math.log(2.0 * tau))
 
 
 def _reproducing_integral(alpha, tau, j, z, cfg: QuadConfig) -> complex:
-    """int_C K_tau(z, w) w^j e^{-2 tau |w|^alpha} dlambda(w), truncated series."""
+    """int_C K_tau(z, w) w^j e^{-2 tau |w|^alpha} dlambda(w), truncated series.
+    DomainError where a term c_k z^k, or its bound c_k (|z| radius)^k, leaves
+    the float range."""
     alpha = float(alpha)
     tau = float(tau)
     z = complex(z)
@@ -112,8 +115,14 @@ def _reproducing_integral(alpha, tau, j, z, cfg: QuadConfig) -> complex:
     k = 0
     while True:
         c = series_coefficient(alpha, tau, k)
-        mag = c * grow ** k if grow > 0.0 else (c if k == 0 else 0.0)
-        coeffs.append(c * z ** k)
+        try:
+            mag = c * grow ** k if grow > 0.0 else (c if k == 0 else 0.0)
+            coeff = c * z ** k
+        except OverflowError:
+            mag = coeff = math.inf
+        if not (mag < math.inf and cmath.isfinite(coeff)):
+            raise DomainError("a term of the truncated series at z = %s leaves the float range" % z)
+        coeffs.append(coeff)
         top = max(top, mag)
         if k >= j + 5 and (mag <= 1e-18 * top or k >= 300):
             break

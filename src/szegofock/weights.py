@@ -174,12 +174,16 @@ def young_conjugate_numeric(spec: WeightSpec, eta: float, tol: float) -> float:
     the better end.  The rounding in forming x|eta| - p(x) is then what is
     left, about 4 eps (x|eta| + p(x)); ConvergenceError where that floor
     exceeds tol, so a returned value is within tol of young_conjugate_closed.
+    DomainError where x|eta| = |eta|^alpha' at the root overflows, as there.
     """
     _require_profile(spec)
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be finite and positive")
     e = abs(eta)
-    lo, hi = 0.0, max(1.0, 2.0 * inverse_derivative(spec, e))
+    mu = inverse_derivative(spec, e)
+    if not math.isfinite(mu * e):
+        raise DomainError("p*(eta) overflows the float range")
+    lo, hi = 0.0, max(1.0, 2.0 * mu)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if profile_dp(spec, mid) < e:
             lo = mid

@@ -50,8 +50,7 @@ from szegofock import (
     young_conjugate_numeric,
 )
 import szegofock.profile as profile_module
-from szegofock.profile import (_bregman, _cut_widths, _kernel_tau_batch, _log_inner_batch,
-                               _log_inner_floor)
+from szegofock.profile import _bregman, _kernel_tau_batch, _log_inner_batch, _window
 from szegofock.weights import conjugate_spec, profile_dp, profile_p
 
 from scan_log_inner import mpmath_log_inner, scan as scan_log_inner
@@ -416,7 +415,8 @@ def test_tau_batch_kernel_evaluates_each_abs_x_once(monkeypatch, alpha, u, rtol,
     # is snapped to its level-0 step's lattice, so with a node x its mirror
     # -x is one too, and J is even: the inner calls take each |x| once,
     # across levels too.  x* and the window come from the per-alpha table of
-    # the closed-form floor of log J, so every inner call is a rule fetch
+    # the cut and the Laplace width of J's peak, so every inner call is a
+    # rule fetch
     calls, passes, depth = [], [], [0]
     inner, nested_sum = profile_module._log_inner_batch, profile_module._nested_sum
 
@@ -473,19 +473,23 @@ def test_log_inner_is_even(alpha, rtol):
     assert np.all(np.abs(mirrored - log_j) <= rtol + 4.0 * EPS * np.abs(log_j))
 
 
-@pytest.mark.parametrize("alpha", [1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("alpha", [1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 4.0, 51.0, 101.0, 1001.0])
 def test_log_inner_floor_bounds_log_j(alpha):
-    # the closed-form floor is never above log J, up to rounding, and at
-    # most 3 below it, wherever log J is a float
+    # log J - 2 p* tends to log(2 sqrt(pi) h), h the Laplace width of J's
+    # peak, which the x rule shifts each row by: 2 p* + log h is a floor of
+    # log J, at most 4.5 below it from x = 0 out, wherever 2 p* rounds by
+    # less than 1e-3
     spec = profile_power(alpha)
+    ap = spec.conjugate_alpha
     mags = np.logspace(-6.0, 3.0, 91)
-    mags = mags[spec.conjugate_alpha * np.log(mags) < 690.0]
+    mags = mags[ap * np.log(mags) < 690.0]
     xs = np.concatenate([[0.0], mags, -mags])
+    two_pstar = 2.0 * np.abs(xs) ** ap / ap
+    xs, two_pstar = xs[two_pstar * EPS < 1e-3], two_pstar[two_pstar * EPS < 1e-3]
     log_j, _ = _log_inner_batch(spec, 1.0, xs, 1e-12)
-    floor = _log_inner_floor(spec, xs)
-    assert np.all(floor <= log_j + 4.0 * np.spacing(np.abs(log_j)))
-    assert np.all(log_j - floor <= 3.0)
-    assert _log_inner_floor(spec, np.array([1e300]))[0] == math.inf
+    with np.errstate(divide="ignore"):  # h at x = 0, for a > 2
+        gap = log_j - two_pstar - np.log(profile_module._peak_width(alpha, xs))
+    assert np.all((0.0 <= gap) & (gap <= 4.5))
 
 
 @pytest.mark.parametrize("alpha", [1.001, 1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 10.0, 51.0])
@@ -493,61 +497,64 @@ def test_x_window_table_matches_the_two_step_cut_and_floor(alpha):
     # the kernel's per-alpha table against the formulas it is built from,
     # on slopes across the float range, and densely where c = |slope| and
     # x* = p'(slope) are both near 1: the cut widened by the fall of log h
-    # within 0.5%, half the 1% the cut leaves past its root, and the floor
-    # F of log J at x* within 1e-3 of the 3 it gives away, wherever F
-    # rounds by less than that
+    # within 0.5%, half the 1% the cut leaves past its root, the widened
+    # cut taken by homogeneity (2 D* is of degree a'), and the third row,
+    # log h, exactly: 2 p* + log h is the floor of log J the rows shift by
     spec = profile_power(alpha)
-    ap, step = spec.conjugate_alpha, profile_module._floor_step
+    ap, step = spec.conjugate_alpha, profile_module._peak_width
     near = 20.0 * min(1.0, 1.0 / (alpha - 1.0))
     t = np.concatenate([np.linspace(-744.0, math.log(np.finfo(float).max) / alpha, 20001),
                         np.linspace(-near, near, 20001)])
     slope = np.concatenate([[0.0], np.exp(t), -np.exp(t)])
     x_star = profile_dp(spec, slope)
+    cut = profile_module._cut_table(ap)
     with np.errstate(divide="ignore", over="ignore"):  # h at x = 0; x* + L past the float range
-        widths = _cut_widths(ap, slope)
+        widths = np.array(_window(cut, slope))
         fall = np.log(step(alpha, x_star) / step(alpha, x_star + [[-1.0], [1.0]] * widths))
-        widths = _cut_widths(ap, slope, 46.0 + np.maximum(fall, 0.0))
-    left, right, gain = profile_module._x_window(alpha, slope)
+        scale = ((46.0 + np.maximum(fall, 0.0)) / 45.0) ** (1.0 / ap)
+        widths = scale * [_window(cut, slope / side ** (ap - 1.0))[i]
+                          for i, side in enumerate(scale)]
+        log_h = np.log(step(alpha, x_star))
+    left, right, got = _window(profile_module._x_window_table(alpha), slope)
     assert np.all(np.abs(np.log([left, right] / widths)) <= 5e-3)
-    rounds = np.abs(slope) ** alpha < 1e15  # 2 p*(x*) = 2 (a - 1) p(slope)
-    floor = _log_inner_floor(spec, x_star[rounds])
-    got = 2.0 * np.abs(x_star[rounds]) ** ap / ap + gain[rounds]
-    assert np.all(np.abs(got - floor) <= 1e-3 + 4.0 * EPS * np.abs(floor))
+    assert np.all(np.abs(got - log_h) <= 1e-12 * (1.0 + np.abs(log_h)))
 
 
 def test_tau_batch_kernel_runs_no_cut_or_floor_formula(monkeypatch):
-    # the x rule reads its cut and shift from `_x_window_table`, built once
-    # per alpha: a call runs `_cut_widths` only inside the inner rule, and
-    # no floor of log J
-    callers = []
-    cut = profile_module._cut_widths
+    # both engines read their windows with one lookup, `_window`, from
+    # per-alpha tables built once: a kernel call builds no table and runs
+    # no `_peak_width`, whose log h the table holds
+    callers, window = [], profile_module._window
 
-    def recorded_cut(*args):
+    def recorded_window(*args):
         callers.append(sys._getframe(1).f_code.co_name)
-        return cut(*args)
+        return window(*args)
 
     def forbidden(*args):
-        raise AssertionError("a kernel call ran a floor formula")
+        raise AssertionError("a kernel call ran the peak width formula")
 
     specs = [profile_power(alpha) for alpha in (1.5, 2.0, 3.0, 51.0)]
+    tables = (profile_module._cut_table, profile_module._x_window_table)
     for spec in specs:
-        profile_module._x_window_table(spec.alpha)
-    monkeypatch.setattr(profile_module, "_cut_widths", recorded_cut)
-    for name in ("_floor_step", "_floor_gain", "_log_inner_floor"):
-        monkeypatch.setattr(profile_module, name, forbidden)
+        for table in tables:
+            table(spec.alpha)  # the x window table builds the cut table at alpha'
+    builds = [table.cache_info().misses for table in tables]
+    monkeypatch.setattr(profile_module, "_window", recorded_window)
+    monkeypatch.setattr(profile_module, "_peak_width", forbidden)
     for spec in specs:
         for u in (0.6 + 0.05j, -0.9 + 0.02j, 0.3j):
             taus = KERNEL_TAUS[:5] * complex(math.cos(-0.3), math.sin(-0.3))
             _kernel_tau_batch(spec, taus, u, np.zeros(taus.size), 1e-10)
             bergman_profile(spec, 1.2, u, 0.1)
-    assert callers and set(callers) == {"_log_inner_batch"}
+    assert [table.cache_info().misses for table in tables] == builds
+    assert set(callers) == {"_kernel_tau_batch", "_log_inner_batch"}
 
 
 @pytest.mark.parametrize("weight", PROFILE_WEIGHTS)
 @pytest.mark.parametrize("phase", [0.0, -0.5])
 def test_tau_batch_kernel_window_ends_decay(monkeypatch, weight, phase):
-    # the window is fitted from the floor of log J and snapped outward to
-    # its level-0 lattice; with log J itself the terms at the ends of the
+    # the window is cut for the Laplace width of J's peak and snapped
+    # outward to its level-0 lattice; with log J the terms at the ends of the
     # start level (every other node of the first fetch) are still below
     # e^-40 of each row's largest term, on the real tau axis and on a
     # complex ray
@@ -676,16 +683,18 @@ def test_log_inner_unsettled_row_raises(monkeypatch, alpha, orders):
 @pytest.mark.parametrize("engine", ["inner-integral", "kernel"])
 def test_window_whose_ends_have_not_decayed_raises(monkeypatch, engine):
     # each engine checks its cut window once and raises where an end has not
-    # decayed; it does not search for a wider one.  The kernel reads its
-    # half-widths from its per-alpha table, and checks the terms at the ends
-    # of its snapped window, on the log J it fetched there
-    cut, table = profile_module._cut_widths, profile_module._x_window_table
+    # decayed; it does not search for a wider one.  Each reads its
+    # half-widths from its per-alpha table, here halved; the kernel checks
+    # the terms at the ends of its snapped window, on the log J it fetched
+    # there
+    cut, table = profile_module._cut_table, profile_module._x_window_table
     if engine == "kernel":
         halved = [[math.log(2.0)], [math.log(2.0)], [0.0]]
         monkeypatch.setattr(profile_module, "_x_window_table",
                             lambda a: (table(a)[0], table(a)[1] - halved))
     else:
-        monkeypatch.setattr(profile_module, "_cut_widths", lambda *args: 0.5 * cut(*args))
+        monkeypatch.setattr(profile_module, "_cut_table",
+                            lambda a: (cut(a)[0], cut(a)[1] - math.log(2.0)))
     with pytest.raises(ConvergenceError, match=engine + " window failed to close"):
         if engine == "kernel":
             _kernel_tau_batch(profile_power(3.0), np.ones(1), 0.5, np.zeros(1), 1e-10)
@@ -1234,21 +1243,26 @@ def test_bregman_large_alpha_against_mpmath(alpha, tol):
 
 @pytest.mark.parametrize("alpha", [1.001, 1.01, 1.5, 2.0, 3.0, 4.0, 101.0, 201.0])
 def test_cut_widths_end_at_the_decay_point(alpha):
-    # each half-width L of the homogeneous cut table ends where the shifted
-    # exponent -2 D(c -+ L, c) has fallen past -cutoff, at most 5% beyond
-    # the root: D grows with |d|, so that is 2 D(c -+ L / 1.05, c) <= cutoff
+    # each half-width L of the homogeneous cut table, read through
+    # `_window`, ends where the shifted exponent -2 D(c -+ L, c) has fallen
+    # past -cutoff, at most 5% beyond the root: D grows with |d|, so that is
+    # 2 D(c -+ L / 1.05, c) <= cutoff.  2 D is of degree a, so the cut to K
+    # at c is s = (K / 45)^(1/a) times the cut to 45 at c / s
     spec = profile_power(alpha)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         profile_module._cut_table.__wrapped__(alpha)  # the build itself, uncached
+    table = profile_module._cut_table(alpha)
     cs = np.geomspace(1e-8, 1e8, 81)
     cs = np.concatenate([cs, -cs])[np.abs((alpha - 1.0) * np.log(np.concatenate([cs, cs]))) < 700.0]
     for cutoff in (45.0, 60.0):
-        widths = _cut_widths(alpha, 0.0, cutoff)  # c = 0: D(d, 0) = p(d)
+        scale = (cutoff / 45.0) ** (1.0 / alpha)
+        widths = scale * np.array(_window(table, 0.0))  # c = 0: D(d, 0) = p(d)
         assert np.all(2.0 * profile_p(spec, widths) >= cutoff)
         assert np.all(2.0 * profile_p(spec, widths / 1.05) <= cutoff)
         # the rest, whose slope p'(c) is a float: past it no caller forms a row
-        widths = _cut_widths(alpha, profile_dp(spec, cs), cutoff) * [[-1.0], [1.0]]
+        slope = profile_dp(spec, cs) / scale ** (alpha - 1.0)
+        widths = scale * np.array(_window(table, slope)) * [[-1.0], [1.0]]
         assert np.all(2.0 * _bregman(spec, widths, cs) >= cutoff)
         assert np.all(2.0 * _bregman(spec, widths / 1.05, cs) <= cutoff)
 
@@ -1357,6 +1371,20 @@ def test_laplace_asymptotic_is_one_engine_call(monkeypatch, cfg):
     p2d = weight_derivatives(spec, mu)[1]
     log_pred = 0.5 * np.log(PI / (taus * p2d)) + 2.0 * taus * young_conjugate_closed(spec, eta)
     np.testing.assert_allclose(rep.ratios, np.exp(per_tau - log_pred), rtol=1e-9)
+
+
+def test_laplace_asymptotic_raises_where_its_ratio_is_rounding(cfg):
+    # log I - 2 tau p* cancels: where EPS |log I| passes the 0.02 the ratio
+    # is judged at, the ratio is rounding (1.06 at eta 1e8, 1.8e24 at 1e10,
+    # inf past 1e11), and the call raises; at eta 1e6 it rounds by 3e-5
+    spec, taus = profile_power(3.0), [1.0, 10.0, 100.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eta in (1e8, 1e10, 1e11, 1e14):
+            with pytest.raises(DomainError, match="rounds"):
+                laplace_asymptotic(spec, eta, taus, cfg)
+        rep = laplace_asymptotic(spec, 1e6, taus, cfg)
+    assert np.all(np.abs(rep.ratios - 1.0) <= 1e-4)
 
 
 def test_laplace_asymptotic_degenerate(cfg):
@@ -1499,6 +1527,8 @@ _GRID = np.linspace(-4.0, 4.0, 17)
                  DomainError, "tol", id="young_conjugate_numeric-nan-tol"),
     pytest.param(lambda: young_conjugate_numeric(profile_power(3.0), 1.0, math.inf),
                  DomainError, "tol", id="young_conjugate_numeric-inf-tol"),
+    pytest.param(lambda: young_conjugate_numeric(profile_power(3.0), 1e300, 1e-10),
+                 DomainError, "overflows", id="young_conjugate_numeric-overflow"),
     pytest.param(lambda: shifted_maximizer_gap(profile_power(3.0), 1.0, 0.5, math.nan),
                  DomainError, "finite", id="shifted_maximizer_gap-nan-eta"),
     pytest.param(lambda: shifted_maximizer_gap(profile_power(3.0), 1.0, math.nan, 1.0),
@@ -1511,6 +1541,8 @@ _GRID = np.linspace(-4.0, 4.0, 17)
                  DomainError, "lam", id="sandwich_bounds_check-inf-lam"),
     pytest.param(lambda: sandwich_bounds_check(gaussian(), 1.0, 1.5, [0.0, math.nan, 1.0]),
                  DomainError, "eta must be finite", id="sandwich_bounds_check-nan-eta"),
+    pytest.param(lambda: sandwich_bounds_check(profile_power(3.0), 1.0, 1.5, _GRID.reshape(1, -1)),
+                 DomainError, "one-dimensional", id="sandwich_bounds_check-2d-eta"),
     pytest.param(lambda: series_coefficient(2.0, math.nan, 0), DomainError, "tau",
                  id="series_coefficient-nan-tau"),
     pytest.param(lambda: series_coefficient(2.0, math.inf, 0), DomainError, "tau",
@@ -1593,8 +1625,16 @@ _GRID = np.linspace(-4.0, 4.0, 17)
                  id="moment_oracle-zero-tau"),
     pytest.param(lambda: moment_oracle(2.0, 1.0, -1), ValueError, "k >= 0",
                  id="moment_oracle-negative-k"),
+    pytest.param(lambda: moment_oracle(2.0, 1.0, math.inf), ValueError, "k >= 0",
+                 id="moment_oracle-inf-k"),
+    pytest.param(lambda: moment_oracle(2.0, 1.0, math.nan), ValueError, "k >= 0",
+                 id="moment_oracle-nan-k"),
     pytest.param(lambda: moment_closed(2.0, math.nan, 0), ValueError, "tau",
                  id="moment_closed-nan-tau"),
+    pytest.param(lambda: moment_closed(2.0, 1.0, math.inf), ValueError, "k >= 0",
+                 id="moment_closed-inf-k"),
+    pytest.param(lambda: moment_closed(2.0, 1.0, math.nan), ValueError, "k >= 0",
+                 id="moment_closed-nan-k"),
     pytest.param(lambda: reproducing_check(2.0, 1.0, 0, complex(math.nan, 0.0)), ValueError,
                  "finite z", id="reproducing_check-nan-z"),
     pytest.param(lambda: reproducing_check(2.0, 0.0, 0, 0.5), ValueError, "tau",
@@ -1607,6 +1647,11 @@ _GRID = np.linspace(-4.0, 4.0, 17)
                  id="reproducing_check-bool-j"),
     pytest.param(lambda: reproducing_check(2.0, 1.0, 9, 0.5), ValueError, "integer j",
                  id="reproducing_check-j-above-8"),
+    # (|z| radius)^k overflows before the series' terms fall off
+    pytest.param(lambda: reproducing_check(2.0, 1.0, 0, 10.0), DomainError, "float range",
+                 id="reproducing_check-series-overflow"),
+    pytest.param(lambda: reproducing_check(2.0, 1.0, 0, 1e200), DomainError, "float range",
+                 id="reproducing_check-huge-z"),
     pytest.param(lambda: BoundaryPoint(0.5, math.inf), DomainError, "finite",
                  id="BoundaryPoint-inf-t"),
     pytest.param(lambda: profile_power(math.nan), DomainError, "finite",
